@@ -58,8 +58,9 @@ def bench_engine_cancellable_rate(benchmark, report_rate):
     """The ``call_later`` flavour of the reference workload.
 
     Same schedule, but every event returns a cancellable handle — the
-    price of handles (pool draw, refcount-gated recycling) relative to
-    the zero-alloc reference is exactly the gap between these two lines.
+    price of handles (one plain ``Event`` allocation per schedule,
+    detached when it fires) relative to the zero-alloc reference is
+    exactly the gap between these two lines.
     """
 
     def run_events(count: int = 50_000) -> int:

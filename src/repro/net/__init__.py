@@ -29,7 +29,6 @@ from repro.net.icmp import IcmpMessage, IcmpSink, IcmpType
 from repro.net.link import Link, PacketPipe, TapFn
 from repro.net.loss import BernoulliLoss, DeterministicLoss, GilbertElliottLoss, LossModel, NoLoss
 from repro.net.message import Message
-from repro.net.pool import EnvelopePool, esp_packet_pool, message_pool
 from repro.net.reorder import DegreeReorderStage
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "DegreeReorderStage",
     "DelayModel",
     "DeterministicLoss",
-    "EnvelopePool",
     "ExponentialJitterDelay",
     "FixedDelay",
     "GilbertElliottLoss",
@@ -52,6 +50,4 @@ __all__ = [
     "ReplayAdversary",
     "TapFn",
     "UniformJitterDelay",
-    "esp_packet_pool",
-    "message_pool",
 ]

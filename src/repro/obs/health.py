@@ -144,7 +144,6 @@ def health_rows(
         return f"{label}/{base}" if label else base
 
     rows: list[dict[str, Any]] = []
-    pool_hit_rate = _pool_hit_rate(gauges)
     for label in _labels_in(export):
         ewma = ewmas.get(prefixed(label, "loss_ewma"), {})
         recovery = histograms.get(prefixed(label, "recovery_latency"), {})
@@ -165,46 +164,24 @@ def health_rows(
             "resets": counters.get(prefixed(label, "resets"), 0),
             "recoveries": recovery.get("count", 0),
             "path_transitions": gauges.get(prefixed(label, "path_transitions"), 0.0),
-            "pool_hit_rate": pool_hit_rate,
             "state": classify(signals, thresholds).label,
         })
     return rows
-
-
-def _pool_hit_rate(gauges: Mapping[str, Any]) -> float | None:
-    """Event-pool free-list hit rate from the EventCoreProbe gauges.
-
-    The probe publishes ``engine/pool_hits`` / ``engine/pool_misses``
-    run-wide (the event core is shared by every SA on the engine), so
-    the rate is one number per export — ``None`` when the probe never
-    sampled (pre-PR-7 exports, or a run without an engine probe).
-    """
-    hits = gauges.get("engine/pool_hits")
-    misses = gauges.get("engine/pool_misses")
-    if hits is None and misses is None:
-        return None
-    total = (hits or 0.0) + (misses or 0.0)
-    if total <= 0.0:
-        return 0.0
-    return (hits or 0.0) / total
 
 
 def render_health_table(rows: list[dict[str, Any]]) -> str:
     """The ``python -m repro obs`` health table, one line per label."""
     header = (
         f"{'sa':<8} {'state':<7} {'loss_ewma':>9} {'queue_pk':>8} "
-        f"{'rec_p99_us':>10} {'discards':>8} {'resets':>6} {'path_tr':>7} "
-        f"{'pool_hit%':>9}"
+        f"{'rec_p99_us':>10} {'discards':>8} {'resets':>6} {'path_tr':>7}"
     )
     lines = [header, "-" * len(header)]
     for row in rows:
-        rate = row.get("pool_hit_rate")
-        pool = f"{rate * 100.0:>9.1f}" if rate is not None else f"{'-':>9}"
         lines.append(
             f"{row['label']:<8} {row['state']:<7} "
             f"{row['loss_ewma']:>9.4f} {row['save_queue_depth']:>8.0f} "
             f"{row['recovery_p99'] * 1e6:>10.1f} {row['replay_discards']:>8} "
-            f"{row['resets']:>6} {row['path_transitions']:>7.0f} {pool}"
+            f"{row['resets']:>6} {row['path_transitions']:>7.0f}"
         )
     states = [row["state"] for row in rows]
     summary = ", ".join(

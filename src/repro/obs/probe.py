@@ -152,54 +152,25 @@ class HealthProbe:
 
 
 class EventCoreProbe:
-    """Engine event-core and envelope-pool counters, sampled per tick.
+    """Engine event-core counters, sampled per tick.
 
-    Publishes the zero-alloc hot path's effectiveness under ``engine/``:
-    the event free list's hits/misses/recycled/size
-    (:meth:`repro.sim.events.EventQueue.pool_stats`) plus the engine's
-    processed/pending totals.  Optional
-    :class:`~repro.net.pool.EnvelopePool` instances registered through
-    :meth:`watch_pool` publish the same counter shape under their label.
-
-    Pull-based like every probe: the hot path pays nothing; with the
-    hub disabled no probe attaches at all, so pooled and unpooled runs
-    stay byte-identical (the obs parity fixtures pin this).
+    Publishes the engine's processed/pending totals under ``engine/``,
+    plus the processed total as a series.  Pull-based like every probe:
+    the hot path pays nothing, and with the hub disabled no probe
+    attaches at all.
     """
 
     def __init__(self, hub: MetricsHub, engine: Any) -> None:
         self.hub = hub
         self.engine = engine
-        self.pool_hits = hub.gauge("engine/pool_hits")
-        self.pool_misses = hub.gauge("engine/pool_misses")
-        self.pool_recycled = hub.gauge("engine/pool_recycled")
-        self.pool_size = hub.gauge("engine/pool_size")
         self.events_processed = hub.gauge("engine/events_processed")
         self.pending = hub.gauge("engine/pending_events")
         self.processed_series = hub.series("engine/events_processed")
-        self._pools: list[tuple[str, Any, dict[str, Any]]] = []
-
-    def watch_pool(self, label: str, pool: Any) -> None:
-        """Also publish an envelope pool's counters under ``label/``."""
-        gauges = {
-            key: self.hub.gauge(f"{label}/{key}")
-            for key in ("pool_hits", "pool_misses", "pool_recycled",
-                        "pool_size")
-        }
-        self._pools.append((label, pool, gauges))
 
     def sample(self, now: float) -> None:
-        stats = self.engine.event_core_stats
-        self.pool_hits.set(stats["pool_hits"])
-        self.pool_misses.set(stats["pool_misses"])
-        self.pool_recycled.set(stats["pool_recycled"])
-        self.pool_size.set(stats["pool_size"])
         self.events_processed.set(self.engine.events_processed)
         self.pending.set(self.engine.pending_events)
         self.processed_series.sample(now, self.engine.events_processed)
-        for _label, pool, gauges in self._pools:
-            stats = pool.stats()
-            for key, gauge in gauges.items():
-                gauge.set(stats[key])
 
 
 class SharedStoreProbe:

@@ -317,6 +317,11 @@ class CampaignView:
         self.recovered: set[str] = set()
         self.errored: dict[str, str] = {}
         self.running: dict[str, str] = {}   # task_id -> worker
+        # Finished tasks whose worker's task_started has not arrived yet
+        # (task_id -> errored): a pool worker's events cross a queue
+        # while its result returns through the pool, so the parent can
+        # fold a finish before the drain thread records its start.
+        self._finished_first: dict[str, bool] = {}
         self.workers: dict[str, WorkerStatus] = {}
         self.started_time = 0.0
         self.last_time = 0.0
@@ -347,11 +352,20 @@ class CampaignView:
             self.skipped = int(event.data.get("skipped", self.skipped))
             self.jobs = int(event.data.get("jobs", self.jobs))
             self.finished = False
+            # A new run's workers can never claim the last run's finishes.
+            self._finished_first.clear()
         elif kind == "task_started":
-            if event.task_id is not None:
-                self.running[event.task_id] = event.worker
+            task_id = event.task_id
+            if task_id in self._finished_first:
+                errored = self._finished_first.pop(task_id)
                 if worker is not None:
-                    worker.current_task = event.task_id
+                    worker.tasks_done += 1
+                    if errored:
+                        worker.errors += 1
+            elif task_id is not None:
+                self.running[task_id] = event.worker
+                if worker is not None:
+                    worker.current_task = task_id
                     worker.task_started_at = event.time
         elif kind in ("task_finished", "task_errored"):
             self._fold_finished(event, worker)
@@ -386,6 +400,8 @@ class CampaignView:
             if owner.current_task == task_id:
                 owner.current_task = None
             owner.tasks_done += 1
+        else:
+            self._finished_first[task_id] = event.kind == "task_errored"
         if event.kind == "task_errored":
             self.errored[task_id] = event.data.get("error", "")
             if owner is not None:

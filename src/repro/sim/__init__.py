@@ -26,7 +26,7 @@ Example::
 """
 
 from repro.sim.engine import Engine, EngineEventLimitError
-from repro.sim.events import Event, EventQueue, HeapEventQueue, make_event_queue
+from repro.sim.events import Event, EventQueue
 from repro.sim.metrics import Counter, MetricSet, SummaryStat, TimeSeries
 from repro.sim.process import SimProcess, Timer
 from repro.sim.trace import NULL_TRACE, NullTraceRecorder, TraceRecord, TraceRecorder
@@ -37,7 +37,6 @@ __all__ = [
     "EngineEventLimitError",
     "Event",
     "EventQueue",
-    "HeapEventQueue",
     "MetricSet",
     "NULL_TRACE",
     "NullTraceRecorder",
@@ -47,5 +46,4 @@ __all__ = [
     "Timer",
     "TraceRecord",
     "TraceRecorder",
-    "make_event_queue",
 ]

@@ -24,18 +24,9 @@ mixing them cannot change ordering.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from sys import getrefcount
 from typing import Any, Callable, ClassVar
 
-from repro.sim.events import (
-    _DIRECT_RECLAIM_REFS,
-    _new_event,
-    _POOL_CAP,
-    PRIORITY_NORMAL,
-    Event,
-    EventQueue,
-    make_event_queue,
-)
+from repro.sim.events import PRIORITY_NORMAL, Event, EventQueue
 from repro.sim.trace import TraceRecorder
 from repro.util.validation import check_non_negative
 
@@ -80,7 +71,6 @@ class Engine:
         self,
         trace: TraceRecorder | None = None,
         hard_event_limit: int | None = None,
-        core: str | None = None,
     ) -> None:
         self.now: float = 0.0
         self.trace: TraceRecorder = trace if trace is not None else TraceRecorder()
@@ -89,7 +79,7 @@ class Engine:
             if hard_event_limit is not None
             else type(self).default_hard_event_limit
         )
-        self._queue = make_event_queue(core)
+        self._queue = EventQueue()
         self._events_processed = 0
         self._running = False
         self._stop_requested = False
@@ -113,30 +103,7 @@ class Engine:
             raise ValueError(
                 f"cannot schedule at t={time} before current time t={self.now}"
             )
-        queue = self._queue
-        if type(queue) is not EventQueue:
-            return queue.push(time, callback, args, priority)
-        # EventQueue.push, inlined minus one call frame (any semantic
-        # change to push must land here and in call_later too; the
-        # cross-core parity fixtures in tests/sim catch a drift).
-        sequence = queue._seq
-        queue._seq = sequence + 1
-        free = queue._free
-        if free:
-            event = free.pop()
-        else:
-            event = _new_event(Event)
-            event.cancelled = False
-            event._queue = queue
-            queue.pool_misses += 1
-        entry = (time, priority, sequence, event, callback, args)
-        event.entry = entry
-        queue._live += 1
-        if time < queue._window_end_time:
-            heappush(queue._front, entry)
-        else:
-            queue._place_far(entry)
-        return event
+        return self._queue.push(time, callback, args, priority)
 
     def call_later(
         self,
@@ -146,35 +113,12 @@ class Engine:
         priority: int = PRIORITY_NORMAL,
     ) -> Event:
         """Schedule ``callback(*args)`` after a non-negative ``delay``."""
-        # Hot path: most cancellable schedules come through here (timers
-        # re-arming).  The comparison doubles as the validity check — only
-        # on failure do we pay for the descriptive error — and a
-        # non-negative delay makes call_at's past-check redundant.
+        # The comparison doubles as the validity check — only on failure
+        # do we pay for the descriptive error — and a non-negative delay
+        # makes call_at's past-check redundant.
         if not delay >= 0:
             check_non_negative("delay", delay)
-        time = self.now + delay
-        queue = self._queue
-        if type(queue) is not EventQueue:
-            return queue.push(time, callback, args, priority)
-        # EventQueue.push, inlined (see call_at).
-        sequence = queue._seq
-        queue._seq = sequence + 1
-        free = queue._free
-        if free:
-            event = free.pop()
-        else:
-            event = _new_event(Event)
-            event.cancelled = False
-            event._queue = queue
-            queue.pool_misses += 1
-        entry = (time, priority, sequence, event, callback, args)
-        event.entry = entry
-        queue._live += 1
-        if time < queue._window_end_time:
-            heappush(queue._front, entry)
-        else:
-            queue._place_far(entry)
-        return event
+        return self._queue.push(self.now + delay, callback, args, priority)
 
     def post_at(
         self,
@@ -193,19 +137,7 @@ class Engine:
             raise ValueError(
                 f"cannot schedule at t={time} before current time t={self.now}"
             )
-        queue = self._queue
-        if type(queue) is not EventQueue:
-            queue.post(time, callback, args, priority)
-            return
-        # EventQueue.post, inlined (see _push_fused).
-        sequence = queue._seq
-        queue._seq = sequence + 1
-        queue._live += 1
-        entry = (time, priority, sequence, None, callback, args)
-        if time < queue._window_end_time:
-            heappush(queue._front, entry)
-        else:
-            queue._place_far(entry)
+        self._queue.post(time, callback, args, priority)
 
     def post_later(
         self,
@@ -217,20 +149,7 @@ class Engine:
         """Fire-and-forget :meth:`call_later` (see :meth:`post_at`)."""
         if not delay >= 0:
             check_non_negative("delay", delay)
-        queue = self._queue
-        if type(queue) is not EventQueue:
-            queue.post(self.now + delay, callback, args, priority)
-            return
-        # EventQueue.post, inlined (see _push_fused).
-        time = self.now + delay
-        sequence = queue._seq
-        queue._seq = sequence + 1
-        queue._live += 1
-        entry = (time, priority, sequence, None, callback, args)
-        if time < queue._window_end_time:
-            heappush(queue._front, entry)
-        else:
-            queue._place_far(entry)
+        self._queue.post(self.now + delay, callback, args, priority)
 
     # ------------------------------------------------------------------
     # Execution
@@ -274,46 +193,23 @@ class Engine:
             raise RuntimeError("Engine.run() is not reentrant")
         self._running = True
         self._stop_requested = False
+        # The inlined hot loop over the timer wheel's front heap — the
+        # hottest code in the library.  It fires entry tuples directly
+        # (the Event, when there is one, is only touched to check
+        # cancellation and to detach it), and all limit modes collapse to
+        # plain compares against sentinel budgets, so the common
+        # unlimited case pays nothing extra.  The queue invariants kept
+        # here (live counter decrement, dead-entry drop) mirror
+        # ``EventQueue.pop_next``.
         queue = self._queue
-        try:
-            if type(queue) is EventQueue:
-                return self._run_wheel(queue, until, max_events)
-            return self._run_generic(queue, until, max_events)
-        finally:
-            self._running = False
-
-    def _run_wheel(
-        self,
-        queue: EventQueue,
-        until: float | None,
-        max_events: int | None,
-    ) -> int:
-        """The inlined hot loop over the timer wheel's front heap.
-
-        This is the hottest code in the library.  It fires entry tuples
-        directly — the Event object (when there is one) is only touched to
-        check cancellation and to detach or recycle the handle — and all
-        limit modes collapse to plain compares against sentinel budgets,
-        so the common unlimited case pays nothing extra.  The queue
-        invariants maintained here (live counter decrement, dead-entry
-        reclaim) mirror ``EventQueue.pop_next``.
-        """
         cap = _NO_LIMIT if max_events is None else max_events
         hard_limit = self.hard_event_limit
         budget = _NO_LIMIT if hard_limit is None else hard_limit
         horizon = float("inf") if until is None else until
         front = queue._front
-        free = queue._free
         advance = queue._advance
         pop = heappop
-        push = heappush
-        refcount = getrefcount
-        # Expected refcount of an unreferenced handle: the loop local plus
-        # the event's own `entry` back-reference (the unpack below releases
-        # the popped tuple itself, but it stays alive through event.entry).
-        held = _DIRECT_RECLAIM_REFS + 1
         processed = self._events_processed
-        recycled = 0
         fired = 0
         try:
             while fired < cap and not self._stop_requested:
@@ -324,22 +220,11 @@ class Engine:
                 time, prio, seq, event, callback, args = pop(front)
                 if event is not None and event.cancelled:
                     queue._dead -= 1
-                    # _reclaim(), inlined (this is the cancel-heavy drain
-                    # path).  A handle held anywhere else raises the count
-                    # and is detached instead, so a late cancel() stays
-                    # harmless; only recycled events are stripped.
-                    if len(free) < _POOL_CAP and refcount(event) == held:
-                        event.entry = None
-                        event.cancelled = False
-                        free.append(event)
-                        recycled += 1
-                    else:
-                        event._queue = None
                     continue
                 if time > horizon:
                     # Not due yet: this entry stays scheduled.  The rebuilt
                     # tuple is key-identical, so ordering is unaffected.
-                    push(front, (time, prio, seq, event, callback, args))
+                    heappush(front, (time, prio, seq, event, callback, args))
                     break
                 queue._live -= 1
                 self.now = time
@@ -352,17 +237,6 @@ class Engine:
                     event._queue = None
                 callback(*args)
                 fired += 1
-                if event is not None:
-                    # Recycle the handle when provably unreferenced (same
-                    # `held` accounting as the dead branch above); restore
-                    # the pool invariants in full — the callback may have
-                    # flag-cancelled the detached handle before dropping it.
-                    if len(free) < _POOL_CAP and refcount(event) == held:
-                        event.entry = None
-                        event.cancelled = False
-                        event._queue = queue
-                        free.append(event)
-                        recycled += 1
                 if processed > budget:
                     raise EngineEventLimitError(
                         f"engine exceeded hard_event_limit={hard_limit} "
@@ -372,41 +246,7 @@ class Engine:
                         "limit or fix the schedule"
                     )
         finally:
-            queue.pool_recycled += recycled
-        if until is not None and until > self.now and not self._stop_requested:
-            # Advance the clock to the requested horizon even if idle.
-            self.now = until
-        return fired
-
-    def _run_generic(
-        self,
-        queue: Any,
-        until: float | None,
-        max_events: int | None,
-    ) -> int:
-        """Core-agnostic run loop (used by alternate cores, e.g. the heap)."""
-        cap = _NO_LIMIT if max_events is None else max_events
-        hard_limit = self.hard_event_limit
-        budget = _NO_LIMIT if hard_limit is None else hard_limit
-        pop_next = queue.pop_next
-        fired = 0
-        while fired < cap and not self._stop_requested:
-            event = pop_next(until)
-            if event is None:
-                break
-            assert event.time >= self.now, "event queue returned a past event"
-            self.now = event.time
-            self._events_processed += 1
-            event.fire()
-            fired += 1
-            if self._events_processed > budget:
-                raise EngineEventLimitError(
-                    f"engine exceeded hard_event_limit={hard_limit} "
-                    f"(events_processed={self._events_processed}, "
-                    f"t={self.now:.9f}, pending={self.pending_events}): "
-                    "likely a self-rescheduling event loop; raise the "
-                    "limit or fix the schedule"
-                )
+            self._running = False
         if until is not None and until > self.now and not self._stop_requested:
             # Advance the clock to the requested horizon even if idle.
             self.now = until
@@ -428,11 +268,6 @@ class Engine:
     def pending_events(self) -> int:
         """Number of live (non-cancelled) events still queued."""
         return len(self._queue)
-
-    @property
-    def event_core_stats(self) -> dict[str, int]:
-        """The event core's pooling/posting counters (JSON-safe)."""
-        return self._queue.pool_stats()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -6,65 +6,43 @@ ties between events scheduled for the same instant (lower runs first), and
 order among equal-priority simultaneous events — the property that makes
 simulation runs reproducible.
 
-Two cores implement the same contract:
+:class:`EventQueue` is a **hierarchical timer wheel**.  Time is quantised
+into 2\\ :sup:`-20`-second ticks.  The *current window* — the
+2\\ :sup:`23`-tick (8 s) span the simulation is executing inside — is a
+binary heap (``front``), so everything a protocol schedules within its own
+near horizon (deliveries, retransmits, one-period timers) runs at C
+``heapq`` speed with **one** handling per event, on a heap bounded by one
+window's population.  Only genuinely far timers park in three wheel levels
+of 1024 slots each (slot widths 8 s / ~2.3 h / ~4 days; the levels span
+~2.3 h / ~97 days / ~272 years, and an overflow list catches the rest): a
+far push is an O(1) list append, a cancel is an O(1) flag, and dead
+entries are dropped the one time their slot is loaded, so cancel-heavy
+schedules never pay per-pop skip costs or compaction storms.  When the
+front drains, the next occupied slot *cascades*: level-1 slots load
+straight into the front (one C ``heapify``), coarser slots redistribute
+one level down.  Exact pop order is preserved because slots only bucket —
+the heap orders every window by the full ``(time, priority, sequence)``
+key.  The wide window is the perf-critical choice: it buys the heap's C
+speed for the common case while keeping the heap's size — and therefore
+its O(log n) — bound by an 8 s horizon instead of the whole schedule.
 
-* :class:`EventQueue` — the default **hierarchical timer wheel**.  Time is
-  quantised into 2\\ :sup:`-20`-second ticks.  The *current window* — the
-  2\\ :sup:`23`-tick (8 s) span the simulation is executing inside — is a
-  binary heap (``front``), so everything a protocol schedules within its
-  own near horizon (deliveries, retransmits, one-period timers) runs at C
-  ``heapq`` speed with **one** handling per event, exactly like the plain
-  heap core but on a heap bounded by one window's population.  Only
-  genuinely far timers park in three wheel levels of 1024 slots each
-  (slot widths 8 s / ~2.3 h / ~4 days; the levels span ~2.3 h / ~97 days
-  / ~272 years, and an overflow list catches the rest): a far push is an
-  O(1) list append, a cancel is an O(1) flag, and dead entries are
-  dropped — and their handles recycled — the one time their slot is
-  loaded, so cancel-heavy schedules never pay per-pop skip costs or
-  compaction storms.  When the front drains, the next occupied slot
-  *cascades*: level-1 slots load straight into the front (one C
-  ``heapify``), coarser slots redistribute one level down.  Exact pop
-  order is preserved because slots only bucket — the heap orders every
-  window by the full ``(time, priority, sequence)`` key.  The wide window
-  is the perf-critical choice: it buys the heap's C speed for the common
-  case while keeping the heap's size — and therefore its O(log n) — bound
-  by an 8 s horizon instead of the whole schedule.
-
-* :class:`HeapEventQueue` — the previous single binary-heap core
-  (O(log n) schedule over the whole horizon, lazy cancellation with
-  threshold compaction).  Kept for A/B ordering-parity tests and
-  selectable via ``REPRO_EVENT_CORE=heap``; the golden fixtures in
-  ``tests/sim`` pin that both cores fire the exact same sequence on
-  adversarial schedules.
-
-Both cores store ``(time, priority, sequence, event, callback, args)``
+The queue stores ``(time, priority, sequence, event, callback, args)``
 tuples: tuple comparison is a single C call that short-circuits on
 ``time`` and can never reach the ``event`` slot because ``sequence`` is
-unique.
-
-**Zero-alloc hot path.**  Two mechanisms remove per-event allocation:
-
-* :meth:`EventQueue.post` schedules a fire-and-forget callback with *no*
-  :class:`Event` object at all — the entry tuple is the event.  Internal
-  hot paths that never cancel (link deliveries, one-shot bookkeeping)
-  use it via :meth:`~repro.sim.engine.Engine.post_at` / ``post_later``.
-* Cancellable events drawn through :meth:`EventQueue.push` come from a
-  per-queue free list when possible.  An event is only recycled when
-  ``sys.getrefcount`` proves the queue holds the last reference — a
-  handle retained anywhere (a :class:`~repro.sim.process.Timer`, test
-  code, a stale variable) pins the object and it is simply not reused, so
-  the pinned contract "``cancel()`` after fire/clear is harmless" can
-  never alias a new incarnation.  ``pool_hits`` / ``pool_misses`` /
-  ``pool_recycled`` counters expose the pool's effectiveness (the obs
-  layer publishes them through :class:`repro.obs.probe.EventCoreProbe`).
+unique.  :meth:`EventQueue.post` schedules a fire-and-forget callback
+with *no* :class:`Event` at all — the entry tuple is the event — and is
+what internal hot paths that never cancel (link deliveries, one-shot
+bookkeeping) use via :meth:`~repro.sim.engine.Engine.post_at` /
+``post_later``.  A cancellable :class:`Event` from :meth:`EventQueue.push`
+is a plain allocation that keeps its own copy of the scheduling fields
+and never references its entry: the entry holds the event, so a
+back-reference would make every handle an entry↔event cycle that only the
+cyclic garbage collector can free.
 """
 
 from __future__ import annotations
 
-import os
-import sys as _sys
 from heapq import heapify, heappop, heappush
-from sys import getrefcount
 from typing import Any, Callable
 
 #: Default priority for ordinary events.
@@ -106,49 +84,6 @@ _LEVEL_GEOMETRY = tuple(
     for level in range(1, _LEVELS)
 )
 _L1_SPAN = _FRONT_BITS + _SLOT_BITS
-_HORIZON_BITS = _FRONT_BITS + _SLOT_BITS * (_LEVELS - 1)
-
-#: Maximum events kept on the free list (bounds stale-reference pinning).
-#: Recycling is gated on refcount semantics, which only CPython provides;
-#: a zero cap disables the free list entirely elsewhere.
-_POOL_CAP = 4096 if _sys.implementation.name == "cpython" else 0
-
-
-def _probe_reclaim_refs() -> int:
-    """Refcount observed through ``_reclaim``'s exact call shape.
-
-    The recycling guard asks "does anything outside this call chain still
-    reference the event?".  What count that corresponds to depends on the
-    interpreter's calling convention (CPython 3.11 steals argument
-    references from the caller's stack; older versions kept an extra one),
-    so the sole-reference baseline is probed at import rather than
-    hardcoded.
-    """
-
-    def consume(obj: object) -> int:
-        return getrefcount(obj)
-
-    # The caller must HOLD the object in a local while passing it — that
-    # is the shape of every real _reclaim() call site.  Passing a
-    # temporary instead would let the interpreter hand over the sole
-    # reference and the probe would read one short.
-    probe = object()
-    return consume(probe)
-
-
-#: getrefcount() value meaning "the caller's local is the only reference"
-#: when observed from inside a helper the caller passed the object to.
-_RECLAIM_REFS = _probe_reclaim_refs()
-
-#: The same sole-reference baseline when the holder of the local calls
-#: ``getrefcount`` directly (one fewer frame in the chain) — the form the
-#: engine's inlined run loop uses.
-_DIRECT_RECLAIM_REFS = _RECLAIM_REFS - 1
-
-#: Expected count in :meth:`EventQueue._reclaim` for a queue-drained
-#: event: the helper baseline plus the event's own :attr:`Event.entry`
-#: back-reference (the entry tuple holds the event at index 3).
-_RECLAIM_REFS_ENTRY = _RECLAIM_REFS + 1
 
 
 class Event:
@@ -156,17 +91,13 @@ class Event:
 
     Instances are created by :class:`EventQueue.push` /
     :meth:`repro.sim.engine.Engine.call_at`; user code normally only keeps
-    them around to call :meth:`cancel`.
-
-    The scheduling fields live in :attr:`entry` — the exact
-    ``(time, priority, sequence, event, callback, args)`` tuple the queue
-    orders — and are exposed read-only as properties.  Holding the one
-    tuple instead of five separate slots makes (re)arming a pooled handle
-    a single store, which is what keeps the cancellable push path within
-    reach of the zero-alloc :meth:`EventQueue.post` path.
+    them around to call :meth:`cancel`.  The scheduling fields stay
+    truthful after the event fires, is drained as cancelled, or is
+    dropped by :meth:`EventQueue.clear`.
     """
 
-    __slots__ = ("entry", "cancelled", "_queue")
+    __slots__ = ("time", "priority", "sequence", "callback", "args",
+                 "cancelled", "_queue")
 
     def __init__(
         self,
@@ -176,42 +107,22 @@ class Event:
         callback: Callable[..., None],
         args: tuple[Any, ...] = (),
     ) -> None:
-        self.entry: tuple | None = (time, priority, sequence, self,
-                                    callback, args)
+        self.time = time
+        self.priority = priority
+        self.sequence = sequence
+        self.callback = callback
+        self.args = args
         self.cancelled = False
-        self._queue: "EventQueue | HeapEventQueue | None" = None
-
-    @property
-    def time(self) -> float:
-        """Scheduled time in simulated seconds."""
-        return self.entry[0]
-
-    @property
-    def priority(self) -> int:
-        """Tie-break priority (lower fires first)."""
-        return self.entry[1]
-
-    @property
-    def sequence(self) -> int:
-        """Insertion counter (FIFO tie-break among equal priorities)."""
-        return self.entry[2]
-
-    @property
-    def callback(self) -> Callable[..., None]:
-        """The scheduled callable."""
-        return self.entry[4]
-
-    @property
-    def args(self) -> tuple[Any, ...]:
-        """Positional arguments passed to :attr:`callback`."""
-        return self.entry[5]
+        # The queue holding this event, for cancel()'s counter
+        # bookkeeping; ``None`` once it has fired or been cleared (a
+        # cancelled event never reads it again).
+        self._queue: EventQueue | None = None
 
     def cancel(self) -> None:
         """Prevent this event from firing (no-op if already fired)."""
         # The counter bookkeeping is inlined rather than delegated to the
         # queue: cancellation is on the timer-churn hot path (every
-        # re-armed inactivity timer cancels its predecessor) and both
-        # cores share the same live/dead counter shape.
+        # re-armed inactivity timer cancels its predecessor).
         if self.cancelled:
             return
         self.cancelled = True
@@ -225,26 +136,22 @@ class Event:
 
     def fire(self) -> None:
         """Invoke the callback (the engine calls this; not user code)."""
-        entry = self.entry
-        entry[4](*entry[5])
+        self.callback(*self.args)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        entry = self.entry
-        if entry is None:
-            return "<Event (pooled)>"
-        name = getattr(entry[4], "__qualname__", repr(entry[4]))
+        name = getattr(self.callback, "__qualname__", repr(self.callback))
         state = " cancelled" if self.cancelled else ""
-        return f"<Event t={entry[0]:.9f} prio={entry[1]} {name}{state}>"
+        return f"<Event t={self.time:.9f} prio={self.priority} {name}{state}>"
 
 
-#: Entry layout shared by both cores (and the reason mixed push/post
-#: entries sort together: comparison never reaches index 3).
+#: Entry layout (posted entries carry ``None`` in the event slot; they
+#: still sort with pushed ones because comparison never reaches index 3).
 Entry = tuple  # (time, priority, sequence, Event | None, callback, args)
 
-#: Allocating an Event *shell* and filling its slots inline is ~3x
+#: Allocating an Event *shell* and filling its slots inline is markedly
 #: cheaper than running ``Event.__init__`` (the ctor call frame costs
-#: more than the three slot stores).  Pool-miss paths use this; the
-#: ctor remains for ordinary construction.
+#: more than the slot stores); :meth:`EventQueue.push` — the one hot
+#: construction site — uses it.
 _new_event = Event.__new__
 
 
@@ -281,7 +188,6 @@ class EventQueue:
         "_front", "_slots", "_maps", "_overflow",
         "_window_base", "_window_end", "_window_end_time",
         "_seq", "_live", "_dead",
-        "_free", "pool_misses", "pool_recycled",
     )
 
     def __init__(self) -> None:
@@ -304,10 +210,6 @@ class EventQueue:
         self._seq = 0
         self._live = 0
         self._dead = 0
-        # Event free list (refcount-guarded recycling; see module doc).
-        self._free: list[Event] = []
-        self.pool_misses = 0
-        self.pool_recycled = 0
 
     def __len__(self) -> int:
         return self._live
@@ -328,19 +230,15 @@ class EventQueue:
         """Schedule ``callback(*args)`` at ``time`` and return the event."""
         sequence = self._seq
         self._seq = sequence + 1
-        free = self._free
-        if free:
-            # Pool invariant: recycled events arrive with cancelled=False,
-            # _queue already bound to this queue, and entry=None — so
-            # re-arming is the single entry store below.
-            event = free.pop()
-        else:
-            event = _new_event(Event)
-            event.cancelled = False
-            event._queue = self
-            self.pool_misses += 1
+        event = _new_event(Event)
+        event.time = time
+        event.priority = priority
+        event.sequence = sequence
+        event.callback = callback
+        event.args = args
+        event.cancelled = False
+        event._queue = self
         entry = (time, priority, sequence, event, callback, args)
-        event.entry = entry
         self._live += 1
         if time < self._window_end_time:
             heappush(self._front, entry)
@@ -432,28 +330,6 @@ class EventQueue:
     # ------------------------------------------------------------------
     # Cancellation bookkeeping
     # ------------------------------------------------------------------
-    def _reclaim(self, event: Event) -> None:
-        """Recycle a cancelled, drained event if nothing else holds it.
-
-        Refcount proof: every call site has just dropped the entry tuple
-        from its bucket, so the expected references are the caller's
-        local, this call's plumbing, and the event's own ``entry``
-        back-reference (:data:`_RECLAIM_REFS_ENTRY`).  A bucket cannot
-        account for the extra count — entries live in exactly one bucket
-        and the caller removed this one — so any surplus is an external
-        handle, which vetoes recycling.  Vetoed handles keep their
-        ``entry`` for introspection; only recycled events are stripped.
-        """
-        if (len(self._free) < _POOL_CAP
-                and getrefcount(event) == _RECLAIM_REFS_ENTRY):
-            event.entry = None
-            event.cancelled = False
-            event._queue = self
-            self._free.append(event)
-            self.pool_recycled += 1
-        else:
-            event._queue = None
-
     def _compact(self) -> None:
         """Drop cancelled entries from every bucket (memory bound only).
 
@@ -495,19 +371,11 @@ class EventQueue:
         """Load a level-1 slot into the empty front heap.
 
         Cancelled entries die here — once per entry, the O(1)-cancel
-        counterpart to the heap core's compaction — and their handles are
-        recycled when provably unreferenced.
+        counterpart to a plain heap's compaction.
         """
         kept = [e for e in slot if e[3] is None or not e[3].cancelled]
-        if len(kept) != len(slot):
-            dead = [e[3] for e in slot if e[3] is not None and e[3].cancelled]
-            self._dead -= len(dead)
-            slot.clear()  # drop the entry tuples before refcount checks
-            while dead:
-                event = dead.pop()
-                self._reclaim(event)
-        else:
-            slot.clear()
+        self._dead -= len(slot) - len(kept)
+        slot.clear()
         front = self._front
         front[:] = kept
         if len(front) > 1:
@@ -522,14 +390,10 @@ class EventQueue:
         """
         front = self._front
         window_end = self._window_end
-        for i in range(len(entries)):
-            entry = entries[i]
+        for entry in entries:
             event = entry[3]
             if event is not None and event.cancelled:
                 self._dead -= 1
-                entries[i] = None
-                del entry
-                self._reclaim(event)
                 continue
             try:
                 tick = int(entry[0] * TICK_HZ)
@@ -580,9 +444,10 @@ class EventQueue:
                 self._window_end = base + _FRONT_SPAN
                 self._window_end_time = (base + _FRONT_SPAN) / TICK_HZ
                 if slot:
-                    entries = slot[:]
+                    # A coarse slot only ever scatters one level down, so
+                    # it can be read in place and emptied afterwards.
+                    self._scatter(slot)
                     slot.clear()
-                    self._scatter(entries)
                     if front:
                         if len(front) > 1:
                             heapify(front)
@@ -614,14 +479,10 @@ class EventQueue:
         pending = self._overflow
         best: Entry | None = None
         live: list[Entry] = []
-        for i in range(len(pending)):
-            entry = pending[i]
+        for entry in pending:
             event = entry[3]
             if event is not None and event.cancelled:
                 self._dead -= 1
-                pending[i] = None
-                del entry
-                self._reclaim(event)
                 continue
             live.append(entry)
             if best is None or entry[:3] < best[:3]:
@@ -655,9 +516,9 @@ class EventQueue:
     def _fill_front(self) -> bool:
         """Ensure the front heap's min is the earliest live entry.
 
-        Prunes (and recycles) dead entries off the top and advances the
-        window when the front empties.  Returns ``False`` when the queue
-        holds no live events.
+        Prunes dead entries off the top and advances the window when the
+        front empties.  Returns ``False`` when the queue holds no live
+        events.
         """
         front = self._front
         while True:
@@ -668,8 +529,6 @@ class EventQueue:
                     return True
                 heappop(front)
                 self._dead -= 1
-                del entry
-                self._reclaim(event)
                 continue
             if not self._advance():
                 return False
@@ -690,9 +549,9 @@ class EventQueue:
 
         When ``until`` is given and the earliest live event is strictly
         after it, the event is left queued and ``None`` is returned.
-        Entries scheduled through :meth:`post` are materialised into a
-        (pooled) :class:`Event` here — the engine's inlined run loop fires
-        entries directly and never pays this cost.
+        Entries scheduled through :meth:`post` are materialised into an
+        :class:`Event` here — the engine's inlined run loop fires entries
+        directly and never pays this cost.
         """
         if not self._fill_front():
             return None
@@ -704,14 +563,7 @@ class EventQueue:
         self._live -= 1
         event = entry[3]
         if event is None:
-            free = self._free
-            if free:
-                event = free.pop()
-            else:
-                event = _new_event(Event)
-                event.cancelled = False
-                self.pool_misses += 1
-            event.entry = entry
+            return Event(entry[0], entry[1], entry[2], entry[4], entry[5])
         event._queue = None
         return event
 
@@ -767,192 +619,9 @@ class EventQueue:
                 bitmap >>= 1
                 index += 1
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def pool_stats(self) -> dict[str, int]:
-        """Free-list effectiveness counters (JSON-safe).
-
-        ``pool_hits`` is derived, not counted — everything that left the
-        free list once entered it, so hits are exactly the recycled total
-        minus what is still pooled.  That keeps the push hot path free of
-        bookkeeping writes.
-        """
-        return {
-            "pool_hits": self.pool_recycled - len(self._free),
-            "pool_misses": self.pool_misses,
-            "pool_recycled": self.pool_recycled,
-            "pool_size": len(self._free),
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<EventQueue live={self._live} dead={self._dead} "
             f"window=[{self._window_base},{self._window_end}) "
             f"front={len(self._front)}>"
         )
-
-
-class HeapEventQueue:
-    """The binary-heap core (pre-wheel): lazy cancellation + compaction.
-
-    Retained for A/B ordering-parity testing against the wheel and as an
-    escape hatch (``REPRO_EVENT_CORE=heap``).  Entries share the wheel's
-    6-tuple layout so :meth:`post` produces the identical sequence
-    numbering — the property the byte-for-byte parity fixtures pin.
-    """
-
-    #: Heaps smaller than this are never compacted (the skip cost is noise).
-    COMPACT_MIN = 64
-    #: The effective dead-fraction threshold of the ``dead > live``
-    #: trigger in :meth:`Event.cancel`.
-    COMPACT_FRACTION = 0.5
-
-    __slots__ = ("_heap", "_seq", "_live", "_dead", "pool_misses")
-
-    def __init__(self) -> None:
-        self._heap: list[Entry] = []
-        self._seq = 0
-        self._live = 0
-        self._dead = 0
-        self.pool_misses = 0
-
-    def __len__(self) -> int:
-        return self._live
-
-    def __bool__(self) -> bool:
-        return self._live > 0
-
-    def push(
-        self,
-        time: float,
-        callback: Callable[..., None],
-        args: tuple[Any, ...] = (),
-        priority: int = PRIORITY_NORMAL,
-    ) -> Event:
-        """Schedule ``callback(*args)`` at ``time`` and return the event."""
-        sequence = self._seq
-        self._seq = sequence + 1
-        event = Event(time, priority, sequence, callback, args)
-        event._queue = self
-        self.pool_misses += 1
-        # The ctor already built the exact entry tuple (self at index 3).
-        heappush(self._heap, event.entry)
-        self._live += 1
-        return event
-
-    def post(
-        self,
-        time: float,
-        callback: Callable[..., None],
-        args: tuple[Any, ...] = (),
-        priority: int = PRIORITY_NORMAL,
-    ) -> None:
-        """Fire-and-forget schedule (same sequence numbering as the wheel)."""
-        sequence = self._seq
-        self._seq = sequence + 1
-        heappush(self._heap, (time, priority, sequence, None, callback, args))
-        self._live += 1
-
-    def _compact(self) -> None:
-        """Rebuild the heap from live entries only.
-
-        Ordering keys are immutable, so heapify restores exactly the same
-        ``(time, priority, sequence)`` pop order minus the dead entries.
-        The list is mutated in place — never rebound — because tests may
-        hold a direct reference to it.  (:meth:`Event.cancel` owns the
-        counter updates and the compaction trigger for both cores.)
-        """
-        self._heap[:] = [
-            entry for entry in self._heap
-            if entry[3] is None or not entry[3].cancelled
-        ]
-        self._dead = 0
-        heapify(self._heap)
-
-    def pop(self) -> Event:
-        """Remove and return the earliest non-cancelled event.
-
-        Raises:
-            IndexError: if the queue holds no live events.
-        """
-        event = self.pop_next()
-        if event is None:
-            raise IndexError("pop from empty EventQueue")
-        return event
-
-    def pop_next(self, until: float | None = None) -> Event | None:
-        """Single-pass pop: the earliest live event, or ``None``."""
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            event = entry[3]
-            if event is not None and event.cancelled:
-                heappop(heap)
-                self._dead -= 1
-                continue
-            if until is not None and entry[0] > until:
-                return None
-            heappop(heap)
-            self._live -= 1
-            if event is None:
-                event = Event(entry[0], entry[1], entry[2], entry[4], entry[5])
-            event._queue = None
-            return event
-        return None
-
-    def peek_time(self) -> float | None:
-        """Return the time of the earliest live event, or ``None`` if empty."""
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            event = entry[3]
-            if event is not None and event.cancelled:
-                heappop(heap)
-                self._dead -= 1
-                continue
-            return entry[0]
-        return None
-
-    def clear(self) -> None:
-        """Drop all pending events (cancel-detached; see the wheel's doc)."""
-        for entry in self._heap:
-            event = entry[3]
-            if event is not None:
-                event.cancelled = True
-                event._queue = None
-        self._heap.clear()
-        self._live = 0
-        self._dead = 0
-
-    def pool_stats(self) -> dict[str, int]:
-        """Counter parity with the wheel (the heap core never recycles)."""
-        return {
-            "pool_hits": 0,
-            "pool_misses": self.pool_misses,
-            "pool_recycled": 0,
-            "pool_size": 0,
-        }
-
-
-#: Registered event-core implementations (``REPRO_EVENT_CORE`` values).
-EVENT_CORES: dict[str, type] = {
-    "wheel": EventQueue,
-    "heap": HeapEventQueue,
-}
-
-#: Process-wide default core, resolved once at import.
-DEFAULT_EVENT_CORE = os.environ.get("REPRO_EVENT_CORE", "wheel")
-
-
-def make_event_queue(core: str | None = None) -> "EventQueue | HeapEventQueue":
-    """Build an event queue for ``core`` (default: ``REPRO_EVENT_CORE``)."""
-    name = core if core is not None else DEFAULT_EVENT_CORE
-    try:
-        queue_type = EVENT_CORES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown event core {name!r}; expected one of "
-            f"{sorted(EVENT_CORES)}"
-        ) from None
-    return queue_type()

@@ -4,7 +4,6 @@ from repro.obs.health import (
     DEFAULT_THRESHOLDS,
     HealthState,
     HealthThresholds,
-    _pool_hit_rate,
     classify,
     health_rows,
     render_health_table,
@@ -84,23 +83,6 @@ class TestVote:
         assert vote([HealthState.RED], red_votes=1) == HealthState.RED
 
 
-class TestPoolHitRate:
-    def test_none_when_probe_never_sampled(self):
-        assert _pool_hit_rate({}) is None
-
-    def test_zero_when_pool_untouched(self):
-        gauges = {"engine/pool_hits": 0.0, "engine/pool_misses": 0.0}
-        assert _pool_hit_rate(gauges) == 0.0
-
-    def test_rate_is_hits_over_total(self):
-        gauges = {"engine/pool_hits": 75.0, "engine/pool_misses": 25.0}
-        assert _pool_hit_rate(gauges) == 0.75
-
-    def test_one_sided_gauges_count_as_zero(self):
-        assert _pool_hit_rate({"engine/pool_hits": 10.0}) == 1.0
-        assert _pool_hit_rate({"engine/pool_misses": 10.0}) == 0.0
-
-
 def observed_export(loss: float = 0.0, discards: int = 0) -> dict:
     hub = MetricsHub("health-test")
     for index in range(2):
@@ -146,21 +128,3 @@ class TestHealthRows:
 
     def test_render_empty(self):
         assert "no SAs" in render_health_table([])
-
-    def test_pool_hit_column_renders_dash_without_probe(self):
-        # Pre-PR-7 exports have no EventCoreProbe gauges: every row's
-        # pool_hit_rate is None and the column must render "-".
-        table = render_health_table(health_rows(observed_export()))
-        assert "pool_hit%" in table
-        for line in table.splitlines()[2:-1]:
-            assert line.rstrip().endswith("-")
-
-    def test_pool_hit_column_renders_percentage(self):
-        hub = MetricsHub("health-test")
-        hub.sub("sa0").ewma("loss_ewma").observe(0.0)
-        hub.gauge("engine/pool_hits").set(90.0)
-        hub.gauge("engine/pool_misses").set(10.0)
-        rows = health_rows(hub.as_dict())
-        assert all(row["pool_hit_rate"] == 0.9 for row in rows)
-        table = render_health_table(rows)
-        assert "90.0" in table

@@ -132,6 +132,7 @@ class TestArchiveCli:
                                         capsys):
         target = tmp_path / "ref" / "run.json"
         assert main(["obs", "archive", str(observed_run),
+                     "--archive", str(tmp_path / "wh"),
                      "--write-snapshot", str(target)]) == 0
         loaded = RunSnapshot.from_dict(json.loads(target.read_text()))
         assert loaded.run_id == snapshot_target(observed_run).run_id

@@ -132,6 +132,21 @@ class TestCampaignView:
         assert view.workers["w1"].tasks_done == 2
         assert view.workers["w2"].tasks_done == 2
 
+    def test_finish_before_start_still_credits_the_worker(self):
+        # A pool worker's task_started crosses a queue while its result
+        # returns through the pool, so the ledger can hold a task's
+        # finish before its start.
+        events = campaign_events(tasks=4, jobs=2, error_ids={"task1"})
+        for start in (3, 7):  # task1's and task3's task_started
+            events[start], events[start + 1] = events[start + 1], events[start]
+        assert [e.kind for e in events[3:5]] == ["task_errored", "task_started"]
+        view = feed(CampaignView(), events)
+        assert view.running == {}
+        assert view.workers["w1"].tasks_done == 2
+        assert view.workers["w2"].tasks_done == 2
+        assert view.workers["w2"].errors == 1
+        assert all(w.current_task is None for w in view.workers.values())
+
     def test_errored_tasks_tracked_separately(self):
         view = feed(CampaignView(),
                     campaign_events(tasks=3, error_ids={"task1"}))

@@ -3,13 +3,13 @@
 import random
 
 import pytest
+from heap_oracle import HeapEventQueue
 
 from repro.sim.events import (
     PRIORITY_EARLY,
     PRIORITY_LATE,
     PRIORITY_NORMAL,
     EventQueue,
-    HeapEventQueue,
 )
 
 
@@ -152,8 +152,8 @@ class TestLiveCounterAccounting:
 
 
 class TestHeapCompaction:
-    """Compaction is a heap-core concern (the wheel reclaims dead entries
-    at slot drain); these tests pin the HeapEventQueue internals."""
+    """Compaction is the heap oracle's only reclaim mechanism (the wheel
+    drops dead entries at slot drain); these tests pin its internals."""
 
     def test_compaction_drops_dead_entries(self):
         queue = HeapEventQueue()

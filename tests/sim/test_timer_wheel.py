@@ -1,9 +1,11 @@
-"""Wheel-adversarial ordering fixtures, run against BOTH event cores.
+"""Wheel-adversarial ordering fixtures, run against the wheel and its oracle.
 
-The timer wheel must be observationally identical to the plain heap core:
-same pop order, same ``len()``, same ``peek_time``, for every schedule —
-including the ones a wheel is structurally tempted to get wrong.  Each
-test here targets one such shape:
+The timer wheel (:class:`repro.sim.events.EventQueue`) must be
+observationally identical to a plain binary heap (the test-side
+:class:`heap_oracle.HeapEventQueue`): same pop order, same ``len()``,
+same ``peek_time``, for every schedule — including the ones a wheel is
+structurally tempted to get wrong.  Each test here targets one such
+shape:
 
 * same-tick FIFO across a cascade boundary (bucketing must never reorder
   equal-key entries),
@@ -13,18 +15,23 @@ test here targets one such shape:
   (including ``inf``, which cannot be bucketed at all),
 * schedule-cancel-reschedule storms (dead entries interleaved with live
   ones in the same slots),
-* an 80-seed randomized lockstep fuzzer driving both cores through the
+* an 80-seed randomized lockstep fuzzer driving both queues through the
   identical op sequence and requiring identical observable streams.
 
 Plus the ``clear()`` bookkeeping pins: clear must reset the window and
 live/dead counters and cancel-detach every pending handle, so a queue is
-fully reusable afterwards.
+fully reusable afterwards; and the handle-lifetime pins: handles are
+plain allocations that stay truthful once retained and never sit in a
+reference cycle.
 """
 
+import gc
 import random
 
 import pytest
+from heap_oracle import HeapEventQueue
 
+from repro.sim.engine import Engine
 from repro.sim.events import (
     _FRONT_SPAN,
     _LEVELS,
@@ -32,11 +39,10 @@ from repro.sim.events import (
     PRIORITY_LATE,
     PRIORITY_NORMAL,
     TICK_HZ,
-    EVENT_CORES,
+    Event,
     EventQueue,
-    HeapEventQueue,
-    make_event_queue,
 )
+from repro.sim.process import Timer
 
 #: Seconds spanned by the wheel's front heap (the level-0 window).
 FRONT_SECONDS = _FRONT_SPAN / TICK_HZ  # 8.0
@@ -46,9 +52,9 @@ FRONT_SECONDS = _FRONT_SPAN / TICK_HZ  # 8.0
 REGION_TIMES = (0.5, 100.0, 1.0e4, 1.0e6, 9.0e9)
 
 
-@pytest.fixture(params=sorted(EVENT_CORES))
+@pytest.fixture(params=[HeapEventQueue, EventQueue], ids=["heap", "wheel"])
 def core(request):
-    """Both registered event cores; every test in this file runs on each."""
+    """The heap oracle and the wheel; every test taking it runs on each."""
     return request.param
 
 
@@ -70,7 +76,7 @@ class TestCascadeBoundaryFifo:
         # buckets them and later cascades the slot), interleaved with
         # near and far traffic.  FIFO among the equal-key events must
         # survive the bucket -> heapify round trip.
-        queue = make_event_queue(core)
+        queue = core()
         instant = 2.5 * FRONT_SECONDS
         tags = []
         for i in range(60):
@@ -86,7 +92,7 @@ class TestCascadeBoundaryFifo:
         assert rows == sorted(rows, key=lambda r: (r[0], r[1], r[2]))
 
     def test_priorities_hold_across_cascade(self, core):
-        queue = make_event_queue(core)
+        queue = core()
         instant = 3.0 * FRONT_SECONDS
         queue.push(instant, lambda: None, ("normal",), priority=PRIORITY_NORMAL)
         queue.push(instant, lambda: None, ("late",), priority=PRIORITY_LATE)
@@ -98,7 +104,7 @@ class TestCascadeBoundaryFifo:
         # Exactly on, just below, and just above the 8 s front boundary:
         # the wheel routes these to different structures (front heap vs
         # level-1 slot) but the pop order must be seamless.
-        queue = make_event_queue(core)
+        queue = core()
         tick = 1.0 / TICK_HZ
         for tag, time in [
             ("above", FRONT_SECONDS + tick),
@@ -112,7 +118,7 @@ class TestCascadeBoundaryFifo:
 
 class TestUntilBoundary:
     def test_event_exactly_at_until_is_popped(self, core):
-        queue = make_event_queue(core)
+        queue = core()
         queue.push(7.0, lambda: None, ("at",))
         queue.push(7.0 + 1.0 / TICK_HZ, lambda: None, ("after",))
         event = queue.pop_next(until=7.0)
@@ -124,7 +130,7 @@ class TestUntilBoundary:
         # Reaching the event forces the wheel to advance its window and
         # cascade; `until` exactly at the event's time must still be
         # inclusive, and one tick earlier must leave it queued.
-        queue = make_event_queue(core)
+        queue = core()
         far = 5.0 * FRONT_SECONDS
         queue.push(far, lambda: None, ("far",))
         assert queue.pop_next(until=far - 1.0 / TICK_HZ) is None
@@ -134,7 +140,7 @@ class TestUntilBoundary:
         assert len(queue) == 0
 
     def test_peek_time_after_denied_until(self, core):
-        queue = make_event_queue(core)
+        queue = core()
         queue.push(3.0 * FRONT_SECONDS, lambda: None, ("x",))
         assert queue.pop_next(until=1.0) is None
         assert queue.peek_time() == 3.0 * FRONT_SECONDS
@@ -142,7 +148,7 @@ class TestUntilBoundary:
 
 class TestFarFutureTimers:
     def test_every_wheel_region_pops_in_order(self, core):
-        queue = make_event_queue(core)
+        queue = core()
         rng = random.Random(11)
         times = [t for t in REGION_TIMES for _ in range(5)]
         rng.shuffle(times)
@@ -155,7 +161,7 @@ class TestFarFutureTimers:
     def test_infinity_fires_last(self, core):
         # inf cannot be converted to a tick; the wheel must park it in
         # overflow rather than crash, and it sorts after everything finite.
-        queue = make_event_queue(core)
+        queue = core()
         queue.push(float("inf"), lambda: None, ("inf",))
         queue.push(9.0e9, lambda: None, ("huge",))
         queue.push(0.25, lambda: None, ("soon",))
@@ -163,7 +169,7 @@ class TestFarFutureTimers:
             == ["soon", "huge", "inf"]
 
     def test_post_reaches_every_region(self, core):
-        queue = make_event_queue(core)
+        queue = core()
         fired = []
         for i, time in enumerate(REGION_TIMES):
             queue.post(time, fired.append, (i,))
@@ -177,7 +183,7 @@ class TestRescheduleStorm:
         # DPD-reset shape, but hopping across wheel regions: each round
         # cancels the previous handle and re-arms at a different region.
         # Exactly one survivor per chain may fire, in global key order.
-        queue = make_event_queue(core)
+        queue = core()
         rng = random.Random(23)
         chains = {}
         for round_no in range(600):
@@ -195,7 +201,7 @@ class TestRescheduleStorm:
         assert survivors == set(chains)
 
     def test_storm_live_counter_stays_exact(self, core):
-        queue = make_event_queue(core)
+        queue = core()
         events = []
         for i in range(500):
             events.append(queue.push(0.1 + (i % 9) * FRONT_SECONDS,
@@ -208,12 +214,12 @@ class TestRescheduleStorm:
 
 
 class TestCoreParityFuzzer:
-    """Drive both cores through an identical op stream in lockstep.
+    """Drive the wheel and the heap oracle through one op stream in lockstep.
 
     Every observable — pop results, denied pops, peek times, lengths —
     must match exactly.  DELTAS deliberately includes the 8 s window
     boundary and a beyond-horizon time so the stream constantly crosses
-    wheel structures the heap core does not have.
+    wheel structures the heap oracle does not have.
     """
 
     DELTAS = (0.0, 1e-6, 0.5, 7.999999, 8.0, 9.5, 300.0, 2.0e4, 9.0e9)
@@ -277,10 +283,10 @@ class TestCoreParityFuzzer:
 
 class TestClearBookkeeping:
     """``clear()`` must leave the queue indistinguishable from a fresh
-    one (modulo the monotone sequence counter and pool counters)."""
+    one (modulo the monotone sequence counter)."""
 
     def test_clear_resets_live_and_dead_counters(self, core):
-        queue = make_event_queue(core)
+        queue = core()
         events = [
             queue.push(0.1 + (i % 7) * FRONT_SECONDS, lambda: None, (i,))
             for i in range(100)
@@ -296,7 +302,7 @@ class TestClearBookkeeping:
         assert queue.pop_next() is None
 
     def test_clear_cancel_detaches_retained_handles(self, core):
-        queue = make_event_queue(core)
+        queue = core()
         handles = [
             queue.push(0.5 + i * FRONT_SECONDS, lambda: None, (i,))
             for i in range(5)
@@ -316,7 +322,7 @@ class TestClearBookkeeping:
         # Park the window deep into the schedule, then clear: an early
         # push on the reused queue must be reachable again (a stale
         # window base would bucket it as "in the past").
-        queue = make_event_queue(core)
+        queue = core()
         queue.push(1.0e6, lambda: None, ("far",))
         assert queue.pop_next(until=1.0e6 - 1.0) is None  # advances window
         queue.clear()
@@ -336,7 +342,7 @@ class TestClearBookkeeping:
         assert queue._window_base == 0
 
     def test_reuse_after_clear_preserves_ordering(self, core):
-        queue = make_event_queue(core)
+        queue = core()
         for i in range(50):
             queue.push(float(i % 5), lambda: None, (("old", i),))
         queue.clear()
@@ -348,40 +354,58 @@ class TestClearBookkeeping:
         assert rows == sorted(rows, key=lambda r: (r[0], r[1], r[2]))
 
 
-class TestPoolCounters:
-    def test_pool_stats_shape_matches_across_cores(self, core):
-        queue = make_event_queue(core)
-        stats = queue.pool_stats()
-        assert set(stats) == {
-            "pool_hits", "pool_misses", "pool_recycled", "pool_size",
-        }
-        assert all(value >= 0 for value in stats.values())
-
-    def test_wheel_recycles_cancelled_handles(self):
-        # Cancel events and force their slot to drain: the handles are
-        # unreferenced by then, so the wheel must recycle rather than
-        # reallocate on the next push.
+class TestHandleLifetime:
+    def test_retained_handle_stays_truthful(self):
+        # Handles are plain allocations, never recycled: one retained
+        # past being drained as cancelled, or past firing, keeps its own
+        # schedule, and a late cancel() stays a harmless no-op.
         queue = EventQueue()
-        for i in range(100):
-            queue.push(10.0 + i * 1e-3, lambda: None, (i,)).cancel()
-        queue.push(20.0, lambda: None, ("live",))
-        assert queue.pop_next().args == ("live",)
-        stats = queue.pool_stats()
-        assert stats["pool_recycled"] >= 100
-        assert stats["pool_size"] >= 100
-        misses_before = queue.pool_misses
-        queue.push(1.0, lambda: None, ("reused",))
-        assert queue.pool_misses == misses_before  # served from the pool
-        assert queue.pool_stats()["pool_hits"] >= 1
 
-    def test_retained_handle_is_never_recycled(self):
-        queue = EventQueue()
-        held = queue.push(10.0, lambda: None, ("held",))
+        def callback(tag):
+            pass
+
+        held = queue.push(10.0, callback, ("held",), priority=PRIORITY_LATE)
         held.cancel()
-        queue.push(20.0, lambda: None, ("live",))
-        assert queue.pop_next().args == ("live",)
-        # The external reference vetoed recycling: the handle still
-        # introspects truthfully instead of aliasing a new incarnation.
-        assert held.cancelled
-        assert held.time == 10.0
-        assert all(event is not held for event in queue._free)
+        live = queue.push(20.0, callback, ("live",))
+        assert queue.pop_next() is live  # drains held's slot on the way
+        assert held.cancelled and not live.cancelled
+        for handle, expected in (
+            (held, (10.0, PRIORITY_LATE, 0, ("held",))),
+            (live, (20.0, PRIORITY_NORMAL, 1, ("live",))),
+        ):
+            assert (handle.time, handle.priority, handle.sequence,
+                    handle.args) == expected
+            assert handle.callback is callback
+            handle.cancel()
+        assert len(queue) == 0
+        queue.push(1.0, callback, ("fresh",))
+        assert len(queue) == 1
+
+    def test_drained_engine_leaves_no_event_for_the_collector(self):
+        # The entry tuple holds its Event; were the Event to hold the
+        # entry back, every handle would be a cycle that only the cyclic
+        # collector frees.  With the collector off, a drained and dropped
+        # engine must leave no Event behind.
+        gc.collect()
+        gc.disable()
+        try:
+            engine = Engine()
+            timer = Timer(engine, 1e-3, lambda: None)
+            timer.start()
+            storm = [
+                engine.call_later(1e-4 * i + (i % 4) * 2 * FRONT_SECONDS,
+                                  lambda: None)
+                for i in range(2_000)
+            ]
+            for event in storm:
+                event.cancel()
+            del storm, event
+            assert engine.run(max_events=10_000) == 10_000
+            timer.stop()
+            engine.run()
+            assert engine.pending_events == 0
+            del engine, timer
+            leaked = sum(1 for obj in gc.get_objects() if type(obj) is Event)
+        finally:
+            gc.enable()
+        assert leaked == 0
