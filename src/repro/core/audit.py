@@ -5,8 +5,11 @@ delivered message was a *replay* or a discarded message was *fresh* is a
 global fact involving the sender's history and the adversary's actions.
 :class:`DeliveryAuditor` tracks that global view:
 
-* the sender registers every **fresh** transmission with a unique uid
-  (instrumentation only — uids never influence protocol decisions);
+* the sender asks :meth:`~DeliveryAuditor.register_send` for a uid per
+  **fresh** transmission and stamps it on the packet's envelope, outside
+  the ICV (instrumentation only — uids never influence protocol
+  decisions); a replayed copy is the recorded packet, so it carries its
+  original's uid;
 * the receiver reports every processed packet with its verdict;
 * the auditor then scores the run:
 
@@ -21,14 +24,29 @@ global fact involving the sender's history and the adversary's actions.
     receiver (channel loss or host-down loss), excluded from the
     fresh-discard count by definition (claim (ii) bounds discards "if no
     message loss occurs").
+
+Each auditor issues its uids densely from its own block
+(``serial * 2**40 + index``), so uids are unique within a process, the
+per-uid state is one byte of flags at ``index``, and a packet stamped by
+another auditor (another SA) falls outside the block and counts as
+unknown.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Any
 
 from repro.ipsec.replay_window import Verdict
+
+#: Uid block size and block serials, one per auditor (serial 0 is never
+#: used, so small literal uids in hand-built packets never alias a real one).
+_BLOCK = 2**40
+_serials = itertools.count(1)
+
+#: Per-uid flags.
+_PROCESSED, _DELIVERED = 1, 2
 
 
 @dataclass
@@ -57,12 +75,10 @@ class DeliveryAuditor:
     INTEGRITY_FAIL = "integrity_fail"
 
     def __init__(self) -> None:
-        self._uid_of_packet: dict[int, int] = {}
-        self._packets: list[Any] = []  # keep packets alive so id() stays valid
-        self._sent_uids: set[int] = set()
-        self._delivery_counts: dict[int, int] = {}
-        self._discard_counts: dict[int, int] = {}
-        self._processed_uids: set[int] = set()
+        self._base = next(_serials) * _BLOCK
+        self._flags = bytearray()  # per issued uid, at uid - _base
+        self._processed = 0  # uids processed at least once
+        self._delivered = 0  # uids delivered at least once
         self.integrity_rejections = 0
         self.deliveries_total = 0
         self.unknown_packets = 0
@@ -70,15 +86,11 @@ class DeliveryAuditor:
     # ------------------------------------------------------------------
     # Sender side
     # ------------------------------------------------------------------
-    def register_send(self, packet: Any, uid: int) -> None:
-        """Record that ``packet`` is fresh transmission number ``uid``."""
-        self._uid_of_packet[id(packet)] = uid
-        self._packets.append(packet)
-        self._sent_uids.add(uid)
-
-    def uid_of(self, packet: Any) -> int | None:
-        """The uid registered for ``packet`` (None for unknown packets)."""
-        return self._uid_of_packet.get(id(packet))
+    def register_send(self) -> int:
+        """Issue the uid of one fresh transmission."""
+        flags = self._flags
+        flags.append(0)
+        return self._base + len(flags) - 1
 
     # ------------------------------------------------------------------
     # Receiver side
@@ -89,45 +101,37 @@ class DeliveryAuditor:
         ``verdict`` is a window :class:`Verdict` or the string
         :data:`INTEGRITY_FAIL`.
         """
-        uid = self.uid_of(packet)
-        if uid is None:
+        uid = packet.uid
+        flags = self._flags
+        index = -1 if uid is None else uid - self._base
+        if not 0 <= index < len(flags):
             self.unknown_packets += 1
             return
-        self._processed_uids.add(uid)
+        state = flags[index]
+        if not state & _PROCESSED:
+            self._processed += 1
         if verdict == self.INTEGRITY_FAIL:
             self.integrity_rejections += 1
-            self._discard_counts[uid] = self._discard_counts.get(uid, 0) + 1
-            return
-        assert isinstance(verdict, Verdict)
-        if verdict.accepted:
+        elif verdict.accepted:
             self.deliveries_total += 1
-            self._delivery_counts[uid] = self._delivery_counts.get(uid, 0) + 1
-        else:
-            self._discard_counts[uid] = self._discard_counts.get(uid, 0) + 1
+            if not state & _DELIVERED:
+                self._delivered += 1
+            flags[index] = _PROCESSED | _DELIVERED
+            return
+        flags[index] = state | _PROCESSED
 
     # ------------------------------------------------------------------
     # Scoring
     # ------------------------------------------------------------------
     def report(self) -> AuditReport:
-        """Compute the aggregate scores for the run so far."""
-        duplicate_deliveries = sum(
-            count - 1 for count in self._delivery_counts.values() if count > 1
-        )
-        delivered = set(self._delivery_counts)
-        fresh_discarded = sum(
-            1
-            for uid in self._sent_uids
-            if uid in self._processed_uids and uid not in delivered
-        )
-        never_arrived = sum(
-            1 for uid in self._sent_uids if uid not in self._processed_uids
-        )
+        """The aggregate scores for the run so far (O(1))."""
+        sent = len(self._flags)
         return AuditReport(
-            fresh_sent=len(self._sent_uids),
-            delivered_uids=len(delivered),
-            duplicate_deliveries=duplicate_deliveries,
-            fresh_discarded=fresh_discarded,
-            never_arrived=never_arrived,
+            fresh_sent=sent,
+            delivered_uids=self._delivered,
+            duplicate_deliveries=self.deliveries_total - self._delivered,
+            fresh_discarded=self._processed - self._delivered,
+            never_arrived=sent - self._processed,
             integrity_rejections=self.integrity_rejections,
             deliveries_total=self.deliveries_total,
         )

@@ -10,6 +10,7 @@ against the Section 5 bounds.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -96,10 +97,10 @@ def report_metrics(report: ConvergenceReport) -> dict[str, Any]:
 
 
 def _first_delivery_after(receiver: BaseReceiver, t: float) -> float | None:
-    for time, _seq in receiver.delivered_log:
-        if time >= t:
-            return time
-    return None
+    # delivered_log is in simulated-time order; (t,) sorts before (t, seq).
+    log = receiver.delivered_log
+    index = bisect_left(log, (t,))
+    return log[index][0] if index < len(log) else None
 
 
 def score_run(

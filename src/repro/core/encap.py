@@ -27,27 +27,27 @@ def seal(
     seq: int,
     payload: bytes,
     now: float,
-    uid: int,
+    uid: int | None,
     src: str | None = None,
 ) -> Any:
     """Build the wire packet for sequence number ``seq``.
 
-    ``uid`` is instrumentation (see :mod:`repro.core.audit`); for plain
-    messages it rides in ``meta``, for ESP/AH it is implicit in the packet
-    object identity tracked by the auditor.  ``src`` is the sender's
-    current network binding (``None`` in the paper's address-less
-    model); it rides the outer header, so for ESP/AH it is outside the
-    authenticated payload — which is precisely why a NAT can change it
-    mid-SA without breaking the ICV (see :mod:`repro.netpath.nat`).
+    ``uid`` is the audit uid of this fresh transmission (see
+    :mod:`repro.core.audit`; ``None`` when nobody audits the run).
+    ``src`` is the sender's current network binding (``None`` in the
+    paper's address-less model).  Both ride the envelope, so for ESP/AH
+    they are outside the authenticated payload — which is precisely why a
+    NAT can change ``src`` mid-SA without breaking the ICV (see
+    :mod:`repro.netpath.nat`).
     """
     if encap == "plain":
-        return Message(seq=seq, payload=payload, sent_at=now, src=src).with_meta(uid=uid)
+        return Message(seq, payload, now, src, uid)
     if sa is None:
         raise ValueError(f"encap={encap!r} requires a SecurityAssociation")
     if encap == "esp":
-        return esp_seal(sa, seq, payload, src=src)
+        return esp_seal(sa, seq, payload, src, uid)
     if encap == "ah":
-        return ah_seal(sa, seq, payload, src=src)
+        return ah_seal(sa, seq, payload, src, uid)
     raise ValueError(f"unknown encap mode {encap!r}; expected one of {ENCAP_MODES}")
 
 

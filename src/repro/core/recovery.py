@@ -43,7 +43,6 @@ from repro.net.adversary import ReplayAdversary
 from repro.net.delay import FixedDelay
 from repro.net.icmp import IcmpMessage
 from repro.net.link import Link
-from repro.net.message import Message
 from repro.sim.engine import Engine
 from repro.sim.events import Event
 from repro.sim.process import SimProcess

@@ -23,7 +23,6 @@ breaks the guarantee.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -36,9 +35,6 @@ from repro.net.link import PacketPipe
 from repro.sim.engine import Engine
 from repro.sim.process import SimProcess, Timer
 from repro.util.validation import check_positive
-
-#: Global uid source for fresh transmissions (instrumentation only).
-_uid_counter = itertools.count(1)
 
 #: Listener signature for :meth:`BaseSender.add_send_listener`:
 #: ``(sent_total, packet)`` after each fresh transmission.
@@ -180,13 +176,11 @@ class BaseSender(SimProcess):
         return True
 
     def _transmit(self) -> None:
-        uid = next(_uid_counter)
+        auditor = self.auditor
         packet = seal(
-            self.encap, self.sa, self.s, self.payload, self.now, uid,
-            src=self.address,
+            self.encap, self.sa, self.s, self.payload, self.now,
+            None if auditor is None else auditor.register_send(), self.address,
         )
-        if self.auditor is not None:
-            self.auditor.register_send(packet, uid)
         if self.traced:
             self.trace("send", seq=self.s)
         self.last_sent_seq = self.s
@@ -269,13 +263,11 @@ class BaseSender(SimProcess):
             if not self.can_send:
                 self.sends_suppressed += n - sent
                 break
-            uid = next(_uid_counter)
             packet = seal(
-                self.encap, self.sa, self.s, self.payload, self.now, uid,
-                src=self.address,
+                self.encap, self.sa, self.s, self.payload, self.now,
+                None if auditor is None else auditor.register_send(),
+                self.address,
             )
-            if auditor is not None:
-                auditor.register_send(packet, uid)
             if self.traced:
                 self.trace("send", seq=self.s)
             self.last_sent_seq = self.s

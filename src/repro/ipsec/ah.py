@@ -15,7 +15,7 @@ from repro.ipsec.crypto import IntegrityError, encode_seq, hmac_digest, hmac_ver
 from repro.ipsec.sa import SecurityAssociation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AhPacket:
     """An authenticated (cleartext) AH packet."""
 
@@ -26,6 +26,8 @@ class AhPacket:
     #: Outer-header source address (NOT covered by the ICV — a NAT
     #: rewrites it in flight; see ``repro.netpath.nat``).
     src: str | None = None
+    #: Audit uid (NOT covered by the ICV; see ``repro.core.audit``).
+    uid: int | None = None
 
     def __repr__(self) -> str:
         return f"ah(spi={self.spi:#x}, seq={self.seq})"
@@ -36,15 +38,19 @@ def _auth_data(spi: int, seq: int, payload: bytes) -> bytes:
 
 
 def ah_seal(
-    sa: SecurityAssociation, seq: int, payload: bytes, src: str | None = None
+    sa: SecurityAssociation,
+    seq: int,
+    payload: bytes,
+    src: str | None = None,
+    uid: int | None = None,
 ) -> AhPacket:
     """Authenticate ``payload`` as sequence number ``seq``.
 
-    ``src`` rides the (unauthenticated) outer header: integrity holds
-    regardless of the address a NAT stamped on the packet.
+    ``src`` and ``uid`` ride outside the ICV: integrity holds regardless
+    of the address a NAT stamped on the packet.
     """
     icv = hmac_digest(sa.auth_key, _auth_data(sa.spi, seq, payload))
-    return AhPacket(spi=sa.spi, seq=seq, payload=payload, icv=icv, src=src)
+    return AhPacket(sa.spi, seq, payload, icv, src, uid)
 
 
 def ah_open(sa: SecurityAssociation, packet: AhPacket) -> bytes:

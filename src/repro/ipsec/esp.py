@@ -16,7 +16,7 @@ from repro.ipsec.crypto import IntegrityError, encode_seq, hmac_digest, hmac_ver
 from repro.ipsec.sa import SecurityAssociation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EspPacket:
     """A sealed ESP packet.
 
@@ -31,6 +31,8 @@ class EspPacket:
     #: Outer-header source address (NOT covered by the ICV — a NAT
     #: rewrites it in flight; see ``repro.netpath.nat``).
     src: str | None = None
+    #: Audit uid (NOT covered by the ICV; see ``repro.core.audit``).
+    uid: int | None = None
 
     def __repr__(self) -> str:
         return f"esp(spi={self.spi:#x}, seq={self.seq})"
@@ -41,17 +43,21 @@ def _auth_data(spi: int, seq: int, ciphertext: bytes) -> bytes:
 
 
 def esp_seal(
-    sa: SecurityAssociation, seq: int, payload: bytes, src: str | None = None
+    sa: SecurityAssociation,
+    seq: int,
+    payload: bytes,
+    src: str | None = None,
+    uid: int | None = None,
 ) -> EspPacket:
     """Encrypt and authenticate ``payload`` as sequence number ``seq``.
 
-    ``src`` rides the (unauthenticated) outer header: integrity holds
-    regardless of the address a NAT stamped on the packet.
+    ``src`` and ``uid`` ride outside the ICV: integrity holds regardless
+    of the address a NAT stamped on the packet.
     """
     nonce = encode_seq(seq)
     ciphertext = xor_stream(sa.enc_key, payload, nonce=nonce)
     icv = hmac_digest(sa.auth_key, _auth_data(sa.spi, seq, ciphertext))
-    return EspPacket(spi=sa.spi, seq=seq, ciphertext=ciphertext, icv=icv, src=src)
+    return EspPacket(sa.spi, seq, ciphertext, icv, src, uid)
 
 
 def esp_open(sa: SecurityAssociation, packet: EspPacket) -> bytes:

@@ -9,11 +9,10 @@ mutate anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     """An application message ``msg(seq)`` from sender to receiver.
 
@@ -23,40 +22,23 @@ class Message:
         sent_at: simulated time of the *original* transmission.  A replayed
             copy keeps the original ``sent_at``, which is how traces
             distinguish fresh deliveries from replays post hoc.
-        meta: free-form annotations (never interpreted by protocol logic;
-            used by experiments, e.g. ``{"epoch": 0}`` to mark pre-reset
-            traffic).
         src: source address the packet was sent from (``None`` — the
             paper's address-less model — unless the sender is given an
             address).  A NAT rebinding changes the sender's address
             mid-SA, so packets sealed before the rebinding keep the old
             binding: exactly the in-flight traffic that exercises the
             receiver-side rebinding policy (:mod:`repro.netpath.nat`).
+        uid: the audit uid of the fresh transmission this packet is
+            (:mod:`repro.core.audit`; ``None`` when the sender has no
+            auditor).  Instrumentation only: protocol logic never reads
+            it, and a replayed copy carries its original's uid.
     """
 
     seq: int
     payload: bytes = b""
     sent_at: float = 0.0
-    meta: tuple[tuple[str, Any], ...] = field(default=())
     src: str | None = None
-
-    def with_meta(self, **annotations: Any) -> "Message":
-        """Return a copy with extra ``meta`` annotations appended."""
-        return Message(
-            seq=self.seq,
-            payload=self.payload,
-            sent_at=self.sent_at,
-            meta=self.meta + tuple(sorted(annotations.items())),
-            src=self.src,
-        )
-
-    def get_meta(self, key: str, default: Any = None) -> Any:
-        """Look up a ``meta`` annotation (last write wins)."""
-        value = default
-        for meta_key, meta_value in self.meta:
-            if meta_key == key:
-                value = meta_value
-        return value
+    uid: int | None = None
 
     def __repr__(self) -> str:
         return f"msg({self.seq})"

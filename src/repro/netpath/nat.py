@@ -83,13 +83,13 @@ class NatGate:
         if sad is not None and sa is not None and initial_binding is not None:
             sad.bind_peer(sa, initial_binding)
         #: Candidate source per in-flight packet, awaiting its window
-        #: verdict.  Keyed by ``id(packet)`` with the packet kept as a
-        #: strong reference — like :class:`~repro.core.audit.DeliveryAuditor`,
-        #: holding the object pins its id, so a packet that never gets a
-        #: verdict (dropped while the receiver is down, or wiped from the
-        #: wake buffer by a reset) can never alias a later packet and
-        #: trigger a spurious rebind; its entry just stays, bounded by
-        #: the scenario's packet count.
+        #: verdict.  Keyed by ``id(packet)``, as the receiver reports the
+        #: verdict with the very object that arrived, and holding the
+        #: packet pins its id: one that never gets a verdict (dropped
+        #: while the receiver is down, or wiped from the wake buffer by a
+        #: reset) can never alias a later packet and trigger a spurious
+        #: rebind.  Its entry just stays, bounded by the scenario's
+        #: off-binding packet count.
         self._pending: dict[int, tuple[Any, str]] = {}
         # Statistics (monotonic; scenario extras read these).
         self.forwarded = 0

@@ -1,11 +1,15 @@
 """Tests for the one-call protocol harness."""
 
+import gc
+
 import pytest
 
 from repro.core.ceiling import CeilingReceiver, CeilingSender
 from repro.core.protocol import build_protocol
 from repro.core.receiver import SaveFetchReceiver, UnprotectedReceiver
 from repro.core.sender import SaveFetchSender, UnprotectedSender
+from repro.net.message import Message
+from repro.sim.trace import NULL_TRACE
 
 
 class TestVariants:
@@ -114,3 +118,18 @@ class TestEndToEnd:
         assert report.converged, report.bound_violations
         assert report.receiver_resets == 1
         assert report.time_to_converge  # traffic resumed after the wake
+
+    def test_drained_session_retains_no_message(self):
+        # The audit uid rides the packet, so once a session has drained
+        # nothing keeps its packets alive: scoring needs no packet.
+        def held() -> int:
+            gc.collect()
+            return sum(1 for obj in gc.get_objects() if type(obj) is Message)
+
+        before = held()
+        harness = build_protocol(trace=NULL_TRACE)
+        harness.sender.start_traffic(count=10_000)
+        harness.run()
+        assert harness.engine.pending_events == 0
+        assert harness.score().audit.delivered_uids == 10_000
+        assert held() - before == 0

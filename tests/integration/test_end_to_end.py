@@ -69,22 +69,27 @@ class TestEspIntegration:
         assert harness.receiver.integrity_failures == 0
 
     def test_cross_sa_packets_rejected_by_integrity(self):
-        """Traffic sealed under one SA pair bounces off another."""
-        harness_a = build_protocol(encap="esp", seed=1, costs=FAST)
+        """Traffic sealed under one SA pair bounces off another, and B's
+        auditor never mistakes A's uids for its own."""
+        harness_a = build_protocol(encap="esp", seed=1, costs=FAST, with_adversary=True)
         harness_b = build_protocol(encap="esp", seed=2, costs=FAST)
         harness_a.sender.start_traffic(count=10)
         harness_a.run(until=1.0)
+        assert len(harness_a.adversary.recorded) == 10
+        before = harness_b.auditor.report()
         # Feed A's packets into B's receiver (same SPI space is unlikely;
         # integrity must reject regardless).
-        for _, packet in harness_a.adversary.recorded if harness_a.adversary else []:
+        for _, packet in harness_a.adversary.recorded:
             harness_b.receiver.on_receive(packet)
         # Direct path: seal under A, offer to B.
         from repro.ipsec.esp import esp_seal
 
         foreign = esp_seal(harness_a.sa_pair.forward, 1, b"alien")
         harness_b.receiver.on_receive(foreign)
-        assert harness_b.receiver.integrity_failures == 1
+        assert harness_b.receiver.integrity_failures == 11
         assert harness_b.receiver.delivered_total == 0
+        assert harness_b.auditor.unknown_packets == 11
+        assert harness_b.auditor.report() == before
 
 
 class TestWindowImplEquivalenceInSitu:

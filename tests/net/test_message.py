@@ -16,17 +16,11 @@ class TestMessage:
             raised = True
         assert raised
 
-    def test_with_meta_appends(self):
-        message = Message(seq=1).with_meta(uid=5)
-        assert message.get_meta("uid") == 5
-        assert message.seq == 1
+    def test_slotted(self):
+        assert not hasattr(Message(seq=1), "__dict__")
 
-    def test_meta_last_write_wins(self):
-        message = Message(seq=1).with_meta(tag="a").with_meta(tag="b")
-        assert message.get_meta("tag") == "b"
-
-    def test_meta_default(self):
-        assert Message(seq=1).get_meta("missing", default=0) == 0
+    def test_uid_defaults_to_none(self):
+        assert Message(seq=1).uid is None
 
     def test_equality_by_content(self):
         assert Message(seq=1, sent_at=0.5) == Message(seq=1, sent_at=0.5)

@@ -16,11 +16,6 @@ class TestMessageSrc:
     def test_src_defaults_to_none(self):
         assert Message(seq=1).src is None
 
-    def test_with_meta_preserves_src(self):
-        message = Message(seq=1, src="nat:a").with_meta(uid=7)
-        assert message.src == "nat:a"
-        assert message.get_meta("uid") == 7
-
     def test_sender_address_stamped_on_packets(self):
         harness = build_protocol(trace=NULL_TRACE, sender_address="nat:a")
         seen = []
@@ -155,7 +150,7 @@ class TestNatGate:
         _, recorded = harness.adversary.recorded[0]
         forged = Message(
             seq=recorded.seq, payload=recorded.payload,
-            sent_at=recorded.sent_at, meta=recorded.meta, src="nat:evil",
+            sent_at=recorded.sent_at, src="nat:evil", uid=recorded.uid,
         )
         harness.adversary.inject_now(forged)
         harness.run(until=0.002)
