@@ -393,17 +393,6 @@ class FleetRunner:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def pending_tasks(self) -> tuple[int, list[FleetTask]]:
-        """Expand the spec and subtract completed work.
-
-        Returns:
-            ``(total, pending)`` — the full task count and the tasks not
-            yet recorded ``ok`` in the store, in stable task order.
-        """
-        tasks = self.spec.tasks()
-        done = self.store.completed_ids()
-        return len(tasks), [task for task in tasks if task.task_id not in done]
-
     def _results(self, pending: list[FleetTask]) -> Iterator[TaskRecord]:
         obs_dir = str(self.obs_dir) if self.obs_dir is not None else None
         if self.jobs == 1:

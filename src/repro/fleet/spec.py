@@ -18,15 +18,16 @@ from __future__ import annotations
 import inspect
 import itertools
 import json
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any
 
 from repro.gateway.faults import GatewayFault, fault_from_dict
 from repro.ipsec.costs import CostModel
 from repro.netpath.faults import PathFault, path_fault_from_dict
 from repro.netpath.profile import PathProfile
-from repro.util.rng import derive_seed, make_rng
+from repro.util.rng import SeedPrefix, derive_seed, make_rng
 from repro.util.validation import check_positive
 from repro.workloads.scenarios import SCENARIOS
 
@@ -50,6 +51,10 @@ PATHPROFILE_TAG = "__pathprofile__"
 #: ``PathFlap``, ``RegimeShift``, ``NatRebinding`` — ``kind`` dispatches).
 PATHFAULT_TAG = "__pathfault__"
 
+#: Types :func:`encode_param_value` returns as they are (exact types only:
+#: a subclass such as an ``IntEnum`` still takes the isinstance chain).
+_PLAIN_TYPES = frozenset({type(None), bool, int, float, str})
+
 
 def encode_param_value(value: Any) -> Any:
     """JSON-safe encoding of one scenario kwarg.
@@ -61,6 +66,8 @@ def encode_param_value(value: Any) -> Any:
     (what JSON would do anyway), keeping in-memory and from-disk
     expansions identical.
     """
+    if type(value) in _PLAIN_TYPES:
+        return value
     if isinstance(value, CostModel):
         return {COSTMODEL_TAG: {k: v for k, v in vars(value).items()}}
     if isinstance(value, GatewayFault):
@@ -249,40 +256,50 @@ class ScenarioGrid:
             count *= len(_as_choices(axis, self.params[axis]))
         return count
 
-    def expand(self, base_seed: int, grid_index: int) -> Iterator[FleetTask]:
-        """Yield this grid's tasks with derived ids and seeds."""
+    def expand(
+        self,
+        base_seed: int,
+        grid_index: int,
+        keep: Callable[[str], bool] | None = None,
+    ) -> Iterator[FleetTask]:
+        """Yield this grid's tasks with derived ids and seeds.
+
+        ``keep``, if given, sees each task id before anything else of the
+        task is built; a task it rejects costs its id and, in population
+        mode, its parameter draw (so the RNG stream stays the same).
+        """
         axes = sorted(self.params)
         choices = [_as_choices(axis, self.params[axis]) for axis in axes]
+        task_seed = SeedPrefix(base_seed, grid_index, self.scenario)
+        prefix = f"g{grid_index}/{self.scenario}/"
         if self.sessions is None:
             combos = enumerate(itertools.product(*choices))
             for combo_index, combo in combos:
                 for rep in range(self.repeats):
-                    suffix = f"c{combo_index:05d}" + (
+                    task_id = f"{prefix}c{combo_index:05d}" + (
                         f"r{rep}" if self.repeats > 1 else ""
                     )
-                    yield FleetTask(
-                        task_id=f"g{grid_index}/{self.scenario}/{suffix}",
-                        scenario=self.scenario,
-                        params=encode_params(dict(zip(axes, combo))),
-                        seed=derive_seed(
-                            base_seed, grid_index, self.scenario, combo_index, rep
-                        ),
-                    )
+                    if keep is None or keep(task_id):
+                        yield FleetTask(
+                            task_id=task_id,
+                            scenario=self.scenario,
+                            params=encode_params(dict(zip(axes, combo))),
+                            seed=task_seed(combo_index, rep),
+                        )
         else:
             # Population mode: the draw RNG is itself spawn-key derived,
             # so the sampled parameters are a pure function of the spec.
-            rng = make_rng(derive_seed(base_seed, grid_index, "population"))
+            choose = make_rng(derive_seed(base_seed, grid_index, "population")).choice
             for session in range(self.sessions):
-                params = {
-                    axis: rng.choice(axis_choices)
-                    for axis, axis_choices in zip(axes, choices)
-                }
-                yield FleetTask(
-                    task_id=f"g{grid_index}/{self.scenario}/s{session:05d}",
-                    scenario=self.scenario,
-                    params=encode_params(params),
-                    seed=derive_seed(base_seed, grid_index, self.scenario, session),
-                )
+                drawn = [choose(axis_choices) for axis_choices in choices]
+                task_id = f"{prefix}s{session:05d}"
+                if keep is None or keep(task_id):
+                    yield FleetTask(
+                        task_id=task_id,
+                        scenario=self.scenario,
+                        params=encode_params(dict(zip(axes, drawn))),
+                        seed=task_seed(session),
+                    )
 
 
 @dataclass(frozen=True)
@@ -378,17 +395,20 @@ class CampaignSpec:
             raise ValueError(f"campaign {self.name!r} expanded to duplicate task ids")
         return expanded
 
-    def iter_tasks(self) -> Iterator[FleetTask]:
+    def iter_tasks(
+        self, keep: Callable[[str], bool] | None = None
+    ) -> Iterator[FleetTask]:
         """Stream the expansion without materialising the task list.
 
         Same tasks in the same order as :meth:`tasks`, one at a time —
         the path for million-task campaigns where even the id list is
-        worth not holding.  Skips the duplicate-id audit (:meth:`tasks`
-        still performs it; the id scheme makes duplicates unreachable
-        short of a bug there).
+        worth not holding.  ``keep``, if given, filters by task id before
+        each task is built (see :meth:`ScenarioGrid.expand`).  Skips the
+        duplicate-id audit (:meth:`tasks` still performs it; the id scheme
+        makes duplicates unreachable short of a bug there).
         """
         for grid_index, grid in enumerate(self.grids):
-            yield from grid.expand(self.base_seed, grid_index)
+            yield from grid.expand(self.base_seed, grid_index, keep)
 
 
 class SampledCampaign:
@@ -404,6 +424,10 @@ class SampledCampaign:
     spread (~±2·sqrt(target)); exactness is not needed where this is
     used — CI-scale spot checks of full campaigns.
 
+    The decision is made from the id alone, before the task's params are
+    encoded, its seed derived or its :class:`FleetTask` built, so a
+    sample of a million-task campaign builds only the tasks it keeps.
+
     Duck-types the spec surface :class:`~repro.fleet.runner.FleetRunner`
     uses (``tasks()``, ``iter_tasks()``, ``session_count()``,
     ``max_events``, ``name``, ``base_seed``).
@@ -418,19 +442,19 @@ class SampledCampaign:
         self.name = f"{spec.name}~{target}"
         self.base_seed = spec.base_seed
         self.max_events = spec.max_events
+        self._membership_key = SeedPrefix(self.base_seed, "sample")
 
     def keeps(self, task_id: str) -> bool:
         """Whether ``task_id`` is in the sample (pure, order-free)."""
         if self.target >= self.total:
             return True
-        return derive_seed(self.base_seed, "sample", task_id) % self.total < self.target
+        return self._membership_key(task_id) % self.total < self.target
 
     def iter_tasks(self) -> Iterator[FleetTask]:
-        for task in self.spec.iter_tasks():
-            if self.keeps(task.task_id):
-                yield task
+        return self.spec.iter_tasks(keep=self.keeps)
 
     def tasks(self) -> list[FleetTask]:
+        self.spec.validate_scenarios()
         return list(self.iter_tasks())
 
     def session_count(self) -> int:
@@ -445,9 +469,11 @@ def megafleet_spec(base_seed: int = 2003) -> CampaignSpec:
     receiver resets (with and without history replay), lossy resets, and
     multi-SA gateway crashes — every parameter drawn per session from the
     spec-seeded RNG.  Expansion is deterministic and streams through
-    :meth:`CampaignSpec.iter_tasks` in seconds; *running* it in full is a
-    ``--runslow`` benchmark affair (see ``benchmarks/bench_m7_megafleet``),
-    while CI exercises a deterministic ~2k-session ``--sample``.
+    :meth:`CampaignSpec.iter_tasks` in about 8 s; a :class:`SampledCampaign`
+    builds only the tasks it keeps, so a ``--sample`` takes about half
+    that (``benchmarks/bench_m7_megafleet``, 2 vCPUs).  *Running* it in
+    full is a ``--runslow`` benchmark affair, while CI exercises a
+    deterministic ~2k-session ``--sample``.
     """
     sessions_per_grid = 250_000
     return CampaignSpec(

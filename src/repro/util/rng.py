@@ -14,7 +14,8 @@ root seed and a path of labels through SHA-256, so the same
 ``(root, *path)`` always yields the same 64-bit seed — in any process, under
 any ``PYTHONHASHSEED``.  The fleet runner leans on this to give every task
 in a campaign an independent, reproducible seed regardless of execution
-order or worker count.
+order or worker count.  :class:`SeedPrefix` is the same derivation with a
+fixed leading path hashed once, for deriving many seeds under one path.
 """
 
 from __future__ import annotations
@@ -23,6 +24,26 @@ import hashlib
 import random
 
 _DEFAULT_SEED = 0xC0FFEE
+
+
+def _feed(hasher: hashlib._Hash, path: tuple[int | str, ...]) -> None:
+    """Fold spawn-key ``path`` parts into ``hasher``, canonically encoded.
+
+    The one per-part encoder behind :func:`derive_seed` and
+    :class:`SeedPrefix`: an ``int`` is ``b"i"`` plus 16 little-endian
+    signed bytes, a ``str`` is ``b"s"`` plus its 4-byte UTF-8 length and
+    bytes.  Anything else, ``bool`` included, is a :class:`TypeError`.
+    """
+    for part in path:
+        if isinstance(part, str):
+            encoded = part.encode("utf-8")
+            hasher.update(b"s" + len(encoded).to_bytes(4, "little") + encoded)
+        elif isinstance(part, int) and not isinstance(part, bool):
+            hasher.update(b"i" + part.to_bytes(16, "little", signed=True))
+        else:
+            raise TypeError(
+                f"spawn-key path parts must be int or str, got {type(part).__name__}"
+            )
 
 
 def derive_seed(root: int, *path: int | str) -> int:
@@ -42,19 +63,31 @@ def derive_seed(root: int, *path: int | str) -> int:
     Returns:
         An unsigned 64-bit seed suitable for :func:`make_rng`.
     """
-    hasher = hashlib.sha256()
-    hasher.update(int(root).to_bytes(16, "little", signed=True))
-    for part in path:
-        if isinstance(part, bool) or not isinstance(part, (int, str)):
-            raise TypeError(
-                f"spawn-key path parts must be int or str, got {type(part).__name__}"
-            )
-        if isinstance(part, int):
-            hasher.update(b"i" + part.to_bytes(16, "little", signed=True))
-        else:
-            encoded = part.encode("utf-8")
-            hasher.update(b"s" + len(encoded).to_bytes(4, "little") + encoded)
+    hasher = hashlib.sha256(int(root).to_bytes(16, "little", signed=True))
+    _feed(hasher, path)
     return int.from_bytes(hasher.digest()[:8], "little")
+
+
+class SeedPrefix:
+    """:func:`derive_seed` with a fixed leading path, hashed once.
+
+    ``SeedPrefix(root, *prefix)(*tail) == derive_seed(root, *prefix, *tail)``
+    bit for bit; each call copies the SHA-256 state left after the prefix
+    instead of rehashing it.  For deriving many seeds under one path —
+    every task seed of a campaign grid, every sample-membership key of a
+    campaign.
+    """
+
+    __slots__ = ("_hasher",)
+
+    def __init__(self, root: int, *prefix: int | str) -> None:
+        self._hasher = hashlib.sha256(int(root).to_bytes(16, "little", signed=True))
+        _feed(self._hasher, prefix)
+
+    def __call__(self, *tail: int | str) -> int:
+        hasher = self._hasher.copy()
+        _feed(hasher, tail)
+        return int.from_bytes(hasher.digest()[:8], "little")
 
 
 def make_rng(seed_or_rng: int | random.Random | None = None) -> random.Random:

@@ -5,7 +5,8 @@ The CI ``fleet-scale`` job runs this under ``--runslow``: expand the
 sharded store with two workers, SIGKILL the process mid-run, resume, and
 assert the recovery invariants the whole fleet stack promises — zero
 lost tasks, zero duplicated tasks, and sketch percentiles agreeing with
-exact ones within the documented error bound.
+exact ones within the documented error bound.  It also pins the sample
+itself: the exact tasks ``--sample 2000`` draws from the megafleet.
 
 Set ``MEGAFLEET_OUT`` to keep the campaign directory (CI uploads the
 ``aggregate.json`` artifact from there); by default everything lands in
@@ -14,6 +15,8 @@ the test's tmp dir.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import signal
 import subprocess
@@ -48,6 +51,21 @@ def repro_env() -> dict[str, str]:
     existing = env.get("PYTHONPATH")
     env["PYTHONPATH"] = src if not existing else src + os.pathsep + existing
     return env
+
+
+@pytest.mark.slow
+def test_sample_is_pinned():
+    # The sample's ids, params and seeds are the resume keys of every
+    # stored megafleet sample: hash the exact tasks, in order.
+    hasher = hashlib.sha256()
+    count = 0
+    for task in SampledCampaign(megafleet_spec(), SAMPLE).tasks():
+        hasher.update((json.dumps(task.to_dict(), sort_keys=True) + "\n").encode())
+        count += 1
+    assert count == 1954
+    assert hasher.hexdigest() == (
+        "3611749d07b252f7c50a41e436690efc1ada3fd675fe7c46d70d451ce32180dc"
+    )
 
 
 @pytest.mark.slow

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
+import repro.fleet.spec as spec_module
+from repro.fleet.runner import FleetRunner
+from repro.fleet.results import MemoryResultStore
 from repro.fleet.spec import (
     DEFAULT_MAX_EVENTS,
     CampaignSpec,
@@ -13,6 +19,32 @@ from repro.fleet.spec import (
     example_spec,
     megafleet_spec,
 )
+
+
+def tasks_digest(tasks) -> str:
+    """SHA-256 over each task's sorted-key JSON line, in order."""
+    hasher = hashlib.sha256()
+    for task in tasks:
+        hasher.update((json.dumps(task.to_dict(), sort_keys=True) + "\n").encode())
+    return hasher.hexdigest()
+
+
+def grid_mode_spec() -> CampaignSpec:
+    """200 grid-mode tasks: 100 combinations, each repeated twice."""
+    return CampaignSpec(
+        name="grid-demo",
+        base_seed=2003,
+        grids=(ScenarioGrid(
+            scenario="sender_reset",
+            params={
+                "k": 25,
+                "reset_after_sends": list(range(40, 65)),
+                "messages_after_reset": [40, 60],
+                "w": [32, 64],
+            },
+            repeats=2,
+        ),),
+    )
 
 
 def small_spec() -> CampaignSpec:
@@ -186,13 +218,62 @@ class TestSampledCampaign:
         second = [t.task_id for t in SampledCampaign(spec, 80).tasks()]
         assert first == second
 
-    def test_sample_is_a_subset_with_tasks_unchanged(self):
-        spec = example_spec(sessions=200)
-        full = {t.task_id: t for t in spec.tasks()}
-        sample = SampledCampaign(spec, 50).tasks()
+    @pytest.mark.parametrize(
+        "make_spec",
+        [lambda: example_spec(sessions=200), grid_mode_spec],
+        ids=["population", "grid-repeats"],
+    )
+    def test_sample_is_a_subset_with_tasks_unchanged(self, make_spec):
+        spec = make_spec()
+        full = spec.tasks()
+        assert len(full) == 200
+        sampled = SampledCampaign(spec, 50)
+        sample = sampled.tasks()
         assert 0 < len(sample) < 200
-        for task in sample:
-            assert full[task.task_id] == task  # same params, same seed
+        # Exactly the full expansion's kept tasks, in order, unchanged
+        # (same params, same seed), each repeat judged by its own id.
+        assert sample == [t for t in full if sampled.keeps(t.task_id)]
+
+    def test_sample_is_pinned(self):
+        # Ids, params and seeds of a sample are resume keys: the exact
+        # tasks (hashed) must never move under an expansion change.
+        tasks = SampledCampaign(example_spec(sessions=4000), 400).tasks()
+        assert len(tasks) == 400
+        assert tasks_digest(tasks) == (
+            "2d0dfeb0def3f32b42d94f1c782efc2f93c6b634ad6e0911d88521959d1ed498"
+        )
+
+    def test_builds_only_the_kept_tasks(self, monkeypatch):
+        spec = example_spec(sessions=4000)
+        encoded = []
+        real_encode = spec_module.encode_params
+
+        def counting_encode(params):
+            encoded.append(params)
+            return real_encode(params)
+
+        monkeypatch.setattr(spec_module, "encode_params", counting_encode)
+        tasks = SampledCampaign(spec, 400).tasks()
+        assert len(encoded) == len(tasks) == 400
+
+    @pytest.mark.parametrize(
+        "grid, error",
+        [
+            (ScenarioGrid(scenario="sender_rest", params={"k": 25}, sessions=40),
+             "unknown scenario 'sender_rest'"),
+            (ScenarioGrid(scenario="sender_reset", params={"kk": 25}, sessions=40),
+             r"no parameter\(s\) \['kk'\]"),
+        ],
+        ids=["scenario", "axis"],
+    )
+    def test_misspelled_spec_fails_fast(self, grid, error):
+        # Without validation every sampled task would become an error
+        # record instead.
+        plan = SampledCampaign(CampaignSpec(name="typo", grids=(grid,)), 10)
+        with pytest.raises(ValueError, match=error):
+            plan.tasks()
+        with pytest.raises(ValueError, match=error):
+            FleetRunner(plan, MemoryResultStore()).run()
 
     def test_expected_size_is_near_target(self):
         spec = example_spec(sessions=1000)

@@ -3,8 +3,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.util.rng import derive_seed, make_rng, spawn_rng
+from repro.util.rng import SeedPrefix, derive_seed, make_rng, spawn_rng
+
+#: Spawn-key parts: ints well past 64 bits either way (the encoding is 16
+#: signed bytes) and any text, non-ASCII included.
+PARTS = st.lists(
+    st.one_of(st.integers(min_value=-(2**100), max_value=2**100), st.text()),
+    max_size=4,
+)
 
 
 class TestMakeRng:
@@ -67,12 +76,19 @@ class TestDeriveSeed:
     def test_int_and_str_parts_do_not_collide(self):
         assert derive_seed(1, 0) != derive_seed(1, "0")
 
-    def test_stable_across_interpreters(self):
-        # Pinned value: derive_seed must never depend on PYTHONHASHSEED
-        # or the platform, or fleet resume breaks across processes.
-        assert derive_seed(2003, "g", 0, "sender_reset", 42) == (
-            derive_seed(2003, "g", 0, "sender_reset", 42)
+    def test_pinned_values(self):
+        # Task seeds and sample membership are resume keys: a re-encoding
+        # that moved any of these would orphan every stored result.
+        assert derive_seed(2003, "g", 0, "sender_reset", 42) == 251250539418181924
+        assert derive_seed(2003, "sample", "g0/sender_reset/s00042") == (
+            8422581100595664473
         )
+        assert derive_seed(-5, -1) == 13691430822791290438
+        assert derive_seed(7) == 15547108957440905334
+
+    def test_stable_across_interpreters(self):
+        # derive_seed must never depend on PYTHONHASHSEED or the
+        # platform, or fleet resume breaks across processes.
         import pathlib
         import subprocess
         import sys
@@ -86,7 +102,7 @@ class TestDeriveSeed:
             capture_output=True, text=True, check=True,
             env={"PYTHONPATH": src_dir, "PYTHONHASHSEED": "12345"},
         )
-        assert int(out.stdout) == derive_seed(2003, "g", 0, "sender_reset", 42)
+        assert int(out.stdout) == 251250539418181924
 
     def test_negative_roots_and_parts_accepted(self):
         assert derive_seed(-5, -1) != derive_seed(-5, 1)
@@ -105,3 +121,37 @@ class TestDeriveSeed:
         a = spawn_rng(random.Random(5), "link")
         b = spawn_rng(random.Random(5), "link")
         assert a.getrandbits(64) == b.getrandbits(64)
+
+
+class TestSeedPrefix:
+    @settings(max_examples=300, deadline=None)
+    @given(root=st.integers(min_value=-(2**100), max_value=2**100),
+           prefix=PARTS, tail=PARTS)
+    def test_matches_derive_seed(self, root, prefix, tail):
+        assert SeedPrefix(root, *prefix)(*tail) == derive_seed(root, *prefix, *tail)
+
+    def test_edge_parts(self):
+        for prefix, tail in [
+            ((), ()),
+            ((), ("sample", "g0/sender_reset/s00042")),
+            (("g", 0, "sender_reset"), ()),
+            ((-1, "é∂"), (-(2**64), "ß\u2603", "")),
+        ]:
+            assert SeedPrefix(2003, *prefix)(*tail) == (
+                derive_seed(2003, *prefix, *tail)
+            )
+
+    def test_reusable(self):
+        task_seed = SeedPrefix(2003, "g", 0, "sender_reset")
+        assert [task_seed(42), task_seed(7), task_seed(42)] == [
+            251250539418181924,
+            derive_seed(2003, "g", 0, "sender_reset", 7),
+            251250539418181924,
+        ]
+
+    def test_rejects_non_int_str_parts(self):
+        for bad in (True, 1.5):
+            with pytest.raises(TypeError, match="int or str"):
+                SeedPrefix(0, bad)
+            with pytest.raises(TypeError, match="int or str"):
+                SeedPrefix(0, "ok")(bad)
