@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.ipsec.crypto import IntegrityError, encode_seq, hmac_digest, hmac_verify
+from repro.ipsec.crypto import IntegrityError, encode_seq
 from repro.ipsec.sa import SecurityAssociation
 
 
@@ -49,7 +49,7 @@ def ah_seal(
     ``src`` and ``uid`` ride outside the ICV: integrity holds regardless
     of the address a NAT stamped on the packet.
     """
-    icv = hmac_digest(sa.auth_key, _auth_data(sa.spi, seq, payload))
+    icv = sa.mac.digest(_auth_data(sa.spi, seq, payload))
     return AhPacket(sa.spi, seq, payload, icv, src, uid)
 
 
@@ -59,8 +59,8 @@ def ah_open(sa: SecurityAssociation, packet: AhPacket) -> bytes:
         raise IntegrityError(
             f"SPI mismatch: packet {packet.spi:#x} vs SA {sa.spi:#x}"
         )
-    if not hmac_verify(
-        sa.auth_key, _auth_data(packet.spi, packet.seq, packet.payload), packet.icv
+    if not sa.mac.verify(
+        _auth_data(packet.spi, packet.seq, packet.payload), packet.icv
     ):
         raise IntegrityError(f"bad ICV on {packet!r} (wrong or rekeyed SA)")
     return packet.payload

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.ipsec.crypto import IntegrityError, encode_seq, hmac_digest, hmac_verify, xor_stream
+from repro.ipsec.crypto import IntegrityError, encode_seq, xor_stream
 from repro.ipsec.sa import SecurityAssociation
 
 
@@ -38,8 +38,8 @@ class EspPacket:
         return f"esp(spi={self.spi:#x}, seq={self.seq})"
 
 
-def _auth_data(spi: int, seq: int, ciphertext: bytes) -> bytes:
-    return spi.to_bytes(8, "big") + encode_seq(seq) + ciphertext
+def _auth_data(spi: int, encoded_seq: bytes, ciphertext: bytes) -> bytes:
+    return spi.to_bytes(8, "big") + encoded_seq + ciphertext
 
 
 def esp_seal(
@@ -54,9 +54,9 @@ def esp_seal(
     ``src`` and ``uid`` ride outside the ICV: integrity holds regardless
     of the address a NAT stamped on the packet.
     """
-    nonce = encode_seq(seq)
-    ciphertext = xor_stream(sa.enc_key, payload, nonce=nonce)
-    icv = hmac_digest(sa.auth_key, _auth_data(sa.spi, seq, ciphertext))
+    encoded_seq = encode_seq(seq)
+    ciphertext = xor_stream(sa.enc_key, payload, nonce=encoded_seq)
+    icv = sa.mac.digest(_auth_data(sa.spi, encoded_seq, ciphertext))
     return EspPacket(sa.spi, seq, ciphertext, icv, src, uid)
 
 
@@ -70,8 +70,9 @@ def esp_open(sa: SecurityAssociation, packet: EspPacket) -> bytes:
         raise IntegrityError(
             f"SPI mismatch: packet {packet.spi:#x} vs SA {sa.spi:#x}"
         )
-    if not hmac_verify(
-        sa.auth_key, _auth_data(packet.spi, packet.seq, packet.ciphertext), packet.icv
+    encoded_seq = encode_seq(packet.seq)
+    if not sa.mac.verify(
+        _auth_data(packet.spi, encoded_seq, packet.ciphertext), packet.icv
     ):
         raise IntegrityError(f"bad ICV on {packet!r} (wrong or rekeyed SA)")
-    return xor_stream(sa.enc_key, packet.ciphertext, nonce=encode_seq(packet.seq))
+    return xor_stream(sa.enc_key, packet.ciphertext, nonce=encoded_seq)

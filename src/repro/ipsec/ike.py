@@ -232,13 +232,19 @@ class _IkePeer(SimProcess):
         )
         return hmac_digest(self._master_secret, data)
 
-    def _peer_auth_expected(self) -> bytes:
+    def _peer_auth_ok(self, auth: Any) -> bool:
+        """Whether ``auth`` is the peer's transcript MAC (constant time).
+
+        ``auth`` is peer input: a missing or non-bytes value fails.
+        """
+        if not isinstance(auth, bytes):
+            return False
         data = (
             self.peer_name.encode()
             + self._peer_public.to_bytes(128, "big")
             + self._dh_public.to_bytes(128, "big")
         )
-        return hmac_digest(self._master_secret, data)
+        return hmac_verify(self._master_secret, data, auth)
 
     def _finish(self, initiator_name: str, responder_name: str) -> None:
         assert self._session_id is not None
@@ -307,7 +313,7 @@ class IkeInitiator(_IkePeer):
                 auth=self._transcript_auth(self.name),
             )
         elif message.step == 6:
-            if message.get("auth") != self._peer_auth_expected():
+            if not self._peer_auth_ok(message.get("auth")):
                 self._protocol_error(message, "responder authentication failed")
             self._expected_step = 8
             self._send_after(costs.t_prf, 7, proposal=self.config.proposal)
@@ -343,7 +349,7 @@ class IkeResponder(_IkePeer):
             )
         elif message.step == 5:
             self._derive_master()
-            if message.get("auth") != self._peer_auth_expected():
+            if not self._peer_auth_ok(message.get("auth")):
                 self._protocol_error(message, "initiator authentication failed")
             self._expected_step = 7
             self._send_after(

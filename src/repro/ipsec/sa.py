@@ -22,7 +22,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from repro.ipsec.crypto import derive_key, generate_key
+from repro.ipsec.crypto import MacKey, derive_key, generate_key
 from repro.util.rng import make_rng
 
 _spi_counter = itertools.count(0x1000)
@@ -68,6 +68,9 @@ class SecurityAssociation:
             :data:`REBIND_POLICIES`.  Stable like the other attributes:
             the policy is negotiated at establishment, the *current*
             binding is volatile state tracked by the SAD.
+        mac: the HMAC key schedule of ``auth_key``, built once here so
+            that no packet pays for it; derived, so it stays out of
+            ``repr``, equality and the hash.
     """
 
     spi: int
@@ -81,6 +84,7 @@ class SecurityAssociation:
     created_at: float = 0.0
     generation: int = 0
     rebind_policy: str = "static"
+    mac: MacKey = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.rebind_policy not in REBIND_POLICIES:
@@ -88,6 +92,7 @@ class SecurityAssociation:
                 f"unknown rebind policy {self.rebind_policy!r}; "
                 f"expected one of {REBIND_POLICIES}"
             )
+        object.__setattr__(self, "mac", MacKey(self.auth_key))
 
     def expired(self, now: float) -> bool:
         """Whether the soft lifetime has elapsed at simulated time ``now``."""

@@ -1,9 +1,16 @@
 """Tests for repro.ipsec.crypto."""
 
-import pytest
+import hashlib
+import hmac
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.ipsec.ah import ah_seal
 from repro.ipsec.crypto import (
     KEY_LENGTH,
+    MacKey,
     derive_key,
     encode_seq,
     generate_key,
@@ -11,6 +18,16 @@ from repro.ipsec.crypto import (
     hmac_verify,
     xor_stream,
 )
+from repro.ipsec.esp import esp_seal
+from repro.ipsec.sa import make_sa
+
+
+def flip_bit(data: bytes, bit: int) -> bytes:
+    """``data`` with bit ``bit`` (mod its length in bits) inverted."""
+    bit %= len(data) * 8
+    flipped = bytearray(data)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    return bytes(flipped)
 
 
 class TestKeys:
@@ -49,6 +66,69 @@ class TestHmac:
         icv = bytearray(hmac_digest(key, b"hello"))
         icv[0] ^= 1
         assert not hmac_verify(key, b"hello", bytes(icv))
+
+
+class TestMacKey:
+    """``MacKey`` against the stdlib ``hmac`` module as the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        key=st.binary(max_size=200),
+        data=st.binary(max_size=300),
+        bit=st.integers(min_value=0, max_value=2**16),
+    )
+    @example(key=b"", data=b"", bit=0)
+    @example(key=bytes(range(64)), data=b"x", bit=255)
+    @example(key=bytes(range(65)), data=b"xy", bit=7)
+    @example(key=bytes(200), data=bytes(300), bit=2**16)
+    def test_matches_stdlib_hmac(self, key, data, bit):
+        mac = MacKey(key)
+        icv = mac.digest(data)
+        assert icv == hmac.new(key, data, hashlib.sha256).digest()
+        assert hmac_digest(key, data) == icv
+        assert mac.verify(data, icv)
+        assert hmac_verify(key, data, icv)
+        assert not mac.verify(data, flip_bit(icv, bit))
+        assert not hmac_verify(key, data, flip_bit(icv, bit))
+        if data:
+            assert not mac.verify(flip_bit(data, bit), icv)
+            assert not hmac_verify(key, flip_bit(data, bit), icv)
+
+    def test_rejects_truncated_icv(self):
+        mac = MacKey(generate_key(0))
+        assert not mac.verify(b"hello", mac.digest(b"hello")[:16])
+
+
+class TestPinnedBytes:
+    """Wire bytes pinned to literals.  Seal and open share one MAC, so a
+    wrong MAC would still round-trip, and no simulation result depends
+    on a ciphertext or ICV byte."""
+
+    def test_xor_stream(self):
+        data = bytes(range(256)) * 4
+        stream = hashlib.sha256()
+        for n in (0, 1, 31, 32, 33, 64, 65, 256, 1000):
+            stream.update(xor_stream(generate_key(0), data[:n], nonce=encode_seq(n)))
+        assert stream.hexdigest() == (
+            "0764c9418c3fda484a3a79327a2f73d438f9f4984e6db590a3e6c9f597bcabc5"
+        )
+
+    def test_esp_and_ah(self):
+        sa = make_sa("p", "q", seed_or_rng=1, spi=0x1234)
+        wire = hashlib.sha256()
+        for seq in (1, 2, 255, 256, 2**32, 2**64 + 3):
+            for payload in (b"", b"x", bytes(range(100))):
+                esp = esp_seal(sa, seq, payload)
+                ah = ah_seal(sa, seq, payload)
+                wire.update(esp.ciphertext + esp.icv + ah.icv)
+        assert wire.hexdigest() == (
+            "af79b6ce619a619d3ba1d5c55dceafb88751c8752d12316e3b5f75138e906bb9"
+        )
+
+    def test_derive_key(self):
+        assert derive_key(generate_key(0), "auth:p->q:0").hex() == (
+            "b7e54606f4083cd2c0bbea137d42228e1a4116498fe79cfddbb1e7e69380aeb7"
+        )
 
 
 class TestXorStream:

@@ -24,8 +24,7 @@ class TestEsp:
         assert b"payload" not in packet.ciphertext
 
     def test_wrong_sa_fails_integrity(self, sa):
-        other = make_sa("p", "q", seed_or_rng=2)
-        object.__setattr__(other, "spi", sa.spi)  # same SPI, different keys
+        other = make_sa("p", "q", seed_or_rng=2, spi=sa.spi)  # other keys
         packet = esp_seal(sa, 1, b"x")
         with pytest.raises(IntegrityError, match="bad ICV"):
             esp_open(other, packet)
@@ -86,6 +85,12 @@ class TestAh:
         )
         with pytest.raises(IntegrityError):
             ah_open(sa, forged)
+
+    def test_wrong_sa_fails_integrity(self, sa):
+        other = make_sa("p", "q", seed_or_rng=2, spi=sa.spi)  # other keys
+        packet = ah_seal(sa, 1, b"x")
+        with pytest.raises(IntegrityError, match="bad ICV"):
+            ah_open(other, packet)
 
     def test_spi_mismatch_fails(self, sa):
         other = make_sa("p", "q", seed_or_rng=5)

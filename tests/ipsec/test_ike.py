@@ -1,5 +1,7 @@
 """Tests for the simplified IKE handshake."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.ipsec.crypto import IntegrityError
@@ -10,13 +12,17 @@ from repro.net.link import Link
 from repro.sim.engine import Engine
 
 
-def wire_up(engine, rtt=0.01, costs=None):
+def wire_up(engine, rtt=0.01, costs=None, tamper=lambda m: m):
+    """An initiator "a" and a responder "b" over two links; ``tamper``
+    rewrites every message on the wire."""
     config = IkeConfig(costs=costs) if costs is not None else IkeConfig()
     responder = IkeResponder(
-        engine, "b", "a", send_fn=lambda m: link_ba.send(m), config=config, seed=2
+        engine, "b", "a", send_fn=lambda m: link_ba.send(tamper(m)),
+        config=config, seed=2,
     )
     initiator = IkeInitiator(
-        engine, "a", "b", send_fn=lambda m: link_ab.send(m), config=config, seed=1
+        engine, "a", "b", send_fn=lambda m: link_ab.send(tamper(m)),
+        config=config, seed=1,
     )
     link_ab = Link(engine, "link:a->b", sink=responder.on_receive, delay=FixedDelay(rtt / 2))
     link_ba = Link(engine, "link:b->a", sink=initiator.on_receive, delay=FixedDelay(rtt / 2))
@@ -126,3 +132,28 @@ class TestProtocolErrors:
             IkeMessage(session_id=999, step=4, sender="b", body=())
         )
         assert initiator.result is not None  # unchanged, no crash
+
+    @pytest.mark.parametrize(
+        "step, who", [(5, "initiator"), (6, "responder")]
+    )
+    @pytest.mark.parametrize(
+        "auth",
+        [bytes(32), None, "not bytes"],
+        ids=["forged", "missing", "not-bytes"],
+    )
+    def test_bad_transcript_auth_rejected(self, engine, fast_costs, step, who, auth):
+        def forge(message):
+            if message.step != step:
+                return message
+            body = tuple(
+                (key, value) for key, value in message.body if key != "auth"
+            )
+            if auth is not None:
+                body += (("auth", auth),)
+            return replace(message, body=body)
+
+        initiator, responder = wire_up(engine, costs=fast_costs, tamper=forge)
+        initiator.start()
+        with pytest.raises(ValueError, match=f"{who} authentication failed"):
+            engine.run()
+        assert initiator.result is None and responder.result is None

@@ -1,7 +1,12 @@
 """Tests for SA records, the SAD and the SPD."""
 
+import copy
+import pickle
+from dataclasses import replace
+
 import pytest
 
+from repro.ipsec.crypto import hmac_digest
 from repro.ipsec.sa import make_sa, make_sa_pair
 from repro.ipsec.sad import SecurityAssociationDatabase
 from repro.ipsec.spd import PolicyAction, SecurityPolicyDatabase, SpdEntry
@@ -26,6 +31,25 @@ class TestSecurityAssociation:
     def test_auth_and_enc_keys_differ(self):
         sa = make_sa("p", "q", seed_or_rng=1)
         assert sa.auth_key != sa.enc_key
+
+    def test_mac_keyed_by_auth_key(self):
+        sa = make_sa("p", "q", seed_or_rng=1)
+        assert sa.mac.digest(b"data") == hmac_digest(sa.auth_key, b"data")
+        rekeyed = replace(sa, auth_key=sa.enc_key)
+        assert rekeyed.mac.digest(b"data") == hmac_digest(sa.enc_key, b"data")
+
+    def test_mac_outside_repr_eq_and_hash(self):
+        a = make_sa("p", "q", seed_or_rng=1, spi=0x10)
+        b = make_sa("p", "q", seed_or_rng=1, spi=0x10)
+        assert a.mac is not b.mac
+        assert a == b and hash(a) == hash(b)
+        assert "mac" not in repr(a)
+
+    def test_pickles_and_deep_copies(self):
+        sa = make_sa("p", "q", seed_or_rng=1)
+        for clone in (pickle.loads(pickle.dumps(sa)), copy.deepcopy(sa)):
+            assert clone == sa
+            assert clone.mac.digest(b"data") == sa.mac.digest(b"data")
 
     def test_expiry(self):
         sa = make_sa("p", "q", now=0.0, lifetime_seconds=10.0)
