@@ -62,8 +62,7 @@ from repro.fleet import (
     summarize,
 )
 from repro.ipsec.costs import PAPER_COSTS, CostModel
-from repro.ipsec.replay_window import ArrayReplayWindow, BitmapReplayWindow, Verdict
-from repro.ipsec.replay_window_blocked import BlockedReplayWindow
+from repro.ipsec.replay_window import BitmapReplayWindow, Verdict
 from repro.ipsec.stack import IpsecStack
 from repro.net.adversary import ReplayAdversary
 from repro.netpath import (
@@ -80,9 +79,7 @@ from repro.sim.engine import Engine, EngineEventLimitError
 __version__ = "1.0.0"
 
 __all__ = [
-    "ArrayReplayWindow",
     "BitmapReplayWindow",
-    "BlockedReplayWindow",
     "CampaignSpec",
     "CeilingReceiver",
     "CeilingSender",

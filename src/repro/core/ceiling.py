@@ -45,12 +45,12 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.persistent import PersistentStore
-from repro.core.receiver import BaseReceiver, ReceiverResetRecord, make_window
+from repro.core.receiver import BaseReceiver, ReceiverResetRecord
 from repro.core.sender import BaseSender, SenderResetRecord
-from repro.ipsec.replay_window import Verdict
+from repro.ipsec.replay_window import BitmapReplayWindow, Verdict
 from repro.net.link import PacketPipe
 from repro.sim.engine import Engine
-from repro.util.validation import check_positive
+from repro.util.validation import check_positive_int
 
 
 class CeilingSender(BaseSender):
@@ -82,8 +82,7 @@ class CeilingSender(BaseSender):
         **base_kwargs: Any,
     ) -> None:
         super().__init__(engine, name, pipe, **base_kwargs)
-        check_positive("k", k)
-        self.k = int(k)
+        self.k = check_positive_int("k", k)
         if headroom is None:
             headroom = self.costs.min_save_interval()
         self.headroom = max(1, int(headroom))
@@ -172,8 +171,7 @@ class CeilingReceiver(BaseReceiver):
         **base_kwargs: Any,
     ) -> None:
         super().__init__(engine, name, **base_kwargs)
-        check_positive("k", k)
-        self.k = int(k)
+        self.k = check_positive_int("k", k)
         if store is None:
             store = PersistentStore(
                 engine,
@@ -251,7 +249,7 @@ class CeilingReceiver(BaseReceiver):
         def resume() -> None:
             fetched = self.store.fetch()
             record.fetched = fetched
-            self.window = make_window(self.w, self.window_impl)
+            self.window = BitmapReplayWindow(self.window.w)
             self.window.resume(fetched)  # r := ceiling, all marked seen
             self.wait = False
             record.resumed_right_edge = fetched

@@ -37,7 +37,6 @@ from repro.obs.hub import MetricsHub, default_hub
 from repro.obs.probe import HealthProbe
 from repro.obs.sampler import DEFAULT_SAMPLE_INTERVAL, Sampler
 from repro.sim.engine import Engine
-from repro.sim.metrics import MetricSet
 from repro.sim.trace import TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (no import cycle)
@@ -71,61 +70,12 @@ class ProtocolHarness:
             self.auditor, self.sender, self.receiver, check_bounds=check_bounds
         )
 
-    def metrics(self) -> MetricSet:
-        """Export a snapshot of every component's counters and stats.
-
-        Counters: sender/link/receiver/adversary activity plus the audit
-        aggregates.  Stats: the per-reset gap and loss distributions.
-        Useful for dashboards and for dumping run summaries as one dict
-        (``harness.metrics().as_dict()``).
-        """
-        metrics = MetricSet()
-        metrics.counter("sender.sent").increment(self.sender.sent_total)
-        metrics.counter("sender.suppressed").increment(self.sender.sends_suppressed)
-        metrics.counter("sender.resets").increment(len(self.sender.reset_records))
-        metrics.counter("link.offered").increment(self.link.offered)
-        metrics.counter("link.dropped").increment(self.link.dropped)
-        metrics.counter("link.delivered").increment(self.link.delivered)
-        metrics.counter("link.injected").increment(self.link.injected)
-        metrics.counter("receiver.delivered").increment(self.receiver.delivered_total)
-        metrics.counter("receiver.integrity_failures").increment(
-            self.receiver.integrity_failures
-        )
-        metrics.counter("receiver.dropped_down").increment(
-            self.receiver.dropped_while_down
-        )
-        metrics.counter("receiver.resets").increment(len(self.receiver.reset_records))
-        for verdict, count in self.receiver.verdict_counts.items():
-            metrics.counter(f"receiver.verdict.{verdict.value}").increment(count)
-        report = self.auditor.report()
-        metrics.counter("audit.fresh_sent").increment(report.fresh_sent)
-        metrics.counter("audit.delivered_uids").increment(report.delivered_uids)
-        metrics.counter("audit.replays_accepted").increment(
-            report.duplicate_deliveries
-        )
-        metrics.counter("audit.fresh_discarded").increment(report.fresh_discarded)
-        metrics.counter("audit.never_arrived").increment(report.never_arrived)
-        if self.adversary is not None:
-            metrics.counter("adversary.injections").increment(
-                self.adversary.injections
-            )
-        for record in self.sender.reset_records:
-            if record.gap is not None:
-                metrics.stat("sender.gap").observe(record.gap)
-            if record.lost_seqnums is not None:
-                metrics.stat("sender.lost_seqnums").observe(record.lost_seqnums)
-        for record in self.receiver.reset_records:
-            if record.gap is not None:
-                metrics.stat("receiver.gap").observe(record.gap)
-        return metrics
-
 
 def build_protocol(
     protected: bool = True,
     k_p: int = 25,
     k_q: int = 25,
     w: int = 64,
-    window_impl: str = "bitmap",
     costs: CostModel = PAPER_COSTS,
     encap: str = "plain",
     seed: int = 0,
@@ -157,10 +107,11 @@ def build_protocol(
         variant: overrides ``protected`` when given: ``"savefetch"``,
             ``"unprotected"``, or ``"ceiling"`` (the write-ahead repair of
             :mod:`repro.core.ceiling`).
-        k_p / k_q: SAVE intervals (ignored when ``protected`` is False).
-            Defaults are the paper's minimum safe interval, 25.
-        w: receiver window size.
-        window_impl: ``"bitmap"`` or ``"array"`` (paper-literal).
+        k_p / k_q: SAVE intervals, positive ``int``s (ignored when
+            ``protected`` is False).  Defaults are the paper's minimum
+            safe interval, 25.
+        w: receiver window size, a positive ``int``: the width of its
+            :class:`~repro.ipsec.replay_window.BitmapReplayWindow`.
         costs: operation cost model (timing of sends, saves, fetches).
         encap: ``"plain"``, ``"esp"`` or ``"ah"``; non-plain modes create
             a real SA pair and enforce integrity.
@@ -212,6 +163,11 @@ def build_protocol(
 
     Returns:
         A :class:`ProtocolHarness` with every component exposed.
+
+    Raises:
+        TypeError: ``w``, or a ``k_p``/``k_q`` the variant uses, is not
+            an ``int`` (``bool`` included); nothing is truncated.
+        ValueError: one of them is ``<= 0``, or ``variant`` is unknown.
     """
     own_engine = engine is None
     if engine is None:
@@ -240,7 +196,6 @@ def build_protocol(
             leap_factor=leap_factor,
             skip_wake_save=skip_wake_save,
             w=w,
-            window_impl=window_impl,
             costs=costs,
             auditor=auditor,
             sa=receiver_sa,
@@ -253,7 +208,6 @@ def build_protocol(
             k=k_q,
             store=receiver_store,
             w=w,
-            window_impl=window_impl,
             costs=costs,
             auditor=auditor,
             sa=receiver_sa,
@@ -264,7 +218,6 @@ def build_protocol(
             engine,
             receiver_name,
             w=w,
-            window_impl=window_impl,
             costs=costs,
             auditor=auditor,
             sa=receiver_sa,

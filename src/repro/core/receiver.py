@@ -26,16 +26,11 @@ from repro.core.audit import DeliveryAuditor
 from repro.core.encap import IntegrityError, open_packet
 from repro.core.persistent import PersistentStore
 from repro.ipsec.costs import CostModel, PAPER_COSTS
-from repro.ipsec.replay_window import (
-    ArrayReplayWindow,
-    BitmapReplayWindow,
-    ReplayWindow,
-    Verdict,
-)
+from repro.ipsec.replay_window import BitmapReplayWindow, Verdict
 from repro.ipsec.sa import SecurityAssociation
 from repro.sim.engine import Engine
 from repro.sim.process import SimProcess
-from repro.util.validation import check_positive
+from repro.util.validation import check_positive_int
 
 #: Listener signature for :meth:`BaseReceiver.add_process_listener`:
 #: ``(packet, verdict)`` after every processed packet.
@@ -43,26 +38,6 @@ ProcessListener = Callable[[Any, Verdict], None]
 
 #: Default window size; RFC 2401 recommends a minimum of 32, default 64.
 DEFAULT_WINDOW = 64
-
-
-def make_window(w: int, impl: str = "bitmap") -> ReplayWindow:
-    """Build a replay window of size ``w``.
-
-    ``impl``: ``"bitmap"`` (RFC 2401 style, default), ``"array"``
-    (paper-literal boolean array) or ``"blocked"`` (RFC 6479 block ring;
-    requires ``w`` to be a multiple of 32).
-    """
-    if impl == "bitmap":
-        return BitmapReplayWindow(w)
-    if impl == "array":
-        return ArrayReplayWindow(w)
-    if impl == "blocked":
-        from repro.ipsec.replay_window_blocked import BlockedReplayWindow
-
-        return BlockedReplayWindow(w)
-    raise ValueError(
-        f"unknown window impl {impl!r}; expected 'bitmap', 'array' or 'blocked'"
-    )
 
 
 @dataclass
@@ -105,8 +80,8 @@ class BaseReceiver(SimProcess):
     Args:
         engine: simulation engine.
         name: trace name (conventionally ``"q"``).
-        w: anti-replay window size.
-        window_impl: ``"bitmap"`` (default) or ``"array"`` (paper-literal).
+        w: anti-replay window size, checked by
+            :class:`~repro.ipsec.replay_window.BitmapReplayWindow`.
         costs: operation cost model.
         auditor: optional :class:`DeliveryAuditor` for run scoring.
         sa: security association for ESP/AH decapsulation.
@@ -119,7 +94,6 @@ class BaseReceiver(SimProcess):
         engine: Engine,
         name: str,
         w: int = DEFAULT_WINDOW,
-        window_impl: str = "bitmap",
         costs: CostModel = PAPER_COSTS,
         auditor: DeliveryAuditor | None = None,
         sa: SecurityAssociation | None = None,
@@ -127,10 +101,7 @@ class BaseReceiver(SimProcess):
         on_deliver: Callable[[int, bytes], None] | None = None,
     ) -> None:
         super().__init__(engine, name)
-        check_positive("w", w)
-        self.w = int(w)
-        self.window_impl = window_impl
-        self.window: ReplayWindow = make_window(self.w, window_impl)
+        self.window = BitmapReplayWindow(w)
         self.costs = costs
         self.auditor = auditor
         self.sa = sa
@@ -282,7 +253,7 @@ class UnprotectedReceiver(BaseReceiver):
     """
 
     def _on_wake(self, record: ReceiverResetRecord) -> None:
-        self.window = make_window(self.w, self.window_impl)
+        self.window = BitmapReplayWindow(self.window.w)
         record.resumed_right_edge = self.window.right_edge
         record.resume_time = self.now
         self.wait = False
@@ -314,8 +285,7 @@ class SaveFetchReceiver(BaseReceiver):
         **base_kwargs: Any,
     ) -> None:
         super().__init__(engine, name, **base_kwargs)
-        check_positive("k", k)
-        self.k = int(k)
+        self.k = check_positive_int("k", k)
         if leap_factor < 0:
             raise ValueError(f"leap_factor must be >= 0, got {leap_factor}")
         self.leap_factor = int(leap_factor)
@@ -352,7 +322,7 @@ class SaveFetchReceiver(BaseReceiver):
         leaped = fetched + self.leap_factor * self.k
 
         def resume() -> None:
-            self.window = make_window(self.w, self.window_impl)
+            self.window = BitmapReplayWindow(self.window.w)
             self.window.resume(leaped)  # r := fetched + 2Kq, wdw all true
             self.lst = leaped
             self.wait = False

@@ -35,9 +35,10 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.audit import DeliveryAuditor
-from repro.core.receiver import SaveFetchReceiver, UnprotectedReceiver, make_window
+from repro.core.receiver import SaveFetchReceiver, UnprotectedReceiver
 from repro.core.sender import SaveFetchSender
 from repro.ipsec.costs import CostModel, PAPER_COSTS
+from repro.ipsec.replay_window import BitmapReplayWindow
 from repro.ipsec.sa import SaPair, make_sa_pair
 from repro.net.adversary import ReplayAdversary
 from repro.net.delay import FixedDelay
@@ -374,7 +375,7 @@ class ResetNoticeReceiver(UnprotectedReceiver):
                 self.dropped_while_down += 1
                 return
             self.notices_honoured += 1
-            self.window = make_window(self.w, self.window_impl)
+            self.window = BitmapReplayWindow(self.window.w)
             self.trace("notice_honoured", origin=packet.origin)
             return
         super().on_receive(packet)

@@ -34,7 +34,7 @@ from repro.ipsec.sa import SecurityAssociation
 from repro.net.link import PacketPipe
 from repro.sim.engine import Engine
 from repro.sim.process import SimProcess, Timer
-from repro.util.validation import check_positive
+from repro.util.validation import check_positive, check_positive_int
 
 #: Listener signature for :meth:`BaseSender.add_send_listener`:
 #: ``(sent_total, packet)`` after each fresh transmission.
@@ -236,52 +236,6 @@ class BaseSender(SimProcess):
         """
         return sum(1 for _ in range(n) if self.send_one())
 
-    def send_batch(self, n: int) -> int:
-        """Send ``n`` messages at the current instant as one link batch.
-
-        Per-message protocol state (sequence numbers, the SAVE check,
-        audit registration, send listeners) advances in order exactly as
-        with :meth:`send_burst`, but the sealed packets are handed to the
-        pipe together through ``offer_many`` when it supports it, so the
-        per-offer link overhead is amortized across the batch — the
-        gateway N-SA fan-out path.  Falls back to :meth:`send_burst` on
-        pipes without batch support.  Returns how many were sent.
-        """
-        if n <= 0:
-            return 0
-        offer_many = getattr(self.pipe, "offer_many", None)
-        if offer_many is None:
-            return self.send_burst(n)
-        packets = []
-        append = packets.append
-        auditor = self.auditor
-        sent = 0
-        for _ in range(n):
-            # Re-checked per message, exactly like send_burst: the SAVE
-            # check in _after_send may raise ``wait`` mid-batch (a window
-            # boundary), and the guard must stop the batch there too.
-            if not self.can_send:
-                self.sends_suppressed += n - sent
-                break
-            packet = seal(
-                self.encap, self.sa, self.s, self.payload, self.now,
-                None if auditor is None else auditor.register_send(),
-                self.address,
-            )
-            if self.traced:
-                self.trace("send", seq=self.s)
-            self.last_sent_seq = self.s
-            self.sent_total += 1
-            append(packet)
-            self.s += 1
-            sent += 1
-            self._after_send()
-            for listener in self._send_listeners:
-                listener(self.sent_total, packet)
-        if packets:
-            offer_many(packets)
-        return sent
-
     # ------------------------------------------------------------------
     # Faults
     # ------------------------------------------------------------------
@@ -375,8 +329,7 @@ class SaveFetchSender(BaseSender):
         **base_kwargs: Any,
     ) -> None:
         super().__init__(engine, name, pipe, **base_kwargs)
-        check_positive("k", k)
-        self.k = int(k)
+        self.k = check_positive_int("k", k)
         if leap_factor < 0:
             raise ValueError(f"leap_factor must be >= 0, got {leap_factor}")
         self.leap_factor = int(leap_factor)

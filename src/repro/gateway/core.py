@@ -273,20 +273,6 @@ class Gateway:
             unit.harness.sender.start_traffic(count=count, interval=interval)
             unit.traffic = {"count": count, "interval": interval}
 
-    def pulse_all(self, n: int = 1) -> int:
-        """One synchronized burst: every live SA sends ``n`` messages now.
-
-        The correlated-traffic counterpart of :meth:`crash` — all
-        gateway SAs transmit at the same instant (a keepalive sweep, a
-        poll cycle), which is exactly the N-SA fan-out the batched link
-        offer path (:meth:`~repro.core.sender.BaseSender.send_batch` →
-        ``Link.offer_many``) amortizes.  Returns the total sent.
-        """
-        total = 0
-        for unit in self.live_sas():
-            total += unit.harness.sender.send_batch(n)
-        return total
-
     def run(self, until: float | None = None) -> int:
         """Run the shared engine (all SAs advance together)."""
         return self.engine.run(until=until)

@@ -21,8 +21,9 @@ Contents:
   security policy database of RFC 2401.
 * :mod:`~repro.ipsec.esp` / :mod:`~repro.ipsec.ah` — packet encapsulation
   with enforced integrity.
-* :mod:`~repro.ipsec.replay_window` — the anti-replay window, in both the
-  paper-literal boolean-array form and an RFC-style integer bitmap form.
+* :mod:`~repro.ipsec.replay_window` — the anti-replay window, one
+  RFC-style integer bitmap; the spec's
+  :func:`~repro.apn.specs.window_update` is its paper-literal test oracle.
 * :mod:`~repro.ipsec.ike` — simplified ISAKMP main + quick mode over the
   simulated network, used by the rekey baseline.
 * :mod:`~repro.ipsec.costs` — the paper's measured cost constants
@@ -42,22 +43,14 @@ from repro.ipsec.crypto import (
 )
 from repro.ipsec.esp import EspPacket, esp_open, esp_seal
 from repro.ipsec.ike import IkeConfig, IkeInitiator, IkeMessage, IkeResponder, IkeResult
-from repro.ipsec.replay_window import (
-    ArrayReplayWindow,
-    BitmapReplayWindow,
-    ReplayWindow,
-    Verdict,
-)
-from repro.ipsec.replay_window_blocked import BlockedReplayWindow
+from repro.ipsec.replay_window import BitmapReplayWindow, Verdict
 from repro.ipsec.sa import SaPair, SecurityAssociation, make_sa_pair
 from repro.ipsec.sad import SecurityAssociationDatabase
 from repro.ipsec.spd import PolicyAction, SecurityPolicyDatabase, SpdEntry
 
 __all__ = [
     "AhPacket",
-    "ArrayReplayWindow",
     "BitmapReplayWindow",
-    "BlockedReplayWindow",
     "CostModel",
     "EspPacket",
     "IkeConfig",
@@ -68,7 +61,6 @@ __all__ = [
     "IntegrityError",
     "PAPER_COSTS",
     "PolicyAction",
-    "ReplayWindow",
     "SaPair",
     "SecurityAssociation",
     "SecurityAssociationDatabase",

@@ -15,8 +15,8 @@ model:
   pick the candidate high half (``h-1``, ``h`` or ``h+1``) that places
   the sequence number closest to the window.
 * :class:`EsnCodec` — stateful wrapper pairing a sender-side truncation
-  with a receiver-side reconstruction, for use in front of any
-  :class:`~repro.ipsec.replay_window.ReplayWindow`.
+  with a receiver-side reconstruction, for use in front of a
+  :class:`~repro.ipsec.replay_window.BitmapReplayWindow`.
 
 The SAVE/FETCH interaction is the interesting part: after a reset the
 receiver's right edge *leaps*, and the inference must keep tracking —

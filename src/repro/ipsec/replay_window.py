@@ -13,13 +13,12 @@ cases (quoting the paper):
 3. ``r < s`` — *advance*: deliver, slide the window so ``s`` becomes the
    new right edge.
 
-Two interchangeable implementations are provided and property-tested for
-equivalence:
-
-* :class:`ArrayReplayWindow` — a boolean array indexed exactly as the
-  paper's APN code (``wdw[i]`` holds the status of ``s = r - w + i``).
-* :class:`BitmapReplayWindow` — an RFC 2401-style integer bitmap, the form
-  a production implementation would use.
+There is one implementation, :class:`BitmapReplayWindow`: an RFC
+2401-style integer bitmap, the form a production implementation would
+use.  The paper-literal form, a boolean array ``wdw[1..w]`` where
+``wdw[i]`` holds the status of ``s = r - w + i``, is the spec's own
+:func:`repro.apn.specs.window_update`; the tests check this window
+against it step by step, resumes included, through :meth:`snapshot`.
 
 Initial state follows the paper: ``r = 0`` and the whole window marked
 *received*, so no sequence number ``<= 0`` is ever deliverable.
@@ -28,17 +27,18 @@ Initial state follows the paper: ``r = 0`` and the whole window marked
    The paper's APN slide code shifts and zero-fills but never explicitly
    marks the just-received ``s`` (position ``w``) as received; taken
    literally, an immediate duplicate of ``s`` could be accepted, violating
-   Discrimination.  Both implementations here mark ``s`` received after a
-   slide — the clearly intended semantics (and what RFC 2401 prescribes).
-   This is the one deviation from the paper's literal text; it is also
-   exercised by ``tests/ipsec/test_replay_window.py``.
+   Discrimination.  This window marks ``s`` received after a slide — the
+   clearly intended semantics (and what RFC 2401 prescribes), which
+   ``window_update`` follows as well.  This is the one deviation from the
+   paper's literal text; it is also exercised by
+   ``tests/ipsec/test_replay_window.py``.
 """
 
 from __future__ import annotations
 
 import enum
 
-from repro.util.validation import check_positive
+from repro.util.validation import check_positive_int
 
 
 class Verdict(enum.Enum):
@@ -59,124 +59,29 @@ class Verdict(enum.Enum):
         return self in (Verdict.ACCEPT_ADVANCE, Verdict.ACCEPT_IN_WINDOW)
 
 
-class ReplayWindow:
-    """Abstract anti-replay window; see module docstring for semantics."""
-
-    def __init__(self, w: int) -> None:
-        check_positive("w", w)
-        self.w = int(w)
-
-    # -- interface ------------------------------------------------------
-    @property
-    def right_edge(self) -> int:
-        """The largest sequence number covered by the window (``r``)."""
-        raise NotImplementedError
-
-    @property
-    def left_edge(self) -> int:
-        """``r - w + 1``, the smallest judgeable sequence number."""
-        return self.right_edge - self.w + 1
-
-    def check(self, seq: int) -> Verdict:
-        """Classify ``seq`` without mutating the window."""
-        raise NotImplementedError
-
-    def update(self, seq: int) -> Verdict:
-        """Classify ``seq`` and record its receipt if accepted."""
-        raise NotImplementedError
-
-    def resume(self, new_right_edge: int) -> None:
-        """Post-reset wake-up: jump to ``new_right_edge``, all marked seen.
-
-        This is the receiver's third action in Section 4: after FETCH and
-        the leap, "every sequence number up to r should be assumed to be
-        already received", so the whole window is set to *received*.
-        """
-        raise NotImplementedError
-
-    def is_seen(self, seq: int) -> bool:
-        """Whether ``seq`` is currently marked received (stale counts as seen)."""
-        verdict = self.check(seq)
-        return verdict in (Verdict.DUPLICATE, Verdict.STALE)
-
-    def snapshot(self) -> tuple[int, tuple[bool, ...]]:
-        """Return ``(r, received-flags for left_edge..r)`` for comparison."""
-        raise NotImplementedError
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{type(self).__name__} w={self.w} r={self.right_edge}>"
-
-
-class ArrayReplayWindow(ReplayWindow):
-    """Paper-literal boolean-array window.
-
-    ``self._wdw[i]`` for ``i in 1..w`` (stored 0-based as ``i-1``) is True
-    iff ``msg(r - w + i)`` has been received — the exact indexing of the
-    paper's process ``q``.
-    """
-
-    def __init__(self, w: int) -> None:
-        super().__init__(w)
-        self._r = 0
-        self._wdw = [True] * self.w  # paper initial value: all true
-
-    @property
-    def right_edge(self) -> int:
-        return self._r
-
-    def check(self, seq: int) -> Verdict:
-        if seq <= self._r - self.w:
-            return Verdict.STALE
-        if seq <= self._r:
-            i = seq - self._r + self.w  # 1-based index, as in the paper
-            return Verdict.DUPLICATE if self._wdw[i - 1] else Verdict.ACCEPT_IN_WINDOW
-        return Verdict.ACCEPT_ADVANCE
-
-    def update(self, seq: int) -> Verdict:
-        verdict = self.check(seq)
-        if verdict is Verdict.ACCEPT_IN_WINDOW:
-            i = seq - self._r + self.w
-            self._wdw[i - 1] = True
-        elif verdict is Verdict.ACCEPT_ADVANCE:
-            self._slide_to(seq)
-        return verdict
-
-    def _slide_to(self, seq: int) -> None:
-        shift = seq - self._r
-        if shift >= self.w:
-            self._wdw = [False] * self.w
-        else:
-            # Paper's two loops: copy wdw[shift+1..w] down to wdw[1..w-shift],
-            # then clear the vacated middle positions.
-            self._wdw = self._wdw[shift:] + [False] * shift
-        self._r = seq
-        self._wdw[self.w - 1] = True  # mark s received (see module note)
-
-    def resume(self, new_right_edge: int) -> None:
-        self._r = new_right_edge
-        self._wdw = [True] * self.w
-
-    def snapshot(self) -> tuple[int, tuple[bool, ...]]:
-        return self._r, tuple(self._wdw)
-
-
-class BitmapReplayWindow(ReplayWindow):
+class BitmapReplayWindow:
     """RFC 2401-style integer-bitmap window (production form).
 
     Bit ``k`` of ``self._mask`` (for ``0 <= k < w``) holds the received
     flag of sequence number ``r - k``; bit 0 is the right edge.
+
+    Raises:
+        TypeError: ``w`` is not an ``int`` (``bool`` included).
+        ValueError: ``w <= 0``.
     """
 
     def __init__(self, w: int) -> None:
-        super().__init__(w)
+        self.w = check_positive_int("w", w)
         self._r = 0
-        self._mask = (1 << self.w) - 1  # all seen, matching the paper init
+        self._mask = (1 << w) - 1  # all seen, matching the paper init
 
     @property
     def right_edge(self) -> int:
+        """The largest sequence number covered by the window (``r``)."""
         return self._r
 
     def check(self, seq: int) -> Verdict:
+        """Classify ``seq`` without mutating the window."""
         if seq <= self._r - self.w:
             return Verdict.STALE
         if seq <= self._r:
@@ -187,6 +92,7 @@ class BitmapReplayWindow(ReplayWindow):
         return Verdict.ACCEPT_ADVANCE
 
     def update(self, seq: int) -> Verdict:
+        """Classify ``seq`` and record its receipt if accepted."""
         verdict = self.check(seq)
         if verdict is Verdict.ACCEPT_IN_WINDOW:
             self._mask |= 1 << (self._r - seq)
@@ -201,11 +107,25 @@ class BitmapReplayWindow(ReplayWindow):
         return verdict
 
     def resume(self, new_right_edge: int) -> None:
+        """Post-reset wake-up: jump to ``new_right_edge``, all marked seen.
+
+        This is the receiver's third action in Section 4: after FETCH and
+        the leap, "every sequence number up to r should be assumed to be
+        already received", so the whole window is set to *received*.
+        """
         self._r = new_right_edge
         self._mask = (1 << self.w) - 1
 
     def snapshot(self) -> tuple[int, tuple[bool, ...]]:
+        """Return ``(r, wdw)`` in the paper's form.
+
+        ``wdw[i - 1]`` is the received flag of ``r - w + i`` for ``i`` in
+        ``1..w``: the ``(r, wdw)`` pair of the spec's ``window_update``.
+        """
         flags = tuple(
             bool(self._mask & (1 << (self.w - 1 - i))) for i in range(self.w)
         )
         return self._r, flags
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<BitmapReplayWindow w={self.w} r={self._r}>"

@@ -25,10 +25,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.core.persistent import PersistentStore
-from repro.core.receiver import make_window
 from repro.ipsec.crypto import IntegrityError
 from repro.ipsec.esp import EspPacket, esp_open, esp_seal
-from repro.ipsec.replay_window import ReplayWindow
+from repro.ipsec.replay_window import BitmapReplayWindow
 from repro.ipsec.sa import SecurityAssociation
 from repro.ipsec.sad import SecurityAssociationDatabase
 from repro.ipsec.spd import PolicyAction, SecurityPolicyDatabase
@@ -73,11 +72,11 @@ class InboundSaState:
     store: PersistentStore
     k: int
     w: int
-    window: ReplayWindow = field(init=False)
+    window: BitmapReplayWindow = field(init=False)
     lst: int = 0
 
     def __post_init__(self) -> None:
-        self.window = make_window(self.w)
+        self.window = BitmapReplayWindow(self.w)
 
     def offer(self, seq: int):
         verdict = self.window.update(seq)
@@ -93,7 +92,7 @@ class InboundSaState:
     def recover(self) -> None:
         fetched = self.store.fetch()
         leaped = fetched + 2 * self.k
-        self.window = make_window(self.w)
+        self.window = BitmapReplayWindow(self.w)
         self.window.resume(leaped)
         self.lst = leaped
 

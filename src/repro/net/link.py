@@ -240,56 +240,6 @@ class Link(SimProcess):
         # post path (no Event handle).
         self.engine.post_at(delivery_time, self._deliver, packet, injected)
 
-    def offer_many(self, packets: list[Any], injected: bool = False) -> None:
-        """Offer a batch of packets at the current instant.
-
-        Semantically identical to offering each packet in order — the
-        per-packet loss/delay draws happen in the same sequence, so RNG
-        state, statistics, and delivery ordering match the sequential
-        path exactly — but the fixed-channel common case (no taps, no
-        path timeline, untraced) pays the per-offer overhead once per
-        batch instead of once per packet.  This is the N-SA gateway
-        fan-out path (:meth:`repro.gateway.core.Gateway.pulse_all` /
-        :meth:`repro.core.sender.BaseSender.send_batch`).
-        """
-        if self._taps or self._timeline is not None or self.traced:
-            # Taps, a live path timeline, or tracing want the exact
-            # per-packet sequence of side effects.
-            if injected:
-                self.injected += len(packets)
-            for packet in packets:
-                self._transmit(packet, injected)
-            return
-        n = len(packets)
-        self.offered += n
-        if injected:
-            self.injected += n
-        if self._forced_down or not self._path_up:
-            self.blackholed += n
-            self.dropped += n
-            return
-        rng = self._rng
-        should_drop = self.loss.should_drop
-        sample = self.delay.sample
-        post_at = self.engine.post_at
-        deliver = self._deliver
-        now = self.now
-        fifo = self.fifo
-        last = self._last_delivery_time
-        dropped = 0
-        for packet in packets:
-            if should_drop(rng):
-                dropped += 1
-                continue
-            delivery_time = now + sample(rng)
-            if fifo and delivery_time < last:
-                delivery_time = last
-            elif delivery_time > last:
-                last = delivery_time
-            post_at(delivery_time, deliver, packet, injected)
-        self._last_delivery_time = last
-        self.dropped += dropped
-
     def _deliver(self, packet: Any, injected: bool) -> None:
         if self.availability is not None and not self.availability():
             self.undeliverable += 1

@@ -11,8 +11,8 @@ The engine is a classic event-heap simulator:
 * :class:`~repro.sim.process.Timer` is a recurring timer built on top.
 * :class:`~repro.sim.trace.TraceRecorder` captures a structured log of
   everything that happened, for debugging and for assertions in tests.
-* :mod:`~repro.sim.metrics` provides counters and summary statistics used
-  by the experiment harness.
+* :class:`~repro.sim.metrics.TimeSeries` holds ``(time, value)`` samples;
+  the observability hub keeps one per sampled instrument.
 
 Example::
 
@@ -27,21 +27,18 @@ Example::
 
 from repro.sim.engine import Engine, EngineEventLimitError
 from repro.sim.events import Event, EventQueue
-from repro.sim.metrics import Counter, MetricSet, SummaryStat, TimeSeries
+from repro.sim.metrics import TimeSeries
 from repro.sim.process import SimProcess, Timer
 from repro.sim.trace import NULL_TRACE, NullTraceRecorder, TraceRecord, TraceRecorder
 
 __all__ = [
-    "Counter",
     "Engine",
     "EngineEventLimitError",
     "Event",
     "EventQueue",
-    "MetricSet",
     "NULL_TRACE",
     "NullTraceRecorder",
     "SimProcess",
-    "SummaryStat",
     "TimeSeries",
     "Timer",
     "TraceRecord",

@@ -1,90 +1,13 @@
-"""Counters and summary statistics for experiment runs.
+"""Time series for sampled run metrics.
 
-The experiment harness aggregates everything through these small classes so
-that every experiment reports data the same way:
-
-* :class:`Counter` — a named monotonically increasing count.
-* :class:`SummaryStat` — streaming count/sum/min/max/mean/variance
-  (Welford's algorithm, numerically stable).
-* :class:`TimeSeries` — (time, value) samples with simple queries.
-* :class:`MetricSet` — a named bag of the above, with dict export.
+:class:`TimeSeries` holds ``(time, value)`` samples with simple queries;
+the observability hub (:mod:`repro.obs.hub`) keeps one per sampled
+instrument.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Any
-
-
-@dataclass
-class Counter:
-    """A named monotonically increasing counter."""
-
-    name: str
-    value: int = 0
-
-    def increment(self, amount: int = 1) -> None:
-        """Add ``amount`` (must be >= 0) to the counter."""
-        if amount < 0:
-            raise ValueError(f"Counter.increment amount must be >= 0, got {amount}")
-        self.value += amount
-
-
-class SummaryStat:
-    """Streaming summary statistics over observed values.
-
-    Uses Welford's online algorithm so variance is stable even for long
-    runs of near-equal values.
-    """
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
-        self._mean = 0.0
-        self._m2 = 0.0
-
-    def observe(self, value: float) -> None:
-        """Record one observation."""
-        self.count += 1
-        self.total += value
-        self.minimum = min(self.minimum, value)
-        self.maximum = max(self.maximum, value)
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
-
-    @property
-    def mean(self) -> float:
-        """Arithmetic mean (0.0 when empty)."""
-        return self._mean if self.count else 0.0
-
-    @property
-    def variance(self) -> float:
-        """Population variance (0.0 for fewer than two observations)."""
-        return self._m2 / self.count if self.count >= 2 else 0.0
-
-    @property
-    def stddev(self) -> float:
-        """Population standard deviation."""
-        return math.sqrt(self.variance)
-
-    def as_dict(self) -> dict[str, float]:
-        """Export the statistics as a plain dict."""
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.minimum if self.count else 0.0,
-            "max": self.maximum if self.count else 0.0,
-            "mean": self.mean,
-            "stddev": self.stddev,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<SummaryStat {self.name} n={self.count} mean={self.mean:.4g}>"
 
 
 @dataclass
@@ -111,45 +34,3 @@ class TimeSeries:
     def last_value(self, default: float = 0.0) -> float:
         """The most recent sampled value (``default`` when empty)."""
         return self.samples[-1][1] if self.samples else default
-
-
-class MetricSet:
-    """A named bag of counters, summary stats and time series."""
-
-    def __init__(self) -> None:
-        self._counters: dict[str, Counter] = {}
-        self._stats: dict[str, SummaryStat] = {}
-        self._series: dict[str, TimeSeries] = {}
-
-    def counter(self, name: str) -> Counter:
-        """Get (or lazily create) the counter ``name``."""
-        if name not in self._counters:
-            self._counters[name] = Counter(name)
-        return self._counters[name]
-
-    def stat(self, name: str) -> SummaryStat:
-        """Get (or lazily create) the summary statistic ``name``."""
-        if name not in self._stats:
-            self._stats[name] = SummaryStat(name)
-        return self._stats[name]
-
-    def series(self, name: str) -> TimeSeries:
-        """Get (or lazily create) the time series ``name``."""
-        if name not in self._series:
-            self._series[name] = TimeSeries(name)
-        return self._series[name]
-
-    def count(self, name: str) -> int:
-        """Current value of counter ``name`` (0 if it was never touched)."""
-        counter = self._counters.get(name)
-        return counter.value if counter else 0
-
-    def as_dict(self) -> dict[str, Any]:
-        """Export every metric to a plain nested dict."""
-        return {
-            "counters": {name: c.value for name, c in sorted(self._counters.items())},
-            "stats": {name: s.as_dict() for name, s in sorted(self._stats.items())},
-            "series": {
-                name: list(ts.samples) for name, ts in sorted(self._series.items())
-            },
-        }

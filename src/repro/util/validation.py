@@ -17,6 +17,13 @@ def check_positive(name: str, value: float) -> float:
     return value
 
 
+def check_positive_int(name: str, value: int) -> int:
+    """Require an ``int`` (not a ``bool``) with ``value > 0``; return it."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be int, got {type(value).__name__}")
+    return check_positive(name, value)
+
+
 def check_non_negative(name: str, value: float) -> float:
     """Require ``value >= 0``; return it."""
     if not value >= 0:

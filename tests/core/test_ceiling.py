@@ -72,11 +72,25 @@ class TestCeilingSender:
         seqs = [m.seq for m in received]
         assert len(seqs) == len(set(seqs))
 
+    def test_rejects_bad_k(self, engine):
+        with pytest.raises(ValueError):
+            self.make(engine, k=0)
+        for bad in (0.5, 25.7, True):
+            with pytest.raises(TypeError, match="k must be int"):
+                self.make(engine, k=bad)
+
 
 class TestCeilingReceiver:
     def make(self, engine, k=25, w=16):
         receiver = CeilingReceiver(engine, "q", k=k, w=w, costs=FAST)
         return receiver
+
+    def test_rejects_bad_k(self, engine):
+        with pytest.raises(ValueError):
+            self.make(engine, k=0)
+        for bad in (0.5, 25.7, True):
+            with pytest.raises(TypeError, match="k must be int"):
+                self.make(engine, k=bad)
 
     def test_in_order_stream_delivered(self, engine):
         receiver = self.make(engine)

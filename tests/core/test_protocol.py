@@ -32,6 +32,17 @@ class TestVariants:
         with pytest.raises(ValueError, match="unknown variant"):
             build_protocol(variant="quantum")
 
+    def test_non_int_w_and_k_rejected(self):
+        # Not truncated: k_q=0.5 would run with K=0, w=64.7 with w=64.
+        with pytest.raises(TypeError, match="k must be int"):
+            build_protocol(k_q=0.5)
+        with pytest.raises(TypeError, match="k must be int"):
+            build_protocol(variant="ceiling", k_p=25.0)
+        with pytest.raises(TypeError, match="w must be int"):
+            build_protocol(w=64.7)
+        with pytest.raises(TypeError, match="w must be int"):
+            build_protocol(protected=False, w=True)
+
     def test_adversary_optional(self):
         assert build_protocol().adversary is None
         assert build_protocol(with_adversary=True).adversary is not None
@@ -100,14 +111,12 @@ class TestEndToEnd:
         harness.sender.start_traffic(count=300)
         harness.engine.call_at(0.0005, harness.sender.reset, 0.0001)
         harness.run(until=1.0)
-        exported = harness.metrics().as_dict()
-        counters = exported["counters"]
-        assert counters["sender.sent"] == counters["link.offered"]
-        assert counters["receiver.delivered"] == counters["audit.delivered_uids"]
-        assert counters["sender.resets"] == 1
-        assert counters["audit.replays_accepted"] == 0
-        assert exported["stats"]["sender.gap"]["count"] == 1
-        assert exported["stats"]["sender.gap"]["max"] <= 50
+        audit = harness.auditor.report()
+        assert harness.sender.sent_total == harness.link.offered
+        assert harness.receiver.delivered_total == audit.delivered_uids
+        assert audit.duplicate_deliveries == 0
+        [reset] = harness.sender.reset_records
+        assert reset.gap is not None and reset.gap <= 50
 
     def test_receiver_reset_converges(self):
         harness = build_protocol(k_p=25, k_q=25)

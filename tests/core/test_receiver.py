@@ -57,18 +57,6 @@ class TestUnprotectedReceiver:
         receiver.on_receive(msg(1))
         assert receiver.delivered_total == 1
 
-    def test_window_impl_selectable(self, engine, costs):
-        from repro.ipsec.replay_window import ArrayReplayWindow
-
-        receiver = UnprotectedReceiver(
-            engine, "q", w=8, window_impl="array", costs=costs
-        )
-        assert isinstance(receiver.window, ArrayReplayWindow)
-
-    def test_bad_window_impl_rejected(self, engine, costs):
-        with pytest.raises(ValueError, match="unknown window impl"):
-            UnprotectedReceiver(engine, "q", w=8, window_impl="magic", costs=costs)
-
 
 class TestSaveFetchReceiverSaves:
     def test_background_save_every_k_advance(self, engine, costs):
@@ -187,3 +175,10 @@ class TestSaveFetchReceiverRecovery:
     def test_rejects_bad_k(self, engine, costs):
         with pytest.raises(ValueError):
             SaveFetchReceiver(engine, "q", k=0, costs=costs)
+        # Not truncated: k=0.5 would run with K=0, w=64.7 with w=64.
+        for bad in (0.5, 25.7, True):
+            with pytest.raises(TypeError, match="k must be int"):
+                SaveFetchReceiver(engine, "q", k=bad, costs=costs)
+        for bad in (64.7, True):
+            with pytest.raises(TypeError, match="w must be int"):
+                SaveFetchReceiver(engine, "q", k=25, w=bad, costs=costs)

@@ -118,6 +118,10 @@ class TestSaveFetchSenderSaves:
         link, _ = wire
         with pytest.raises(ValueError):
             SaveFetchSender(engine, "p", link, k=0, costs=costs)
+        # Not truncated: k=0.5 would run with K=0.
+        for bad in (0.5, 25.7, True):
+            with pytest.raises(TypeError, match="k must be int"):
+                SaveFetchSender(engine, "p", link, k=bad, costs=costs)
 
     def test_rejects_negative_leap(self, engine, wire, costs):
         link, _ = wire
@@ -234,88 +238,3 @@ class TestSaveFetchSenderRecovery:
         sender.send_burst(3)
         assert auditor.report().fresh_sent == 3
 
-
-class TestSendBatch:
-    """send_batch must be protocol-equivalent to send_burst — only the
-    link handoff is batched."""
-
-    def make_pair(self, engine, costs, k=None):
-        def build():
-            received = []
-            link = Link(engine, "link", sink=received.append)
-            if k is None:
-                sender = UnprotectedSender(engine, "p", link, costs=costs)
-            else:
-                sender = SaveFetchSender(engine, "p", link, k=k, costs=costs)
-            return sender, received
-        return build(), build()
-
-    @pytest.mark.parametrize("k", [None, 5])
-    def test_batch_matches_burst(self, engine, costs, k):
-        (burst_sender, burst_rx), (batch_sender, batch_rx) = \
-            self.make_pair(engine, costs, k=k)
-        assert burst_sender.send_burst(20) == batch_sender.send_batch(20)
-        engine.run()
-        assert [m.seq for m in batch_rx] == [m.seq for m in burst_rx]
-        assert batch_sender.s == burst_sender.s
-        assert batch_sender.sent_total == burst_sender.sent_total
-        assert batch_sender.last_sent_seq == burst_sender.last_sent_seq
-
-    def test_batch_save_checkpoints_match_burst(self, engine, costs):
-        (burst_sender, _), (batch_sender, _) = \
-            self.make_pair(engine, costs, k=3)
-        burst_sender.send_burst(10)
-        batch_sender.send_batch(10)
-        engine.run()
-        assert batch_sender.lst == burst_sender.lst
-        assert (batch_sender.store.saves_started
-                == burst_sender.store.saves_started)
-
-    def test_batch_suppressed_while_down(self, engine, wire, costs):
-        link, received = wire
-        sender = UnprotectedSender(engine, "p", link, costs=costs)
-        sender.reset(down_for=None)
-        assert sender.send_batch(7) == 0
-        assert sender.sends_suppressed == 7
-        engine.run()
-        assert received == []
-
-    def test_guard_rechecked_mid_batch(self, engine, wire, costs):
-        # A listener takes the sender down after the third message: the
-        # batch must stop there, exactly as a burst of send_one would.
-        link, received = wire
-        sender = UnprotectedSender(engine, "p", link, costs=costs)
-        sender.add_send_listener(
-            lambda total, packet: total == 3 and sender.reset(down_for=None)
-        )
-        assert sender.send_batch(10) == 3
-        assert sender.sends_suppressed == 7
-        engine.run()
-        assert [m.seq for m in received] == [1, 2, 3]
-
-    def test_falls_back_without_offer_many(self, engine, costs):
-        received = []
-
-        class PlainPipe:
-            def send(self, packet):
-                received.append(packet)
-
-        sender = UnprotectedSender(engine, "p", PlainPipe(), costs=costs)
-        assert sender.send_batch(4) == 4
-        assert [m.seq for m in received] == [1, 2, 3, 4]
-
-    def test_non_positive_batch_is_noop(self, engine, wire, costs):
-        link, _ = wire
-        sender = UnprotectedSender(engine, "p", link, costs=costs)
-        assert sender.send_batch(0) == 0
-        assert sender.send_batch(-3) == 0
-        assert sender.sent_total == 0
-
-    def test_batch_registers_audit_uids(self, engine, wire, costs):
-        link, _ = wire
-        auditor = DeliveryAuditor()
-        sender = UnprotectedSender(
-            engine, "p", link, costs=costs, auditor=auditor
-        )
-        sender.send_batch(5)
-        assert auditor.report().fresh_sent == 5

@@ -245,32 +245,3 @@ class TestDeterminism:
         metrics = run_crash_gateway(n_sas=2).score().metrics()
         assert json.loads(json.dumps(metrics)) == metrics
 
-
-class TestPulseAll:
-    def test_pulse_sends_n_on_every_live_sa(self):
-        gateway = Gateway(n_sas=3)
-        assert gateway.pulse_all(5) == 15
-        gateway.run(until=1.0)
-        for unit in gateway.sas:
-            assert unit.harness.sender.sent_total == 5
-            assert unit.harness.receiver.delivered_total == 5
-
-    def test_pulse_default_is_one(self):
-        gateway = Gateway(n_sas=4)
-        assert gateway.pulse_all() == 4
-
-    def test_pulse_matches_burst_deliveries(self):
-        # The batched fan-out must deliver exactly what per-message
-        # bursts deliver on an identical gateway.
-        pulsed = Gateway(n_sas=2, seed=77)
-        pulsed.pulse_all(20)
-        pulsed.run(until=1.0)
-        bursted = Gateway(n_sas=2, seed=77)
-        for unit in bursted.sas:
-            unit.harness.sender.send_burst(20)
-        bursted.run(until=1.0)
-        for a, b in zip(pulsed.sas, bursted.sas):
-            assert (a.harness.receiver.delivered_total
-                    == b.harness.receiver.delivered_total)
-            assert (a.harness.sender.last_sent_seq
-                    == b.harness.sender.last_sent_seq)

@@ -1,20 +1,20 @@
 """Tests for the anti-replay window — the paper's central data structure.
 
 Includes hypothesis property tests establishing (a) equivalence of the
-paper-literal array implementation and the RFC-style bitmap one, and
-(b) the Discrimination invariant (no sequence number accepted twice).
+bitmap window and the spec's paper-literal ``window_update`` (through
+:class:`spec_window.SpecWindow`), and (b) the Discrimination invariant
+(no sequence number accepted twice).
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from spec_window import SpecWindow
 
-from repro.ipsec.replay_window import ArrayReplayWindow, BitmapReplayWindow, Verdict
-
-IMPLS = [ArrayReplayWindow, BitmapReplayWindow]
+from repro.ipsec.replay_window import BitmapReplayWindow, Verdict
 
 
-@pytest.fixture(params=IMPLS, ids=["array", "bitmap"])
+@pytest.fixture(params=[BitmapReplayWindow], ids=["bitmap"])
 def window_cls(request):
     return request.param
 
@@ -22,9 +22,6 @@ def window_cls(request):
 class TestInitialState:
     def test_right_edge_zero(self, window_cls):
         assert window_cls(8).right_edge == 0
-
-    def test_left_edge(self, window_cls):
-        assert window_cls(8).left_edge == -7
 
     def test_nonpositive_seq_rejected_initially(self, window_cls):
         """Paper: window starts all-true, so seq <= 0 is never delivered."""
@@ -36,6 +33,10 @@ class TestInitialState:
     def test_rejects_bad_w(self, window_cls):
         with pytest.raises(ValueError):
             window_cls(0)
+        # Not truncated: 0.5 would be a zero-width window, True w=1.
+        for bad in (0.5, 64.7, True):
+            with pytest.raises(TypeError, match="w must be int"):
+                window_cls(bad)
 
 
 class TestThreeCases:
@@ -91,13 +92,6 @@ class TestCheckVsUpdate:
         assert window.check(4) is Verdict.ACCEPT_IN_WINDOW
         assert window.snapshot() == before
 
-    def test_is_seen(self, window_cls):
-        window = window_cls(4)
-        window.update(5)
-        assert window.is_seen(5)
-        assert not window.is_seen(4)
-        assert window.is_seen(1)  # stale counts as seen (safe side)
-
 
 class TestResume:
     def test_resume_marks_everything_seen(self, window_cls):
@@ -111,7 +105,7 @@ class TestResume:
 
 
 class TestEquivalence:
-    """The two implementations are behaviourally identical."""
+    """The bitmap window is the spec's ``window_update``, step for step."""
 
     @given(
         w=st.integers(min_value=1, max_value=40),
@@ -119,13 +113,12 @@ class TestEquivalence:
     )
     @settings(max_examples=300, deadline=None)
     def test_same_verdicts_and_state(self, w, seqs):
-        array_window = ArrayReplayWindow(w)
-        bitmap_window = BitmapReplayWindow(w)
+        spec = SpecWindow(w)
+        window = BitmapReplayWindow(w)
         for seq in seqs:
-            verdict_a = array_window.update(seq)
-            verdict_b = bitmap_window.update(seq)
-            assert verdict_a == verdict_b, f"diverged on seq {seq}"
-            assert array_window.snapshot() == bitmap_window.snapshot()
+            accepted = spec.update(seq)
+            assert window.update(seq).accepted == accepted, f"diverged on seq {seq}"
+            assert window.snapshot() == (spec.r, spec.wdw)
 
     @given(
         w=st.integers(min_value=1, max_value=24),
@@ -134,13 +127,13 @@ class TestEquivalence:
     )
     @settings(max_examples=150, deadline=None)
     def test_equivalence_survives_resume(self, w, resume_at, seqs):
-        array_window = ArrayReplayWindow(w)
-        bitmap_window = BitmapReplayWindow(w)
-        array_window.resume(resume_at)
-        bitmap_window.resume(resume_at)
+        spec = SpecWindow(w)
+        window = BitmapReplayWindow(w)
+        spec.resume(resume_at)
+        window.resume(resume_at)
         for seq in seqs:
-            assert array_window.update(seq) == bitmap_window.update(seq)
-            assert array_window.snapshot() == bitmap_window.snapshot()
+            assert window.update(seq).accepted == spec.update(seq)
+            assert window.snapshot() == (spec.r, spec.wdw)
 
 
 class TestDiscriminationProperty:

@@ -1,19 +1,21 @@
-"""Stateful property test: every window implementation against a naive
-reference model, under arbitrary interleavings of updates and resumes.
+"""Stateful property test: the bitmap window against two oracles, under
+arbitrary interleavings of updates and resumes.
 
-The reference model keeps an explicit set of delivered sequence numbers
-and the right edge; correctness of the real implementations =
-bit-identical verdicts against it at every step.
+* :class:`ReferenceWindow` keeps an explicit set of delivered sequence
+  numbers and the right edge: the window's verdicts must be identical.
+* :class:`spec_window.SpecWindow` runs the model-checked spec's own
+  ``window_update`` and wake: the window must accept the same messages,
+  and its ``snapshot()`` must equal the spec's ``(r, wdw)``.
 """
 
 from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 from hypothesis import strategies as st
+from spec_window import SpecWindow
 
-from repro.ipsec.replay_window import ArrayReplayWindow, BitmapReplayWindow, Verdict
-from repro.ipsec.replay_window_blocked import BlockedReplayWindow
+from repro.ipsec.replay_window import BitmapReplayWindow, Verdict
 
-W = 32  # multiple of 32 so the blocked impl participates
+W = 32
 
 
 class ReferenceWindow:
@@ -48,11 +50,8 @@ class WindowEquivalence(RuleBasedStateMachine):
     @initialize()
     def setup(self):
         self.reference = ReferenceWindow(W)
-        self.impls = [
-            ArrayReplayWindow(W),
-            BitmapReplayWindow(W),
-            BlockedReplayWindow(W),
-        ]
+        self.spec = SpecWindow(W)
+        self.window = BitmapReplayWindow(W)
         self.base = 0  # drifting offset so sequences grow over time
 
     @rule(offset=st.integers(min_value=-40, max_value=50))
@@ -60,25 +59,26 @@ class WindowEquivalence(RuleBasedStateMachine):
         seq = max(-5, self.base + offset)
         self.base = max(self.base, seq)
         expected = self.reference.update(seq)
-        for impl in self.impls:
-            assert impl.update(seq) == expected, (
-                f"{type(impl).__name__} diverged on seq {seq}"
-            )
+        verdict = self.window.update(seq)
+        assert verdict == expected, f"diverged from the reference on seq {seq}"
+        assert self.spec.update(seq) == verdict.accepted, (
+            f"diverged from the spec on seq {seq}"
+        )
 
     @rule(leap=st.integers(min_value=0, max_value=100))
     def resume(self, leap):
         target = self.reference.r + leap
         self.base = max(self.base, target)
         self.reference.resume(target)
-        for impl in self.impls:
-            impl.resume(target)
+        self.spec.resume(target)
+        self.window.resume(target)
 
     @invariant()
-    def right_edges_agree(self):
+    def states_agree(self):
         if not hasattr(self, "reference"):
             return
-        for impl in self.impls:
-            assert impl.right_edge == self.reference.r
+        assert self.window.right_edge == self.reference.r == self.spec.r
+        assert self.window.snapshot() == (self.spec.r, self.spec.wdw)
 
 
 TestWindowEquivalence = WindowEquivalence.TestCase

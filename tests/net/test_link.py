@@ -126,79 +126,3 @@ class TestAvailability:
         assert received == []
         assert link.undeliverable == 1
 
-
-class TestOfferMany:
-    """The batched offer path must be observationally identical to
-    offering each packet in sequence — same RNG draw order, same stats,
-    same delivery schedule — on every link configuration."""
-
-    def assert_parity(self, engine, n=40, make_kwargs=dict):
-        # Each link gets freshly built models: loss/delay models are
-        # stateful, so sharing instances would itself break parity.
-        seq_link, seq_rx = collect_link(engine, **make_kwargs())
-        batch_link, batch_rx = collect_link(engine, **make_kwargs())
-        seq_times, batch_times = [], []
-        seq_link.sink = lambda m: seq_times.append((engine.now, m.seq))
-        batch_link.sink = lambda m: batch_times.append((engine.now, m.seq))
-        packets = [Message(seq=i) for i in range(n)]
-        for packet in packets:
-            seq_link.send(packet)
-        batch_link.offer_many(list(packets))
-        engine.run()
-        assert batch_times == seq_times
-        for stat in ("offered", "dropped", "delivered", "blackholed"):
-            assert getattr(batch_link, stat) == getattr(seq_link, stat), stat
-
-    def test_parity_plain(self, engine):
-        self.assert_parity(engine)
-
-    def test_parity_with_loss_and_jitter(self, engine):
-        self.assert_parity(engine, make_kwargs=lambda: dict(
-            loss=BernoulliLoss(0.3), seed=5,
-            delay=UniformJitterDelay(0.0, 1.0),
-        ))
-
-    def test_parity_fifo_clamps(self, engine):
-        self.assert_parity(engine, make_kwargs=lambda: dict(
-            delay=UniformJitterDelay(0.0, 1.0), seed=9, fifo=True,
-        ))
-
-    def test_parity_deterministic_loss(self, engine):
-        self.assert_parity(
-            engine,
-            make_kwargs=lambda: dict(loss=DeterministicLoss([0, 3, 4])),
-        )
-
-    def test_taps_see_every_packet(self, engine):
-        # A tap forces the exact per-packet slow path.
-        link, received = collect_link(engine)
-        tapped = []
-        link.add_tap(lambda now, packet, injected: tapped.append(packet.seq))
-        link.offer_many([Message(seq=i) for i in range(5)])
-        engine.run()
-        assert tapped == list(range(5))
-        assert [m.seq for m in received] == list(range(5))
-
-    def test_injected_batch_counts(self, engine):
-        link, received = collect_link(engine)
-        link.offer_many([Message(seq=i) for i in range(4)], injected=True)
-        engine.run()
-        assert link.injected == 4
-        assert len(received) == 4
-
-    def test_blackholed_batch(self, engine):
-        link, received = collect_link(engine)
-        link.path_down()
-        link.offer_many([Message(seq=i) for i in range(6)])
-        engine.run()
-        assert received == []
-        assert link.blackholed == 6
-        assert link.dropped == 6
-        assert link.offered == 6
-
-    def test_empty_batch_is_noop(self, engine):
-        link, received = collect_link(engine)
-        link.offer_many([])
-        engine.run()
-        assert link.offered == 0
-        assert received == []

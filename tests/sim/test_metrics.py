@@ -1,71 +1,6 @@
 """Tests for repro.sim.metrics."""
 
-import math
-
-import pytest
-
-from repro.sim.metrics import Counter, MetricSet, SummaryStat, TimeSeries
-
-
-class TestCounter:
-    def test_increment(self):
-        counter = Counter("x")
-        counter.increment()
-        counter.increment(5)
-        assert counter.value == 6
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Counter("x").increment(-1)
-
-
-class TestSummaryStat:
-    def test_empty(self):
-        stat = SummaryStat("x")
-        assert stat.mean == 0.0
-        assert stat.variance == 0.0
-        assert stat.as_dict()["min"] == 0.0
-
-    def test_mean_min_max(self):
-        stat = SummaryStat("x")
-        for value in [1.0, 2.0, 3.0, 4.0]:
-            stat.observe(value)
-        assert stat.mean == pytest.approx(2.5)
-        assert stat.minimum == 1.0
-        assert stat.maximum == 4.0
-        assert stat.total == 10.0
-
-    def test_variance_welford(self):
-        stat = SummaryStat("x")
-        values = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
-        for value in values:
-            stat.observe(value)
-        assert stat.variance == pytest.approx(4.0)
-        assert stat.stddev == pytest.approx(2.0)
-
-    def test_numerically_stable_for_large_offsets(self):
-        stat = SummaryStat("x")
-        base = 1e12
-        for value in [base + 1, base + 2, base + 3]:
-            stat.observe(value)
-        assert stat.variance == pytest.approx(2.0 / 3.0, rel=1e-6)
-
-    def test_single_observation_variance_zero(self):
-        stat = SummaryStat("x")
-        stat.observe(5.0)
-        assert stat.variance == 0.0
-        assert not math.isnan(stat.stddev)
-
-    def test_single_observation_as_dict(self):
-        # One sample: min == max == mean == the value, spread is zero,
-        # and nothing leaks the +/-inf initial sentinels.
-        stat = SummaryStat("x")
-        stat.observe(7.25)
-        exported = stat.as_dict()
-        assert exported["count"] == 1
-        assert exported["min"] == exported["max"] == exported["mean"] == 7.25
-        assert exported["stddev"] == 0.0
-        assert all(math.isfinite(v) for v in exported.values())
+from repro.sim.metrics import TimeSeries
 
 
 class TestTimeSeries:
@@ -88,39 +23,3 @@ class TestTimeSeries:
         assert series.last_value() == 0.0
         assert series.samples == []
 
-
-class TestMetricSet:
-    def test_lazy_creation_and_reuse(self):
-        metrics = MetricSet()
-        metrics.counter("a").increment()
-        metrics.counter("a").increment()
-        assert metrics.count("a") == 2
-        assert metrics.count("missing") == 0
-
-    def test_as_dict_roundtrip(self):
-        metrics = MetricSet()
-        metrics.counter("sent").increment(3)
-        metrics.stat("gap").observe(1.5)
-        metrics.series("edge").sample(0.0, 10.0)
-        exported = metrics.as_dict()
-        assert exported["counters"]["sent"] == 3
-        assert exported["stats"]["gap"]["count"] == 1
-        assert exported["series"]["edge"] == [(0.0, 10.0)]
-
-    def test_as_dict_same_name_across_kinds_does_not_collide(self):
-        # A counter, a stat and a series may legitimately share one name
-        # (e.g. "gap" counted and distributed); the export must keep all
-        # three, each under its own kind, values intact.
-        metrics = MetricSet()
-        metrics.counter("gap").increment(2)
-        metrics.stat("gap").observe(4.0)
-        metrics.series("gap").sample(1.0, 8.0)
-        exported = metrics.as_dict()
-        assert exported["counters"]["gap"] == 2
-        assert exported["stats"]["gap"]["mean"] == 4.0
-        assert exported["series"]["gap"] == [(1.0, 8.0)]
-        # And the namesakes are independent objects: touching one kind
-        # never bleeds into another.
-        metrics.counter("gap").increment(5)
-        assert metrics.stat("gap").count == 1
-        assert len(metrics.series("gap").samples) == 1

@@ -5,6 +5,7 @@ import pytest
 from repro.util.validation import (
     check_non_negative,
     check_positive,
+    check_positive_int,
     check_probability,
     check_type,
 )
@@ -18,6 +19,21 @@ class TestCheckPositive:
     def test_rejects_non_positive(self, value):
         with pytest.raises(ValueError, match="x must be > 0"):
             check_positive("x", value)
+
+
+class TestCheckPositiveInt:
+    def test_accepts_positive_int(self):
+        assert check_positive_int("w", 64) == 64
+
+    @pytest.mark.parametrize("value", [0.5, 64.7, 64.0, True, None])
+    def test_rejects_non_int(self, value):
+        with pytest.raises(TypeError, match="w must be int"):
+            check_positive_int("w", value)
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_rejects_non_positive(self, value):
+        with pytest.raises(ValueError, match="w must be > 0"):
+            check_positive_int("w", value)
 
 
 class TestCheckNonNegative:
