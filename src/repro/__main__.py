@@ -16,7 +16,7 @@ Commands:
   in the paper's notation style.
 * ``fleet <spec.json>`` — run a multi-session campaign (``--jobs N`` for
   a worker pool, ``--out DIR`` for the durable result store, ``--store
-  jsonl|sharded|sqlite`` to pick the store backend, ``--sample N`` to
+  jsonl|sharded`` to pick the store backend, ``--sample N`` to
   run a deterministic subsample of a huge campaign; re-running the same
   spec resumes, whatever the backend).  ``--stream`` appends live
   progress events to ``<out>/progress.jsonl`` (plus per-worker crash
@@ -61,6 +61,8 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+from repro.fleet.results import STORE_KINDS
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
@@ -285,9 +287,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         encoding="utf-8",
     )
     print(f"aggregate written to {aggregate_path}")
-    close = getattr(store, "close", None)
-    if close is not None:
-        close()
     if args.archive:
         from repro.obs.archive import RunArchive
 
@@ -816,14 +815,11 @@ def main(argv: list[str] | None = None) -> int:
                          help="with a spec: run a deterministic ~N-session "
                               "subsample of the campaign; without a spec: "
                               "print an example campaign spec and exit")
-    p_fleet.add_argument("--store", choices=["jsonl", "sharded", "sqlite"],
-                         default=None,
+    p_fleet.add_argument("--store", choices=STORE_KINDS, default=None,
                          help="result-store backend (default: whatever the "
                               "output directory already holds, else jsonl); "
                               "sharded splits records across 2^bits JSONL "
-                              "files by spawn-key prefix, sqlite persists "
-                              "each record in a WAL transaction before "
-                              "acknowledging it")
+                              "files by spawn-key prefix")
     p_fleet.add_argument("--shard-bits", type=int, default=None, metavar="B",
                          help="shard count exponent for --store sharded "
                               "(2^B shard files; default: the store's "

@@ -156,10 +156,9 @@ class ExperimentDriver:
     Args:
         spec: the sweep to run.
         jobs: worker processes (``1`` = in-process serial).
-        store: optional durable store; pass any file-backed store
-            backend (:class:`ResultStore`,
-            :class:`~repro.fleet.results.ShardedResultStore`,
-            :class:`~repro.fleet.results.SqliteResultStore`) to make the
+        store: optional durable store; pass either file-backed store
+            backend (:class:`ResultStore` or
+            :class:`~repro.fleet.results.ShardedResultStore`) to make the
             run resumable (finished tasks are skipped on re-run).
             Defaults to an in-memory store — same JSON round-trip, no
             file.

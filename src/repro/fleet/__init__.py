@@ -11,15 +11,15 @@ store and aggregated into campaign-level verdicts.
   expansion into seeded :class:`FleetTask` units.
 * :mod:`~repro.fleet.runner` — :class:`FleetRunner`, the serial /
   ``multiprocessing`` executor with resume-after-interrupt.
-* :mod:`~repro.fleet.results` — :class:`TaskRecord` and the store
+* :mod:`~repro.fleet.results` — :class:`TaskRecord` and the two store
   backends behind one contract: :class:`ResultStore` (single JSONL
-  file), :class:`ShardedResultStore` (spawn-key-prefix sharding for
-  million-task campaigns), :class:`SqliteResultStore` (WAL,
-  persist-before-acknowledge), selected via :func:`make_store`.
+  file) and :class:`ShardedResultStore` (spawn-key-prefix sharding for
+  million-task campaigns), selected via :func:`make_store`.
 * :mod:`~repro.fleet.aggregate` — :func:`summarize` /
   :func:`summarize_store` and :class:`FleetSummary`: streaming
-  constant-memory campaign aggregation (quantile sketch + bounded
-  outlier reservoir) with repro seeds on every worst case.
+  constant-memory campaign aggregation (the obs hub's
+  :class:`~repro.obs.hub.QuantileSketch` + a bounded outlier
+  reservoir) with repro seeds on every worst case.
 
 Quickstart::
 
@@ -40,8 +40,6 @@ from repro.fleet.aggregate import (
     FleetSummary,
     Outlier,
     OutlierReservoir,
-    QuantileSketch,
-    percentile,
     summarize,
     summarize_store,
 )
@@ -52,7 +50,6 @@ from repro.fleet.results import (
     MemoryResultStore,
     ResultStore,
     ShardedResultStore,
-    SqliteResultStore,
     TaskRecord,
     detect_store_kind,
     make_store,
@@ -93,13 +90,11 @@ __all__ = [
     "Outlier",
     "OutlierReservoir",
     "PROGRESS_LEDGER_FILE",
-    "QuantileSketch",
     "ResultStore",
     "STORE_KINDS",
     "SampledCampaign",
     "ScenarioGrid",
     "ShardedResultStore",
-    "SqliteResultStore",
     "TaskRecord",
     "decode_params",
     "detect_store_kind",
@@ -108,7 +103,6 @@ __all__ = [
     "execute_task",
     "make_store",
     "megafleet_spec",
-    "percentile",
     "progress_ledger_path",
     "report_metrics",
     "run_campaign",

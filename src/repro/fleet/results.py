@@ -12,7 +12,7 @@ Records are serialised with sorted keys and a canonical float format, so
 two runs of the same spec produce byte-identical lines modulo the
 ``wall_time`` field (the only wall-clock-dependent value).
 
-Three interchangeable backends implement the same store contract
+Two interchangeable backends implement the same store contract
 (``append`` / ``records`` / ``completed_ids`` / ``heal`` /
 ``corrupt_lines``):
 
@@ -22,19 +22,17 @@ Three interchangeable backends implement the same store contract
   million-session campaigns: every shard stays small, crash healing is
   per shard, and aggregation can fold one shard at a time in
   :math:`O(\text{shard})` memory.
-* :class:`SqliteResultStore` — a single SQLite database in WAL mode,
-  committing before ``append`` returns (persist-before-acknowledge).
 
-All three persist the identical canonical JSON record lines — a campaign
+Both persist the identical canonical JSON record lines — a campaign
 moved between backends re-reads byte-identical records, only the file
-placement differs.
+placement differs.  Both flush each append before it returns, so a
+record the runner has seen appended survives a process kill.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import sqlite3
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator, Mapping
@@ -52,7 +50,6 @@ __all__ = [
     "STATUS_OK",
     "STORE_KINDS",
     "ShardedResultStore",
-    "SqliteResultStore",
     "TaskRecord",
     "detect_store_kind",
     "make_store",
@@ -68,7 +65,7 @@ STATUS_OK = "ok"
 STATUS_ERROR = "error"
 
 #: Selectable store backends (the CLI's ``--store`` choices).
-STORE_KINDS = ("jsonl", "sharded", "sqlite")
+STORE_KINDS = ("jsonl", "sharded")
 
 #: Default shard count exponent for :class:`ShardedResultStore` (2**4 =
 #: 16 shards — enough that a 1M-task campaign keeps every shard around
@@ -409,98 +406,16 @@ class ShardedResultStore:
         return healed
 
 
-class SqliteResultStore:
-    """SQLite/WAL store backend behind the same record interface.
-
-    Each ``append`` commits before returning — the persist-before-
-    acknowledge rule — so a record the runner has seen appended is on
-    disk, full stop; a ``kill -9`` can lose at most the task in flight,
-    which simply reruns on resume.  WAL mode keeps appends sequential-
-    write cheap and lets concurrent readers (an operator tailing the
-    campaign) scan without blocking the writer.
-
-    Stored lines are the same canonical JSON as the JSONL backends, so
-    records round-trip byte-identically across backends.
-    """
-
-    _SCHEMA = """
-        CREATE TABLE IF NOT EXISTS records (
-            seq INTEGER PRIMARY KEY AUTOINCREMENT,
-            task_id TEXT NOT NULL,
-            status TEXT NOT NULL,
-            line TEXT NOT NULL
-        )
-    """
-
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._connection = sqlite3.connect(str(self.path))
-        self._connection.execute("PRAGMA journal_mode=WAL")
-        self._connection.execute("PRAGMA synchronous=NORMAL")
-        self._connection.execute(self._SCHEMA)
-        self._connection.execute(
-            "CREATE INDEX IF NOT EXISTS records_task ON records "
-            "(task_id, status)"
-        )
-        self._connection.commit()
-        #: The database either parses or errors as a whole; torn JSONL
-        #: lines cannot happen here, but the attribute keeps the store
-        #: interface uniform.
-        self.corrupt_lines = 0
-
-    def __len__(self) -> int:
-        (count,) = self._connection.execute(
-            "SELECT COUNT(*) FROM records"
-        ).fetchone()
-        return int(count)
-
-    def append(self, record: TaskRecord) -> None:
-        # The `with` block commits before append returns: acknowledge
-        # only after the record is durable.
-        with self._connection:
-            self._connection.execute(
-                "INSERT INTO records (task_id, status, line) VALUES (?, ?, ?)",
-                (record.task_id, record.status, record.to_json()),
-            )
-
-    def heal(self) -> bool:
-        """SQLite journals recover on open; nothing to heal by hand."""
-        return False
-
-    def records(self) -> Iterator[TaskRecord]:
-        self.corrupt_lines = 0
-        for (line,) in self._connection.execute(
-            "SELECT line FROM records ORDER BY seq"
-        ):
-            try:
-                yield TaskRecord.from_dict(json.loads(line))
-            except (json.JSONDecodeError, KeyError, TypeError):
-                self.corrupt_lines += 1
-
-    def completed_ids(self) -> set[str]:
-        return {
-            task_id for (task_id,) in self._connection.execute(
-                "SELECT DISTINCT task_id FROM records WHERE status = ?",
-                (STATUS_OK,),
-            )
-        }
-
-    def close(self) -> None:
-        self._connection.close()
-
-
 #: Per-kind store file/directory names inside a campaign output dir.
 _STORE_NAMES = {
     "jsonl": "results.jsonl",
     "sharded": "results.shards",
-    "sqlite": "results.sqlite",
 }
 
 
 def make_store(
     kind: str, out_dir: str | Path, shard_bits: int | None = None
-) -> ResultStore | ShardedResultStore | SqliteResultStore:
+) -> ResultStore | ShardedResultStore:
     """Build the campaign store of ``kind`` under ``out_dir``.
 
     Args:
@@ -517,8 +432,6 @@ def make_store(
         return ShardedResultStore(
             out_dir / _STORE_NAMES["sharded"], bits=shard_bits
         )
-    if kind == "sqlite":
-        return SqliteResultStore(out_dir / _STORE_NAMES["sqlite"])
     known = ", ".join(STORE_KINDS)
     raise ValueError(f"unknown store kind {kind!r}; known kinds: {known}")
 
@@ -530,7 +443,7 @@ PROGRESS_LEDGER_FILE = "progress.jsonl"
 
 
 def progress_ledger_path(
-    store: ResultStore | ShardedResultStore | SqliteResultStore,
+    store: ResultStore | ShardedResultStore,
 ) -> Path | None:
     """Where a store's campaign keeps its ``progress.jsonl``.
 

@@ -363,43 +363,3 @@ class IkeResponder(_IkePeer):
         elif message.step == 9:
             self._expected_step = 0
             self._finish(self.peer_name, self.name)
-
-
-def negotiate(
-    engine: Engine,
-    initiator_name: str,
-    responder_name: str,
-    initiator_link_send: Callable[[IkeMessage], None],
-    responder_link_send: Callable[[IkeMessage], None],
-    config: IkeConfig | None = None,
-    seed: int = 0,
-    initiator_compute: SerialCompute | None = None,
-    responder_compute: SerialCompute | None = None,
-) -> tuple[IkeInitiator, IkeResponder]:
-    """Wire up an initiator/responder pair over caller-supplied links.
-
-    The caller connects each peer's ``on_receive`` to the corresponding
-    link sink and then calls :meth:`IkeInitiator.start`.  Provided as a
-    convenience for experiments; see E7.  The optional
-    :class:`SerialCompute` queues model CPU contention — pass one shared
-    ``initiator_compute`` to every pair of a rekey storm.
-    """
-    initiator = IkeInitiator(
-        engine,
-        initiator_name,
-        responder_name,
-        initiator_link_send,
-        config=config,
-        seed=seed * 2 + 1,
-        compute=initiator_compute,
-    )
-    responder = IkeResponder(
-        engine,
-        responder_name,
-        initiator_name,
-        responder_link_send,
-        config=config,
-        seed=seed * 2 + 2,
-        compute=responder_compute,
-    )
-    return initiator, responder

@@ -180,11 +180,6 @@ class Link(SimProcess):
         self._path_up = regime.up
 
     @property
-    def path_is_up(self) -> bool:
-        """Whether packets offered right now would traverse the path."""
-        return self._path_up and not self._forced_down
-
-    @property
     def path_transitions(self) -> int:
         """Profile phase transitions taken so far (0 without a profile)."""
         return self._timeline.transitions if self._timeline is not None else 0

@@ -3,8 +3,10 @@
 The layer that turns a simulation into signals:
 
 * :mod:`repro.obs.hub` — the :class:`MetricsHub` instrument registry
-  (counters, gauges, EWMA gauges, log-bucket histograms, time series)
-  with sub-hub label fan-in and the zero-overhead :class:`NullHub`.
+  (counters, gauges, EWMA gauges, :class:`QuantileSketch` histograms,
+  time series) with sub-hub label fan-in and the zero-overhead
+  :class:`NullHub`.  The sketch is also the fleet's convergence-time
+  distribution: the repo has one log-bucket histogram.
 * :mod:`repro.obs.probe` — pull-based per-SA :class:`HealthProbe` and
   the gateway's :class:`SharedStoreProbe` / :class:`EventCoreProbe`.
 * :mod:`repro.obs.sampler` — the periodic :class:`Sampler` engine
@@ -34,8 +36,9 @@ v3 — the *cross-run* plane (know when any run got worse):
   content-addressed :class:`RunSnapshot` per observed run / fleet
   aggregate / bench report, indexed by a salvageable ``runs.jsonl``.
 * :mod:`repro.obs.compare` — statistical run-to-run diffing:
-  bootstrap CIs on exact series, sketch-error-aware quantile bounds,
-  per-metric GREEN/YELLOW/RED verdicts through the health quorum.
+  bootstrap CIs on exact series, sketch-error-aware quantile bounds
+  (one rule for every histogram), per-metric GREEN/YELLOW/RED verdicts
+  through the health quorum.
 * :mod:`repro.obs.trend` — N-run signal trajectories with EWMA control
   bands and anomaly flags.
 """
@@ -110,9 +113,9 @@ from repro.obs.hub import (
     EwmaGauge,
     Gauge,
     HubCounter,
-    LogHistogram,
     MetricsHub,
     NullHub,
+    QuantileSketch,
     default_hub,
     merge_rollups,
     split_label,
@@ -168,7 +171,6 @@ __all__ = [
     "HealthThresholds",
     "HubCounter",
     "LedgerTail",
-    "LogHistogram",
     "MANIFEST_FILE",
     "MANIFEST_SCHEMA",
     "METRICS_FILE",
@@ -180,6 +182,7 @@ __all__ = [
     "PROGRESS_SCHEMA",
     "ProgressEvent",
     "ProgressLedger",
+    "QuantileSketch",
     "RUN_SCHEMA",
     "ResourceProbe",
     "RunArchive",

@@ -5,9 +5,10 @@ Every artifact the repo already produces — an observed run directory
 (``aggregate.json`` + ``campaign_obs.json``), a pytest-benchmark
 ``BENCH_*.json`` with :data:`repro.perf.RATE_SCHEMA`-tagged rate reports
 — reduces to one :class:`RunSnapshot` (schema :data:`RUN_SCHEMA`): a
-flat table of *signals* (counters, gauges, log-histograms, quantile
-sketches, capped exact sample series) plus unhashed environment metadata
-(git sha, machine score, wall time).  Snapshots are what
+flat table of *signals* (counters, gauges, serialized
+:class:`~repro.obs.hub.QuantileSketch` histograms, capped exact sample
+series) plus unhashed environment metadata (git sha, machine score,
+wall time).  Snapshots are what
 :mod:`repro.obs.compare` diffs and :mod:`repro.obs.trend` charts.
 
 Layout of an archive directory::
@@ -46,7 +47,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
 from repro.obs.export import (
     MANIFEST_FILE,
@@ -54,11 +55,12 @@ from repro.obs.export import (
     read_manifest,
     read_metrics_jsonl,
 )
-from repro.obs.hub import LogHistogram, split_label
+from repro.obs.hub import QuantileSketch, split_label
 from repro.util.jsonl import iter_jsonl_objects
 
-#: Schema tag for snapshots and index lines.
-RUN_SCHEMA = "repro.obs/run@1"
+#: Schema tag for snapshots and index lines.  ``@2``: one distribution
+#: table, every payload a :class:`QuantileSketch`.
+RUN_SCHEMA = "repro.obs/run@2"
 
 #: Archive file/dir names.
 INDEX_FILE = "runs.jsonl"
@@ -102,22 +104,19 @@ def downsample(values: list[float], cap: int = SAMPLE_CAP) -> list[float]:
 
 
 def empty_signals() -> dict[str, Any]:
-    return {
-        "counters": {}, "gauges": {}, "histograms": {},
-        "sketches": {}, "samples": {},
-    }
+    return {"counters": {}, "gauges": {}, "histograms": {}, "samples": {}}
 
 
 @dataclass
 class RunSnapshot:
     """One archived run: hashed signal table + unhashed metadata.
 
-    ``signals`` holds five tables keyed by signal name:
+    ``signals`` holds four tables keyed by signal name:
 
     * ``counters`` — monotonic event totals (int).
     * ``gauges`` — levels / percentile points (float).
-    * ``histograms`` — :meth:`LogHistogram.as_dict` payloads.
-    * ``sketches`` — :meth:`QuantileSketch.as_dict` payloads.
+    * ``histograms`` — :meth:`QuantileSketch.as_dict` payloads: the hub
+      histograms and a fleet run's ``time_to_converge``.
     * ``samples`` — exact value lists (capped, see :data:`SAMPLE_CAP`).
     """
 
@@ -248,12 +247,12 @@ def snapshot_from_obs_run(
     for full, data in export.get("ewmas", {}).items():
         base = split_label(full)[1]
         worst[base] = max(worst.get(base, -math.inf), float(data["value"]))
-    merged: dict[str, LogHistogram] = {}
+    merged: dict[str, QuantileSketch] = {}
     for full, data in export.get("histograms", {}).items():
         base = split_label(full)[1]
         if base not in merged:
-            merged[base] = LogHistogram(base)
-        merged[base].merge(LogHistogram.from_dict(base, data))
+            merged[base] = QuantileSketch()
+        merged[base].merge(QuantileSketch.from_dict(data))
     series_values: dict[str, list[float]] = {}
     for full in sorted(export.get("series", {})):
         base = split_label(full)[1]
@@ -326,7 +325,9 @@ def snapshot_from_fleet_run(
         ):
             signals["gauges"][f"time_to_converge/{point}"] = float(value)
         if isinstance(aggregate.get("sketch"), Mapping):
-            signals["sketches"]["time_to_converge"] = dict(aggregate["sketch"])
+            signals["histograms"]["time_to_converge"] = dict(
+                aggregate["sketch"]
+            )
         if "percentile_mode" in aggregate:
             meta["percentile_mode"] = aggregate["percentile_mode"]
         if "wall_time_total" in aggregate:
@@ -615,10 +616,3 @@ class RunArchive:
             f"run reference {ref!r} matches nothing in {self.root} "
             "(not a path, not an archived id, not 'latest')"
         )
-
-
-def archive_all(
-    archive: RunArchive, targets: Iterable[str | Path]
-) -> list[tuple[RunSnapshot, bool]]:
-    """Ingest several targets; returns each ``(snapshot, created)``."""
-    return [archive.ingest(target) for target in targets]

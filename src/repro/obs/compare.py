@@ -17,13 +17,13 @@ Three comparison shapes, most exact evidence first:
   spans zero demotes to YELLOW (*not significant*), and fewer than
   :data:`MIN_BOOTSTRAP_SAMPLES` observations per side caps the verdict
   at YELLOW (a single observation is never proof of regression).
-* **Distribution quantiles** (log-histograms / quantile sketches): the
-  diff compares *uncertainty intervals*, not point estimates.  Each
-  side answers ``quantile_bounds(q)`` — a sketch's ``[hi/(1+eps), hi]``
-  with ``eps`` the documented <=9.05% bound, a log2 histogram's
-  ``[hi/2, hi]``, an exact sample's ``[v, v]`` — and the gate worsens
-  only by ``current_lo - baseline_hi``.  Overlapping intervals are
-  GREEN by construction: **sketch noise can never raise a false RED.**
+* **Distribution quantiles** (quantile-sketch histograms): the diff
+  compares *uncertainty intervals*, not point estimates.  Each side
+  answers ``quantile_bounds(q)`` — a sketch's ``[hi/(1+eps), hi]`` with
+  ``eps`` the documented <=9.05% bound, an exact sample's ``[v, v]`` —
+  and the gate worsens only by ``current_lo - baseline_hi``.
+  Overlapping intervals are GREEN by construction: **sketch noise can
+  never raise a false RED.**
 
 The rendered verdict table is a pure function of the two snapshots
 (no timestamps, no machine fields), so a diff replayed from the archive
@@ -39,7 +39,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from repro.obs.archive import RunSnapshot
 from repro.obs.health import HealthState, signal_level, vote
-from repro.obs.hub import LogHistogram
+from repro.obs.hub import QuantileSketch, percentile
 
 #: Bootstrap parameters — fixed seed and round count so the CI is a
 #: deterministic function of the two sample lists (replayable diffs).
@@ -325,36 +325,23 @@ def classify_bounds(
 # ----------------------------------------------------------------------
 # Distribution access
 # ----------------------------------------------------------------------
-def _exact_quantile(values: Sequence[float], q: float) -> float:
-    from repro.fleet.aggregate import percentile
-
-    return percentile(list(values), q * 100.0)
-
-
 def distribution_bounds(
     snapshot: RunSnapshot, name: str, q: float
 ) -> tuple[float, float] | None:
     """``(lo, hi)`` bounds on the true ``q``-quantile of signal ``name``.
 
-    Prefers the sketch (tightest documented bound), then the log2
-    histogram, then exact samples (zero-width interval); ``None`` when
-    the snapshot has no distribution evidence under that name.  Mixed
-    comparisons (exact on one side, sketch on the other) fall out for
-    free: each side answers with its own honest interval.
+    Prefers the sketch histogram, then exact samples (zero-width
+    interval); ``None`` when the snapshot has no distribution evidence
+    under that name.  Mixed comparisons (exact on one side, sketch on
+    the other) fall out for free: each side answers with its own honest
+    interval.
     """
-    sketches = snapshot.signals.get("sketches", {})
-    if name in sketches:
-        from repro.fleet.aggregate import QuantileSketch
-
-        return QuantileSketch.from_dict(sketches[name]).quantile_bounds(q)
     histograms = snapshot.signals.get("histograms", {})
     if name in histograms:
-        return LogHistogram.from_dict(
-            name, histograms[name]
-        ).quantile_bounds(q)
+        return QuantileSketch.from_dict(histograms[name]).quantile_bounds(q)
     samples = snapshot.signals.get("samples", {})
     if samples.get(name):
-        value = _exact_quantile(samples[name], q)
+        value = percentile(samples[name], q * 100.0)
         return (value, value)
     return None
 
@@ -452,9 +439,7 @@ def diff_runs(
 
     dist_names = (
         set(baseline.signals.get("histograms", {}))
-        | set(baseline.signals.get("sketches", {}))
         | set(current.signals.get("histograms", {}))
-        | set(current.signals.get("sketches", {}))
     )
     for name in sorted(dist_names):
         policy = policy_for(name, policies)

@@ -34,7 +34,7 @@ from repro.sim.trace import TraceRecord, TraceRecorder
 from repro.util.jsonl import iter_jsonl_objects
 
 #: Schema tags (bump on breaking shape changes; consumers dispatch on them).
-METRICS_SCHEMA = "repro.obs/metrics@1"
+METRICS_SCHEMA = "repro.obs/metrics@2"
 MANIFEST_SCHEMA = "repro.obs/manifest@1"
 TRACE_RECORDS_SCHEMA = "repro.obs/trace-records@1"
 

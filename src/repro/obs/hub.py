@@ -11,9 +11,10 @@ instrument kinds cover everything the controller and the exporters need:
   :class:`~repro.obs.sampler.Sampler` snapshots gauges into time series.
 * :class:`EwmaGauge` — exponentially weighted moving average over
   observations; the controller's smoothed loss signal.
-* :class:`LogHistogram` — fixed log2 buckets over a positive range;
-  constant memory no matter how many observations (recovery latencies,
-  save waits).
+* :class:`QuantileSketch` — sparse log-bucket histogram, 8 buckets per
+  octave; memory bounded by the value range, not the observation count
+  (recovery latencies).  The fleet folds convergence times into the
+  same type, so every distribution in the repo merges one way.
 
 **Labels and fan-in.**  A multiplexing driver (the gateway) gives each
 SA its own *sub-hub* (``hub.sub("sa3")``): the same instrument API, but
@@ -43,8 +44,10 @@ the same pattern as ``Engine.default_hard_event_limit``.
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_right
 from contextlib import contextmanager
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.sim.metrics import TimeSeries
 
@@ -52,15 +55,6 @@ from repro.sim.metrics import TimeSeries
 #: observation; ~0.25 tracks a regime shift within a handful of samples
 #: without chasing single-packet noise).
 DEFAULT_EWMA_ALPHA = 0.25
-
-#: Fixed :class:`LogHistogram` range: bucket i covers values in
-#: ``[2**(LOG_BUCKET_LOW + i), 2**(LOG_BUCKET_LOW + i + 1))``.  The span
-#: 2**-30 (~1 ns) .. 2**10 (~17 min) covers every duration the
-#: simulation produces; values outside clamp to the edge buckets.
-LOG_BUCKET_LOW = -30
-LOG_BUCKET_HIGH = 10
-LOG_BUCKET_COUNT = LOG_BUCKET_HIGH - LOG_BUCKET_LOW + 2  # + under/overflow
-
 
 class HubCounter:
     """A named monotonic counter."""
@@ -117,22 +111,69 @@ class EwmaGauge:
         self.observations += 1
 
 
-class LogHistogram:
-    """Fixed log2-bucket histogram over positive values.
+#: Sub-buckets per octave in :class:`QuantileSketch` — 8 log2-uniform
+#: slices per power of two, giving a guaranteed relative error of at
+#: most 2**(1/8) - 1 (~9.05%) per quantile.
+SKETCH_SUBBUCKETS = 8
 
-    Bucket boundaries are process-wide constants (:data:`LOG_BUCKET_LOW`
-    / :data:`LOG_BUCKET_HIGH`), so histograms from different runs and
-    different SAs merge by plain vector addition — the property the
-    campaign-level rollup relies on.  Values at or below zero land in
-    the underflow bucket (index 0); values above the top boundary in
-    the overflow bucket (the last index).
+#: Exclusive upper edges of the sub-buckets within one octave, as
+#: mantissa multipliers in [1, 2].
+_MANTISSA_EDGES = tuple(
+    2.0 ** (k / SKETCH_SUBBUCKETS) for k in range(SKETCH_SUBBUCKETS + 1)
+)
+
+#: Guaranteed worst-case relative error of a sketch quantile.  Every
+#: serialized sketch carries it, and :meth:`QuantileSketch.from_dict`
+#: refuses a payload cut at any other resolution: its bucket indices
+#: would name other ranges.
+SKETCH_RELATIVE_ERROR = 2.0 ** (1.0 / SKETCH_SUBBUCKETS) - 1.0
+
+
+def percentile(values: Sequence[float], q: float) -> float:
+    """Linear-interpolation percentile (``q`` in [0, 100]) of ``values``.
+
+    Raises:
+        ValueError: on an empty sequence or ``q`` outside [0, 100].
+    """
+    if not values:
+        raise ValueError("percentile of an empty sequence")
+    if not 0.0 <= q <= 100.0:
+        raise ValueError(f"percentile q={q} outside [0, 100]")
+    ordered = sorted(values)
+    if len(ordered) == 1:
+        return ordered[0]
+    rank = (q / 100.0) * (len(ordered) - 1)
+    low = int(rank)
+    high = min(low + 1, len(ordered) - 1)
+    return ordered[low] + (rank - low) * (ordered[high] - ordered[low])
+
+
+class QuantileSketch:
+    """Streaming quantiles over positive values in bounded memory.
+
+    The hub's histogram instrument and the fleet's convergence-time
+    distribution.  A sparse log-bucket histogram with
+    :data:`SKETCH_SUBBUCKETS` slices per octave: bucket edges are the
+    process-wide constants ``2**(i/8)``, so sketches from any SA, task,
+    shard, worker, or run merge by plain vector addition, and ``merge``
+    is associative and commutative by construction.  The buckets are
+    sparse, so the range is every positive finite float.
+
+    :meth:`quantile` returns the *upper edge* of the bucket holding the
+    ``ceil(q * count)``-th order statistic, clamped to the observed
+    maximum: a conservative estimate that never understates and is
+    within :data:`SKETCH_RELATIVE_ERROR` of the true order statistic.
+    Non-positive values (possible in principle for a degenerate metric)
+    count toward ranks via an underflow bucket answered by the exact
+    minimum.
     """
 
-    __slots__ = ("name", "counts", "count", "total", "minimum", "maximum")
+    __slots__ = ("counts", "underflow", "count", "total", "minimum", "maximum")
 
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.counts = [0] * LOG_BUCKET_COUNT
+    def __init__(self) -> None:
+        #: sparse bucket table: global bucket index -> count.
+        self.counts: dict[int, int] = {}
+        self.underflow = 0
         self.count = 0
         self.total = 0.0
         self.minimum = math.inf
@@ -140,26 +181,25 @@ class LogHistogram:
 
     @staticmethod
     def bucket_index(x: float) -> int:
-        """The fixed bucket for value ``x`` (0 = underflow)."""
-        if x <= 0.0:
-            return 0
-        # frexp: x = m * 2**e with m in [0.5, 1), so floor(log2 x) = e - 1.
-        exponent = math.frexp(x)[1] - 1
-        if exponent < LOG_BUCKET_LOW:
-            return 0
-        if exponent > LOG_BUCKET_HIGH:
-            return LOG_BUCKET_COUNT - 1
-        return exponent - LOG_BUCKET_LOW + 1
+        """Global bucket index of positive ``x`` (octave * 8 + slice)."""
+        mantissa, exponent = math.frexp(x)  # x = m * 2**e, m in [0.5, 1)
+        octave = exponent - 1
+        slice_index = bisect_right(_MANTISSA_EDGES, 2.0 * mantissa) - 1
+        return octave * SKETCH_SUBBUCKETS + slice_index
 
     @staticmethod
     def bucket_upper_bound(index: int) -> float:
-        """Exclusive upper bound of bucket ``index`` (inf for overflow)."""
-        if index >= LOG_BUCKET_COUNT - 1:
-            return math.inf
-        return 2.0 ** (LOG_BUCKET_LOW + index)
+        """Exclusive upper edge of global bucket ``index``."""
+        octave, slice_index = divmod(index, SKETCH_SUBBUCKETS)
+        return _MANTISSA_EDGES[slice_index + 1] * 2.0 ** octave
 
     def observe(self, x: float) -> None:
-        self.counts[self.bucket_index(x)] += 1
+        x = float(x)
+        if x > 0.0 and math.isfinite(x):
+            index = self.bucket_index(x)
+            self.counts[index] = self.counts.get(index, 0) + 1
+        else:
+            self.underflow += 1
         self.count += 1
         self.total += x
         if x < self.minimum:
@@ -167,38 +207,46 @@ class LogHistogram:
         if x > self.maximum:
             self.maximum = x
 
+    def merge(self, other: "QuantileSketch") -> None:
+        """Fold another sketch in (vector addition on the fixed buckets)."""
+        for index, bucket_count in other.counts.items():
+            self.counts[index] = self.counts.get(index, 0) + bucket_count
+        self.underflow += other.underflow
+        self.count += other.count
+        self.total += other.total
+        self.minimum = min(self.minimum, other.minimum)
+        self.maximum = max(self.maximum, other.maximum)
+
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
     def quantile(self, q: float) -> float:
-        """Upper bound of the bucket holding the ``q``-quantile.
-
-        A conservative estimate (never understates): accurate to one
-        log2 bucket, which is what a fixed-memory histogram buys.
-        Returns 0.0 when empty.
-        """
+        """Conservative ``q``-quantile (``q`` in [0, 1]); 0.0 when empty."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
         if self.count == 0:
             return 0.0
         rank = q * self.count
-        seen = 0
-        for index, bucket_count in enumerate(self.counts):
-            seen += bucket_count
-            if seen >= rank and bucket_count:
+        seen = self.underflow
+        if seen >= rank and self.underflow:
+            return self.minimum
+        for index in sorted(self.counts):
+            seen += self.counts[index]
+            if seen >= rank:
                 return min(self.bucket_upper_bound(index), self.maximum)
         return self.maximum
 
     def quantile_bounds(self, q: float) -> tuple[float, float]:
         """``(lo, hi)`` bounds containing the true ``q``-quantile.
 
-        ``hi`` is :meth:`quantile` (the conservative upper edge); ``lo``
-        is the bucket's lower edge (one octave down), clamped to the
-        observed minimum.  Degenerate cases are exact: an empty
-        histogram answers ``(0.0, 0.0)`` and a single-valued one (min ==
-        max) answers the value itself with zero width — so a diff
-        between two exact histograms cannot hide behind bucket slop.
+        ``hi`` is the conservative :meth:`quantile`; ``lo`` divides out
+        the documented :data:`SKETCH_RELATIVE_ERROR` (<=9.05%), clamped
+        to the observed minimum.  Degenerate cases are exact: empty ->
+        ``(0.0, 0.0)``; a single observation or an all-equal stream
+        (min == max) -> the value itself with zero width.  Cross-run
+        diffing gates on these bounds, which is what makes sketch noise
+        unable to fake a regression.
         """
         if self.count == 0:
             return (0.0, 0.0)
@@ -206,79 +254,83 @@ class LogHistogram:
             return (self.maximum, self.maximum)
         high = self.quantile(q)
         if high <= 0.0:
-            # Underflow bucket: only the exact minimum is known.
+            # Underflow-resolved quantile: the exact minimum answered.
             return (min(self.minimum, high), high)
-        if high <= self.bucket_upper_bound(0):
-            # Bucket 0 spans (-inf, 2^LOG_BUCKET_LOW] — many octaves —
-            # so "one octave down" would overstate the floor; the
-            # observed minimum is the only honest lower edge.
-            return (min(self.minimum, high), high)
-        low = max(high / 2.0, self.minimum)
+        low = high / (1.0 + SKETCH_RELATIVE_ERROR)
+        if math.isfinite(self.minimum):
+            low = max(low, self.minimum)
         return (min(low, high), high)
-
-    def merge(self, other: "LogHistogram") -> None:
-        """Fold another histogram (same fixed buckets) into this one."""
-        for index, bucket_count in enumerate(other.counts):
-            self.counts[index] += bucket_count
-        self.count += other.count
-        self.total += other.total
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
 
     def as_dict(self) -> dict[str, Any]:
         return {
             "count": self.count,
+            "underflow": self.underflow,
             "total": self.total,
             "min": self.minimum if self.count else 0.0,
             "max": self.maximum if self.count else 0.0,
             "mean": self.mean,
+            "relative_error": SKETCH_RELATIVE_ERROR,
             "p50": self.quantile(0.5),
             "p99": self.quantile(0.99),
             # Sparse encoding: only occupied buckets, index -> count.
             "buckets": {
-                str(i): c for i, c in enumerate(self.counts) if c
+                str(index): self.counts[index] for index in sorted(self.counts)
             },
         }
 
     @classmethod
-    def from_dict(cls, name: str, data: Mapping[str, Any]) -> "LogHistogram":
-        """Rebuild from :meth:`as_dict` output (exact round-trip — the
-        derived fields are recomputed, not trusted).
+    def from_dict(cls, data: Mapping[str, Any]) -> "QuantileSketch":
+        """Rebuild from :meth:`as_dict` output (exact round-trip; the
+        derived ``mean``/``p50``/``p99`` are recomputed, not trusted).
 
-        Tolerates payloads missing ``min``/``max`` (hand-trimmed or
-        older exports): the extremes are derived from the occupied
-        bucket edges, which keeps them honest bounds — the derived min
-        never overstates, the derived max never understates — so
-        quantiles and diff bounds stay conservative.
+        Payloads missing ``min``/``max`` (hand-trimmed ones) derive
+        honest extremes from the occupied bucket edges: the derived min
+        is a bucket *lower* edge (never overstates), the derived max a
+        bucket *upper* edge (never understates), so quantiles and diff
+        bounds stay conservative.
+
+        Raises:
+            ValueError: a non-empty payload whose ``relative_error`` is
+                missing or is not :data:`SKETCH_RELATIVE_ERROR` — its
+                bucket indices mean other ranges, so it is refused
+                rather than misread.
         """
-        histogram = cls(name)
+        if (data.get("count") or data.get("buckets")) and (
+            data.get("relative_error") != SKETCH_RELATIVE_ERROR
+        ):
+            raise ValueError(
+                "sketch payload has relative_error "
+                f"{data.get('relative_error')!r}, not "
+                f"{SKETCH_RELATIVE_ERROR!r}: its buckets use another "
+                "resolution"
+            )
+        sketch = cls()
         for index, bucket_count in data.get("buckets", {}).items():
-            histogram.counts[int(index)] = int(bucket_count)
-        histogram.count = int(data.get("count", 0))
-        histogram.total = float(data.get("total", 0.0))
-        if histogram.count:
-            occupied = [i for i, c in enumerate(histogram.counts) if c]
+            sketch.counts[int(index)] = int(bucket_count)
+        sketch.underflow = int(data.get("underflow", 0))
+        sketch.count = int(data.get("count", 0))
+        sketch.total = float(data.get("total", 0.0))
+        if sketch.count:
             if "min" in data:
-                histogram.minimum = float(data["min"])
-            elif occupied:
-                lowest = occupied[0]
-                histogram.minimum = (
-                    0.0 if lowest == 0
-                    else 2.0 ** (LOG_BUCKET_LOW + lowest - 1)
+                sketch.minimum = float(data["min"])
+            elif sketch.counts and not sketch.underflow:
+                sketch.minimum = cls.bucket_upper_bound(
+                    min(sketch.counts) - 1
                 )
             else:
-                histogram.minimum = 0.0
+                sketch.minimum = 0.0
             if "max" in data:
-                histogram.maximum = float(data["max"])
-            elif occupied:
-                upper = cls.bucket_upper_bound(occupied[-1])
-                histogram.maximum = (
-                    upper if math.isfinite(upper)
-                    else max(histogram.total, histogram.minimum)
+                sketch.maximum = float(data["max"])
+            elif sketch.counts:
+                # The top octave's last edge (2**1024) overflows to inf;
+                # no finite value exceeds the largest float.
+                sketch.maximum = min(
+                    cls.bucket_upper_bound(max(sketch.counts)),
+                    sys.float_info.max,
                 )
             else:
-                histogram.maximum = histogram.minimum
-        return histogram
+                sketch.maximum = sketch.minimum
+        return sketch
 
 
 class _Registry:
@@ -290,7 +342,7 @@ class _Registry:
         self.counters: dict[str, HubCounter] = {}
         self.gauges: dict[str, Gauge] = {}
         self.ewmas: dict[str, EwmaGauge] = {}
-        self.histograms: dict[str, LogHistogram] = {}
+        self.histograms: dict[str, QuantileSketch] = {}
         self.series: dict[str, TimeSeries] = {}
         self.labels: list[str] = []
 
@@ -380,12 +432,12 @@ class MetricsHub:
             found = table[full] = EwmaGauge(full, alpha=alpha)
         return found
 
-    def histogram(self, name: str) -> LogHistogram:
+    def histogram(self, name: str) -> QuantileSketch:
         full = self._prefix + name
         table = self._registry.histograms
         found = table.get(full)
         if found is None:
-            found = table[full] = LogHistogram(full)
+            found = table[full] = QuantileSketch()
         return found
 
     def series(self, name: str) -> TimeSeries:
@@ -461,11 +513,11 @@ class MetricsHub:
         for name, ewma in self._registry.ewmas.items():
             base = split_label(name)[1]
             worst[base] = max(worst.get(base, -math.inf), ewma.value)
-        merged: dict[str, LogHistogram] = {}
+        merged: dict[str, QuantileSketch] = {}
         for name, histogram in self._registry.histograms.items():
             base = split_label(name)[1]
             if base not in merged:
-                merged[base] = LogHistogram(base)
+                merged[base] = QuantileSketch()
             merged[base].merge(histogram)
         return {
             "labels": len(self._registry.labels),
@@ -540,7 +592,7 @@ class NullHub(MetricsHub):
     def ewma(self, name: str, alpha: float = DEFAULT_EWMA_ALPHA) -> EwmaGauge:  # type: ignore[override]
         return _NULL_INSTRUMENT  # type: ignore[return-value]
 
-    def histogram(self, name: str) -> LogHistogram:  # type: ignore[override]
+    def histogram(self, name: str) -> QuantileSketch:  # type: ignore[override]
         return _NULL_INSTRUMENT  # type: ignore[return-value]
 
     def series(self, name: str) -> TimeSeries:  # type: ignore[override]
@@ -573,7 +625,7 @@ def merge_rollups(rollups: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
     merged: dict[str, Any] = {
         "tasks": 0, "labels": 0, "counters": {}, "worst_gauges": {},
     }
-    histograms: dict[str, LogHistogram] = {}
+    histograms: dict[str, QuantileSketch] = {}
     for rollup in rollups:
         merged["tasks"] += rollup.get("tasks", 1)
         merged["labels"] += rollup.get("labels", 0)
@@ -584,7 +636,7 @@ def merge_rollups(rollups: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
                 merged["worst_gauges"].get(name, -math.inf), value
             )
         for name, data in rollup.get("histograms", {}).items():
-            incoming = LogHistogram.from_dict(name, data)
+            incoming = QuantileSketch.from_dict(data)
             if name in histograms:
                 histograms[name].merge(incoming)
             else:

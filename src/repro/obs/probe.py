@@ -10,7 +10,8 @@ the ROADMAP's ``repro.control`` adaptive controller consumes:
   until the newest one commits (on a gateway's shared store this is the
   device queueing the sizing rule provisions for).
 * ``recovery_latency`` — reset-to-resume duration per completed reset,
-  as a fixed-memory log histogram plus a time series.
+  as a :class:`~repro.obs.hub.QuantileSketch` histogram plus a time
+  series.
 * ``path_transitions`` / ``blackholed`` — netpath regime activity.
 
 Probes are **pull-based**: they touch nothing on the per-packet hot

@@ -9,9 +9,10 @@ the band the *previous* runs established (the point under test never
 vets itself).
 
 Signal addressing uses the archive's flat names, with an ``@`` suffix
-to reach inside distributions: ``recovery_latency@p99`` is the sketch /
-histogram / exact-sample 99th percentile, ``metric/time_to_converge@mean``
-the sample mean.  Bare names hit counters first, then gauges.
+to reach inside distributions: ``recovery_latency@p99`` and
+``time_to_converge@p99`` are sketch-histogram 99th percentiles,
+``metric/time_to_converge@mean`` an exact sample mean.  Bare names hit
+counters first, then gauges.
 
 Everything here is a pure function of the snapshot sequence — no
 timestamps, no machine fields — so a history table rendered at ingest
@@ -22,10 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Sequence
 
 from repro.obs.archive import RunSnapshot
-from repro.obs.hub import LogHistogram
+from repro.obs.hub import QuantileSketch, percentile
 
 #: EWMA smoothing for the center line and the variance band.  0.3 tracks
 #: a genuine level shift within ~3 runs without chasing a single outlier.
@@ -59,23 +60,16 @@ def signal_value(snapshot: RunSnapshot, name: str) -> float | None:
         if base in signals.get("gauges", {}):
             return float(signals["gauges"][base])
         return None
-    sketches = signals.get("sketches", {})
-    if base in sketches:
-        from repro.fleet.aggregate import QuantileSketch
-
-        return _dist_stat(QuantileSketch.from_dict(sketches[base]), stat)
     histograms = signals.get("histograms", {})
     if base in histograms:
-        return _dist_stat(
-            LogHistogram.from_dict(base, histograms[base]), stat
-        )
+        return _dist_stat(QuantileSketch.from_dict(histograms[base]), stat)
     samples = signals.get("samples", {})
     if samples.get(base):
         return _sample_stat([float(v) for v in samples[base]], stat)
     return None
 
 
-def _dist_stat(dist: Any, stat: str) -> float | None:
+def _dist_stat(dist: QuantileSketch, stat: str) -> float | None:
     if stat == "mean":
         return float(dist.mean)
     if stat == "max":
@@ -96,8 +90,6 @@ def _sample_stat(values: list[float], stat: str) -> float | None:
     if stat == "max":
         return max(values)
     if stat.startswith("p"):
-        from repro.fleet.aggregate import percentile
-
         try:
             q = float(stat[1:])
         except ValueError:

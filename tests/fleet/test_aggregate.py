@@ -1,21 +1,20 @@
-"""Tests for repro.fleet.aggregate: percentiles, summaries, outliers."""
+"""Tests for repro.fleet.aggregate: percentiles, summaries, outliers,
+and the quantile sketch (from repro.obs.hub) the fold spills to."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.fleet.aggregate import (
-    SKETCH_RELATIVE_ERROR,
     CampaignAggregate,
     FleetSummary,
     Outlier,
     OutlierReservoir,
-    QuantileSketch,
-    percentile,
     summarize,
     summarize_store,
 )
 from repro.fleet.results import STATUS_ERROR, STATUS_OK, TaskRecord
+from repro.obs.hub import SKETCH_RELATIVE_ERROR, QuantileSketch, percentile
 
 
 def record(task_id: str, **overrides) -> TaskRecord:
@@ -371,11 +370,7 @@ class TestSummarizeStore:
         assert summarize_store(store) == summarize(store.records())
 
     def test_identical_across_shard_counts_and_backends(self, tmp_path):
-        from repro.fleet.results import (
-            ResultStore,
-            ShardedResultStore,
-            SqliteResultStore,
-        )
+        from repro.fleet.results import ResultStore, ShardedResultStore
 
         items = self.records()
         summaries = []
@@ -384,7 +379,6 @@ class TestSummarizeStore:
             ("b0", lambda p: ShardedResultStore(p / "s0", bits=0)),
             ("b2", lambda p: ShardedResultStore(p / "s2", bits=2)),
             ("b5", lambda p: ShardedResultStore(p / "s5", bits=5)),
-            ("sqlite", lambda p: SqliteResultStore(p / "r.sqlite")),
         ]:
             store = store_with(items, make, tmp_path / tag)
             summaries.append(summarize_store(store))

@@ -27,9 +27,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.fleet.aggregate import SKETCH_RELATIVE_ERROR, summarize_store
+from repro.fleet.aggregate import summarize_store
 from repro.fleet.results import STATUS_OK, ShardedResultStore
 from repro.fleet.spec import SampledCampaign, megafleet_spec
+from repro.obs.hub import SKETCH_RELATIVE_ERROR
 
 SAMPLE = 2000
 JOBS = 2

@@ -9,7 +9,6 @@ from repro.fleet.results import (
     STATUS_OK,
     ResultStore,
     ShardedResultStore,
-    SqliteResultStore,
     TaskRecord,
     detect_store_kind,
     make_store,
@@ -280,40 +279,6 @@ class TestShardMultisetProperty:
                 )
 
 
-class TestSqliteResultStore:
-    def test_append_then_read_back_in_order(self, tmp_path):
-        store = SqliteResultStore(tmp_path / "r.sqlite")
-        records = [make_record("a"), make_record("b", status=STATUS_ERROR)]
-        for record in records:
-            store.append(record)
-        assert list(store.records()) == records
-        assert len(store) == 2
-        assert store.completed_ids() == {"a"}
-        store.close()
-
-    def test_records_survive_reopen(self, tmp_path):
-        store = SqliteResultStore(tmp_path / "r.sqlite")
-        store.append(make_record("a"))
-        store.close()
-        reopened = SqliteResultStore(tmp_path / "r.sqlite")
-        assert [r.task_id for r in reopened.records()] == ["a"]
-        reopened.close()
-
-    def test_stores_canonical_json_lines(self, tmp_path):
-        # The SQLite backend persists the same canonical line a JSONL
-        # store would, so records move between backends byte-identically.
-        store = SqliteResultStore(tmp_path / "r.sqlite")
-        record = make_record("a", converged=True)
-        store.append(record)
-        (line,) = [
-            row[0] for row in store._connection.execute(
-                "SELECT line FROM records"
-            )
-        ]
-        assert line == record.to_json()
-        store.close()
-
-
 class TestStoreFactory:
     def test_make_store_builds_each_kind(self, tmp_path):
         assert isinstance(make_store("jsonl", tmp_path / "a"), ResultStore)
@@ -321,13 +286,10 @@ class TestStoreFactory:
             make_store("sharded", tmp_path / "b", shard_bits=2),
             ShardedResultStore,
         )
-        sqlite_store = make_store("sqlite", tmp_path / "c")
-        assert isinstance(sqlite_store, SqliteResultStore)
-        sqlite_store.close()
 
     def test_make_store_rejects_unknown_kind(self, tmp_path):
         with pytest.raises(ValueError, match="unknown store kind"):
-            make_store("csv", tmp_path)
+            make_store("sqlite", tmp_path)
 
     def test_detect_store_kind_finds_existing_backend(self, tmp_path):
         assert detect_store_kind(tmp_path) is None

@@ -238,21 +238,6 @@ class TestStoreBackends:
             )
         assert record_lines(partial) == record_lines(full)
 
-    def test_sqlite_store_runs_and_resumes(self, tmp_path):
-        from repro.fleet.results import SqliteResultStore
-
-        spec = example_spec(sessions=9)
-        store = SqliteResultStore(tmp_path / "r.sqlite")
-        first = FleetRunner(spec, store).run()
-        assert len(first.executed) == 9
-        second = FleetRunner(spec, store).run()
-        assert second.skipped == 9
-        store.close()
-        # Records are durable across a reopen (persist-before-acknowledge).
-        reopened = SqliteResultStore(tmp_path / "r.sqlite")
-        assert len(reopened.completed_ids()) == 9
-        reopened.close()
-
     def test_sampled_campaign_runs_and_resumes(self, tmp_path):
         from repro.fleet.results import ShardedResultStore
         from repro.fleet.spec import SampledCampaign

@@ -116,15 +116,6 @@ class TestCli:
         assert main(["fleet", str(spec_path), "--out", str(out_dir)]) == 0
         assert "(8 resumed from store)" in capsys.readouterr().out
 
-    def test_fleet_sqlite_store(self, tmp_path, capsys):
-        spec_path = self.write_small_spec(tmp_path)
-        out_dir = tmp_path / "runs"
-        args = ["fleet", str(spec_path), "--out", str(out_dir),
-                "--store", "sqlite"]
-        assert main(args) == 0
-        assert (out_dir / "results.sqlite").exists()
-        assert "[sqlite]" in capsys.readouterr().out
-
     def test_fleet_sample_count_runs_subsample(self, tmp_path, capsys):
         import json
 

@@ -107,6 +107,21 @@ class TestRunSnapshot:
         with pytest.raises(ValueError, match="not a"):
             RunSnapshot.from_dict({"schema": "something/else@9"})
 
+    def test_from_dict_refuses_run_v1_document(self):
+        # A run@1 snapshot carried a separate ``sketches`` table and
+        # one-bucket-per-octave histograms: refused by schema, before
+        # its dropped table could surface as a hash mismatch.
+        signals = {"counters": {"events": 1}, "gauges": {},
+                   "histograms": {}, "samples": {},
+                   "sketches": {"time_to_converge": {"count": 0}}}
+        document = {
+            "schema": "repro.obs/run@1", "kind": KIND_OBS, "name": "run",
+            "run_id": RunSnapshot.content_hash(KIND_OBS, "run", signals),
+            "signals": signals, "meta": {}, "sources": [],
+        }
+        with pytest.raises(ValueError, match="schema='repro.obs/run@1'"):
+            RunSnapshot.from_dict(document)
+
     def test_from_dict_rejects_edited_content(self):
         data = make_snapshot().as_dict()
         data["signals"]["counters"]["events"] = 42  # tamper after hashing
@@ -182,7 +197,7 @@ class TestFleetExtractor:
         assert snapshot.signals["counters"]["errors"] == 0
 
     def test_convergence_points_and_sketch(self, tmp_path):
-        from repro.fleet.aggregate import QuantileSketch
+        from repro.obs.hub import QuantileSketch
 
         sketch = QuantileSketch()
         for value in (0.001, 0.002, 0.004):
@@ -196,9 +211,9 @@ class TestFleetExtractor:
         }))
         snapshot = snapshot_from_fleet_run(out)
         assert snapshot.signals["gauges"]["time_to_converge/p99"] == 0.004
-        assert "time_to_converge" in snapshot.signals["sketches"]
+        assert "time_to_converge" in snapshot.signals["histograms"]
         loaded = QuantileSketch.from_dict(
-            snapshot.signals["sketches"]["time_to_converge"]
+            snapshot.signals["histograms"]["time_to_converge"]
         )
         assert loaded.count == 3
 

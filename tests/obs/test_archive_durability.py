@@ -4,8 +4,8 @@ The warehouse's ordering contract — snapshot file first (atomic), index
 line second (fsynced, salvageable) — means any crash leaves an archive
 that reads correctly and that re-ingesting the same run heals
 completely.  These tests drive each failure point explicitly, plus the
-backend-parity acceptance: the same campaign through the jsonl, sharded
-and sqlite result stores archives to diffable snapshots that self-diff
+backend-parity acceptance: the same campaign through the jsonl and
+sharded result stores archives to diffable snapshots that self-diff
 all-GREEN.
 """
 
@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.fleet.results import STORE_KINDS
 from repro.obs.archive import KIND_OBS, RunArchive, RunSnapshot
 from repro.obs.compare import diff_runs
 from repro.obs.health import HealthState
@@ -145,13 +146,8 @@ def run_backend_campaign(tmp_path, backend):
     out = tmp_path / backend
     out.mkdir()
     store = make_store(backend, out)
-    try:
-        run_campaign(spec, store=store)
-        aggregate = aggregate_store(store)
-    finally:
-        close = getattr(store, "close", None)
-        if close is not None:
-            close()
+    run_campaign(spec, store=store)
+    aggregate = aggregate_store(store)
     payload = aggregate.summary().as_dict()
     if aggregate.sketch.count:
         payload["sketch"] = aggregate.sketch.as_dict()
@@ -160,7 +156,7 @@ def run_backend_campaign(tmp_path, backend):
 
 
 class TestBackendParity:
-    @pytest.mark.parametrize("backend", ["jsonl", "sharded", "sqlite"])
+    @pytest.mark.parametrize("backend", STORE_KINDS)
     def test_self_diff_green_on_every_backend(self, tmp_path, backend):
         from repro.obs.archive import snapshot_from_fleet_run
 
@@ -177,7 +173,7 @@ class TestBackendParity:
             snapshot_from_fleet_run(
                 run_backend_campaign(tmp_path, backend), name="parity"
             )
-            for backend in ("jsonl", "sharded", "sqlite")
+            for backend in STORE_KINDS
         ]
         ids = {snapshot.run_id for snapshot in snapshots}
         assert len(ids) == 1, "backends disagreed on campaign content"

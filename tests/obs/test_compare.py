@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.fleet.aggregate import SKETCH_RELATIVE_ERROR, QuantileSketch
 from repro.obs.archive import KIND_OBS, RunSnapshot
 from repro.obs.compare import (
     DEFAULT_POLICIES,
@@ -17,17 +16,16 @@ from repro.obs.compare import (
     render_diff_table,
 )
 from repro.obs.health import HealthState
-from repro.obs.hub import LogHistogram
+from repro.obs.hub import SKETCH_RELATIVE_ERROR, QuantileSketch, percentile
 
 
 def snap(counters=None, gauges=None, samples=None, histograms=None,
-         sketches=None, name="run"):
+         name="run"):
     snapshot = RunSnapshot(kind=KIND_OBS, name=name)
     snapshot.signals["counters"].update(counters or {})
     snapshot.signals["gauges"].update(gauges or {})
     snapshot.signals["samples"].update(samples or {})
     snapshot.signals["histograms"].update(histograms or {})
-    snapshot.signals["sketches"].update(sketches or {})
     return snapshot
 
 
@@ -172,13 +170,11 @@ class TestDistributionBounds:
         assert lo == hi
 
     def test_histogram_bounds_contain_truth(self):
-        hist = LogHistogram("lat")
+        hist = QuantileSketch()
         values = [0.001 * (1 + i % 7) for i in range(100)]
         for value in values:
             hist.observe(value)
         snapshot = snap(histograms={"lat": hist.as_dict()})
-        from repro.fleet.aggregate import percentile
-
         for q in (0.5, 0.9, 0.99):
             lo, hi = distribution_bounds(snapshot, "lat", q)
             truth = percentile(values, q * 100.0)
@@ -188,7 +184,7 @@ class TestDistributionBounds:
         sketch = QuantileSketch()
         for i in range(100):
             sketch.observe(0.001 * (1 + i % 7))
-        snapshot = snap(sketches={"lat": sketch.as_dict()},
+        snapshot = snap(histograms={"lat": sketch.as_dict()},
                         samples={"lat": [99.0]})
         lo, hi = distribution_bounds(snapshot, "lat", 0.99)
         assert hi < 99.0  # came from the sketch, not the sample
@@ -234,7 +230,7 @@ class TestDiffRuns:
         for value in values:
             sketch.observe(value)
         base = snap(samples={"recovery_latency": values})
-        cur = snap(sketches={"recovery_latency": sketch.as_dict()})
+        cur = snap(histograms={"recovery_latency": sketch.as_dict()})
         diff = diff_runs(base, cur)
         quantile_rows = [r for r in diff.rows if r.kind in ("p50", "p99")]
         assert quantile_rows
@@ -246,8 +242,8 @@ class TestDiffRuns:
             value = 0.001 * (1 + i % 5)
             base_sketch.observe(value)
             cur_sketch.observe(value * 2.0)  # 2x > 1.0905 sketch slop
-        base = snap(sketches={"recovery_latency": base_sketch.as_dict()})
-        cur = snap(sketches={"recovery_latency": cur_sketch.as_dict()})
+        base = snap(histograms={"recovery_latency": base_sketch.as_dict()})
+        cur = snap(histograms={"recovery_latency": cur_sketch.as_dict()})
         diff = diff_runs(base, cur)
         p99 = [r for r in diff.rows if r.kind == "p99"][0]
         assert p99.state is not HealthState.GREEN

@@ -102,6 +102,14 @@ class TestMetricsJsonl:
         errors = validate_metrics_lines([{"kind": "meta", "schema": "bogus@9"}])
         assert any(METRICS_SCHEMA in error for error in errors)
 
+    def test_validate_rejects_metrics_v1_header(self):
+        # metrics@1 histograms hold one bucket per octave; the sketch
+        # reads bucket indices at eight per octave.
+        lines = metrics_lines(populated_hub())
+        lines[0]["schema"] = "repro.obs/metrics@1"
+        errors = validate_metrics_lines(lines)
+        assert any("repro.obs/metrics@1" in error for error in errors)
+
     def test_validate_rejects_misplaced_meta(self):
         lines = metrics_lines(populated_hub())
         errors = validate_metrics_lines(lines[1:] + lines[:1])

@@ -5,14 +5,13 @@ import math
 import pytest
 
 from repro.obs.hub import (
-    LOG_BUCKET_COUNT,
     NULL_HUB,
     EwmaGauge,
     Gauge,
     HubCounter,
-    LogHistogram,
     MetricsHub,
     NullHub,
+    QuantileSketch,
     default_hub,
     merge_rollups,
     split_label,
@@ -51,19 +50,19 @@ class TestInstruments:
 
 
 class TestLogHistogram:
+    """The hub's histogram instrument, a log-bucket QuantileSketch."""
+
+    @staticmethod
+    def histogram() -> QuantileSketch:
+        return MetricsHub("run").histogram("x")
+
     def test_bucket_index_powers_of_two(self):
         # 1.0 = 2**0 lands in the bucket whose range starts at 2**0.
-        index = LogHistogram.bucket_index(1.0)
-        assert LogHistogram.bucket_upper_bound(index - 1) == 1.0
-
-    def test_under_and_overflow_clamp(self):
-        assert LogHistogram.bucket_index(0.0) == 0
-        assert LogHistogram.bucket_index(-5.0) == 0
-        assert LogHistogram.bucket_index(1e-40) == 0
-        assert LogHistogram.bucket_index(1e9) == LOG_BUCKET_COUNT - 1
+        index = QuantileSketch.bucket_index(1.0)
+        assert QuantileSketch.bucket_upper_bound(index - 1) == 1.0
 
     def test_observe_tracks_summary(self):
-        histogram = LogHistogram("x")
+        histogram = self.histogram()
         for value in (1e-4, 2e-4, 4e-4):
             histogram.observe(value)
         assert histogram.count == 3
@@ -72,7 +71,7 @@ class TestLogHistogram:
         assert histogram.mean == pytest.approx(7e-4 / 3)
 
     def test_quantile_conservative_within_one_bucket(self):
-        histogram = LogHistogram("x")
+        histogram = self.histogram()
         for _ in range(99):
             histogram.observe(1e-4)
         histogram.observe(1e-2)
@@ -82,13 +81,13 @@ class TestLogHistogram:
         assert histogram.quantile(1.0) == histogram.maximum
 
     def test_quantile_empty_and_bounds(self):
-        histogram = LogHistogram("x")
+        histogram = self.histogram()
         assert histogram.quantile(0.5) == 0.0
         with pytest.raises(ValueError):
             histogram.quantile(1.5)
 
     def test_merge_is_vector_addition(self):
-        left, right = LogHistogram("x"), LogHistogram("x")
+        left, right = self.histogram(), self.histogram()
         left.observe(1e-4)
         right.observe(1e-2)
         right.observe(2e-2)
@@ -96,17 +95,17 @@ class TestLogHistogram:
         assert left.count == 3
         assert left.minimum == 1e-4
         assert left.maximum == 2e-2
-        assert sum(left.counts) == 3
+        assert sum(left.counts.values()) == 3
 
     def test_from_dict_round_trip(self):
-        histogram = LogHistogram("x")
+        histogram = self.histogram()
         for value in (1e-4, 5e-4, 1e-3):
             histogram.observe(value)
-        rebuilt = LogHistogram.from_dict("x", histogram.as_dict())
+        rebuilt = QuantileSketch.from_dict(histogram.as_dict())
         assert rebuilt.as_dict() == histogram.as_dict()
 
     def test_empty_as_dict_is_finite(self):
-        exported = LogHistogram("x").as_dict()
+        exported = self.histogram().as_dict()
         assert exported["count"] == 0
         assert exported["min"] == 0.0 and exported["max"] == 0.0
         assert exported["buckets"] == {}

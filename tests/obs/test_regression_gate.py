@@ -9,11 +9,17 @@ CLI surfaces (`obs archive` / `obs diff` / `obs history`).
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.__main__ import main
-from repro.obs.archive import RunArchive, RunSnapshot, snapshot_target
+from repro.obs.archive import (
+    RunArchive,
+    RunSnapshot,
+    snapshot_from_obs_run,
+    snapshot_target,
+)
 from repro.obs.compare import diff_runs, render_diff_table
 from repro.obs.health import HealthState
 from repro.obs.trend import render_history_table
@@ -176,14 +182,14 @@ class TestByteIdenticalReplay:
         assert "!" in live_render or "anomaly" in live_render
 
 
+REFERENCE = (Path(__file__).resolve().parents[2]
+             / "benchmarks" / "baselines" / "obs_reference" / "run.json")
+
+
 class TestCommittedReference:
     def test_reference_snapshot_is_valid_and_hash_consistent(self):
-        from pathlib import Path
-
-        ref = (Path(__file__).resolve().parents[2]
-               / "benchmarks" / "baselines" / "obs_reference" / "run.json")
-        assert ref.exists(), "the CI gate's reference snapshot is missing"
-        snapshot = RunSnapshot.from_dict(json.loads(ref.read_text()))
+        assert REFERENCE.exists(), "the CI gate's reference snapshot is missing"
+        snapshot = RunSnapshot.from_dict(json.loads(REFERENCE.read_text()))
         assert snapshot.kind == "obs-run"
         assert snapshot.name == "gateway_crash"
         # The gate's protocol metrics are all present.
@@ -192,3 +198,19 @@ class TestCommittedReference:
         # Self-diff of the committed file: zero regressions forever.
         diff = diff_runs(snapshot, snapshot)
         assert diff.verdict is HealthState.GREEN
+
+    def test_reference_matches_its_recipe(self, tmp_path):
+        # The DESIGN.md regeneration recipe, in-process.  The CI diff
+        # gates on tolerances, so only the content hash catches a
+        # reference left stale by a change to what a run exports.
+        run_dir = tmp_path / "ref-run"
+        params = {"n_sas": 8, "crash_after_sends": 100,
+                  "messages_after_reset": 100}
+        assert main(["obs", str(run_dir), "--scenario", "gateway_crash",
+                     "--params", json.dumps(params), "--seed", "2003"]) == 0
+        committed = json.loads(REFERENCE.read_text())
+        snapshot = snapshot_from_obs_run(run_dir, name="gateway_crash")
+        assert snapshot.run_id == committed["run_id"], (
+            "benchmarks/baselines/obs_reference/run.json is stale: "
+            "regenerate it with the DESIGN.md recipe"
+        )

@@ -1,5 +1,5 @@
 """Edge cases the diff engine leans on: quantile bounds and hardened
-deserialization for QuantileSketch and LogHistogram.
+deserialization for QuantileSketch, the one histogram type.
 
 The cross-run diff gates on ``quantile_bounds`` intervals, so these pin
 the degenerate shapes — empty, single observation, all-equal, spilled,
@@ -10,13 +10,10 @@ sketch error" an honest verdict.
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.fleet.aggregate import (
-    SKETCH_RELATIVE_ERROR,
-    QuantileSketch,
-    percentile,
-)
-from repro.obs.hub import LogHistogram
+from repro.obs.hub import SKETCH_RELATIVE_ERROR, QuantileSketch, percentile
 
 
 class TestSketchQuantileBounds:
@@ -89,12 +86,24 @@ class TestSketchFromDictHardening:
         assert loaded.maximum == sketch.maximum
         assert loaded.quantile(0.5) == sketch.quantile(0.5)
 
-    def test_missing_min_derives_conservative(self):
-        sketch = self.build([0.5, 1.0, 2.0])
-        loaded = self.roundtrip(sketch, drop=("min",))
-        assert loaded.minimum <= sketch.minimum
-        lo, hi = loaded.quantile_bounds(0.5)
-        assert lo <= sketch.quantile(0.5) <= hi or lo <= hi
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(
+            st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+            min_size=1, max_size=50,
+        ),
+        q=st.floats(min_value=0.0, max_value=1.0),
+        drop=st.sampled_from([(), ("min",), ("max",), ("min", "max")]),
+    )
+    # The top bucket's upper edge is 2**1024, past the largest float.
+    @example(values=[1.7976931348623157e308], q=0.5, drop=("max",))
+    def test_missing_min_derives_conservative(self, values, q, drop):
+        # The documented contract: the bounds contain the ceil(q*n)-th
+        # order statistic, whichever extremes the payload still carries.
+        loaded = self.roundtrip(self.build(values), drop=drop)
+        lo, hi = loaded.quantile_bounds(q)
+        truth = sorted(values)[max(1, math.ceil(q * len(values))) - 1]
+        assert lo <= truth <= hi, (lo, truth, hi)
 
     def test_missing_max_derives_upper_edge(self):
         sketch = self.build([0.5, 1.0, 2.0])
@@ -111,112 +120,34 @@ class TestSketchFromDictHardening:
         assert loaded.count == 0
         assert loaded.quantile_bounds(0.5) == (0.0, 0.0)
 
-
-class TestHistogramQuantileBounds:
-    def test_empty_is_zero_width_zero(self):
-        assert LogHistogram("h").quantile_bounds(0.5) == (0.0, 0.0)
-
-    def test_single_observation_exact(self):
-        hist = LogHistogram("h")
-        hist.observe(0.003)
-        assert hist.quantile_bounds(0.99) == (0.003, 0.003)
-
-    def test_all_equal_exact(self):
-        hist = LogHistogram("h")
-        for _ in range(100):
-            hist.observe(2.5)
-        assert hist.quantile_bounds(0.5) == (2.5, 2.5)
-
-    def test_bounds_contain_truth(self):
-        values = [0.001 * (1 + i % 31) for i in range(2000)]
-        hist = LogHistogram("h")
-        for value in values:
-            hist.observe(value)
-        for q in (0.1, 0.5, 0.9, 0.99):
-            lo, hi = hist.quantile_bounds(q)
-            truth = percentile(values, q * 100.0)
-            assert lo <= truth <= hi, (q, lo, truth, hi)
-
-    def test_one_octave_width(self):
-        hist = LogHistogram("h")
-        for i in range(100):
-            hist.observe(0.001 * (1 + i % 17))
-        lo, hi = hist.quantile_bounds(0.99)
-        assert lo >= hi / 2.0 - 1e-15
-
-    def test_zero_and_negative_bounded(self):
-        hist = LogHistogram("h")
-        hist.observe(0.0)
-        hist.observe(0.0)
-        hist.observe(5.0)
-        lo, hi = hist.quantile_bounds(0.25)
-        assert lo <= 0.0 <= hi
-
-
-class TestHistogramFromDictHardening:
-    def build(self, values):
-        hist = LogHistogram("h")
-        for value in values:
-            hist.observe(value)
-        return hist
-
-    def roundtrip(self, hist, drop=()):
-        data = hist.as_dict()
-        for key in drop:
-            data.pop(key, None)
-        return LogHistogram.from_dict("h", data)
-
-    def test_missing_min_never_overstates(self):
-        hist = self.build([0.5, 1.0, 4.0])
-        loaded = self.roundtrip(hist, drop=("min",))
-        assert loaded.minimum <= hist.minimum
-
-    def test_missing_max_never_understates(self):
-        hist = self.build([0.5, 1.0, 4.0])
-        loaded = self.roundtrip(hist, drop=("max",))
-        assert loaded.maximum >= hist.maximum
-
-    def test_missing_extremes_keep_bounds_honest(self):
-        values = [0.001 * (1 + i % 13) for i in range(500)]
-        hist = self.build(values)
-        loaded = self.roundtrip(hist, drop=("min", "max"))
-        for q in (0.5, 0.99):
-            lo, hi = loaded.quantile_bounds(q)
-            truth = percentile(values, q * 100.0)
-            assert lo <= truth <= hi
-
-    def test_underflow_bucket_min_is_zero(self):
-        hist = self.build([0.0, 1.0])
-        loaded = self.roundtrip(hist, drop=("min",))
-        assert loaded.minimum == 0.0
-
-    def test_empty_payload(self):
-        loaded = LogHistogram.from_dict("h", {})
-        assert loaded.count == 0
-        assert loaded.quantile_bounds(0.5) == (0.0, 0.0)
+    @pytest.mark.parametrize("payload", [
+        # A recovery_latency histogram exported before the hub adopted
+        # the sketch: bucket 21 meant [2**-10, 2**-9), one per octave.
+        {"buckets": {"21": 8}, "count": 8, "max": 0.0018, "mean": 0.00145,
+         "min": 0.0011, "p50": 0.0018, "p99": 0.0018, "total": 0.0116},
+        {"buckets": {"-40": 2}, "count": 2,
+         "relative_error": 2.0 ** 0.25 - 1.0},
+    ], ids=["one-per-octave", "four-per-octave"])
+    def test_refuses_payload_of_another_resolution(self, payload):
+        with pytest.raises(ValueError, match="relative_error"):
+            QuantileSketch.from_dict(payload)
 
 
 class TestMixedDiffShapes:
-    """The three distribution-evidence shapes diff pairwise sanely."""
+    """The two distribution-evidence shapes diff pairwise sanely."""
 
-    def evidence(self, values):
+    @staticmethod
+    def evidence(values):
         sketch = QuantileSketch()
-        hist = LogHistogram("lat")
         for value in values:
             sketch.observe(value)
-            hist.observe(value)
-        return sketch, hist
+        return sketch
 
     @pytest.mark.parametrize("q", [0.5, 0.99])
     def test_same_data_intervals_overlap_pairwise(self, q):
         values = [0.001 * (1 + i % 11) for i in range(300)]
-        sketch, hist = self.evidence(values)
         exact = percentile(values, q * 100.0)
-        intervals = [
-            sketch.quantile_bounds(q),
-            hist.quantile_bounds(q),
-            (exact, exact),
-        ]
+        intervals = [self.evidence(values).quantile_bounds(q), (exact, exact)]
         for a_lo, a_hi in intervals:
             for b_lo, b_hi in intervals:
                 assert a_lo <= b_hi and b_lo <= a_hi, (
@@ -226,14 +157,8 @@ class TestMixedDiffShapes:
     def test_shifted_data_separates_cleanly(self):
         base_values = [0.001 * (1 + i % 11) for i in range(300)]
         cur_values = [v * 4.0 for v in base_values]  # beyond any slop
-        base_sketch, base_hist = self.evidence(base_values)
-        cur_sketch, cur_hist = self.evidence(cur_values)
-        for base, cur in (
-            (base_sketch.quantile_bounds(0.99),
-             cur_sketch.quantile_bounds(0.99)),
-            (base_hist.quantile_bounds(0.99),
-             cur_hist.quantile_bounds(0.99)),
-            (base_sketch.quantile_bounds(0.99),
-             cur_hist.quantile_bounds(0.99)),
-        ):
+        cur = self.evidence(cur_values).quantile_bounds(0.99)
+        exact = percentile(base_values, 99.0)
+        for base in (self.evidence(base_values).quantile_bounds(0.99),
+                     (exact, exact)):
             assert cur[0] > base[1], "4x shift must clear the error bounds"

@@ -1,8 +1,7 @@
 """Tests for repro.obs.trend (EWMA control bands over run history)."""
 
-from repro.fleet.aggregate import QuantileSketch
 from repro.obs.archive import KIND_OBS, RunSnapshot
-from repro.obs.hub import LogHistogram
+from repro.obs.hub import MetricsHub, QuantileSketch
 from repro.obs.trend import (
     compute_trend,
     history_signals,
@@ -12,7 +11,7 @@ from repro.obs.trend import (
 
 
 def snap(counter=None, gauge=None, samples=None, histogram=None,
-         sketch=None, name="run"):
+         name="run"):
     snapshot = RunSnapshot(kind=KIND_OBS, name=name)
     if counter is not None:
         snapshot.signals["counters"]["events"] = counter
@@ -22,8 +21,6 @@ def snap(counter=None, gauge=None, samples=None, histogram=None,
         snapshot.signals["samples"]["lat"] = samples
     if histogram is not None:
         snapshot.signals["histograms"]["lat"] = histogram
-    if sketch is not None:
-        snapshot.signals["sketches"]["lat"] = sketch
     return snapshot
 
 
@@ -41,7 +38,7 @@ class TestSignalValue:
         assert signal_value(snapshot, "lat@p50") == 2.5
 
     def test_histogram_stats(self):
-        hist = LogHistogram("lat")
+        hist = MetricsHub("run").histogram("lat")
         for value in (0.001, 0.002, 0.004):
             hist.observe(value)
         snapshot = snap(histogram=hist.as_dict())
@@ -53,7 +50,7 @@ class TestSignalValue:
         sketch = QuantileSketch()
         for value in (0.001, 0.002, 0.004):
             sketch.observe(value)
-        snapshot = snap(sketch=sketch.as_dict())
+        snapshot = snap(histogram=sketch.as_dict())
         assert signal_value(snapshot, "lat@max") == 0.004
         assert signal_value(snapshot, "lat@p50") >= 0.002 / 1.1
 
