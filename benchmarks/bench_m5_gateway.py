@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from repro import perf
 from repro.core.protocol import build_protocol
-from repro.core.reset import reset_at_count
-from repro.gateway import Gateway, GatewayCrash
+from repro.faults import FaultEnv, GatewayCrash, Reset
+from repro.gateway import Gateway
 from repro.ipsec.costs import PAPER_COSTS
 from repro.sim.trace import NULL_TRACE
 
@@ -38,7 +38,9 @@ DOWN = 2 * PAPER_COSTS.t_save
 
 def _run_multiplexed() -> None:
     gateway = Gateway(n_sas=N_SAS, k=K, store_policy="batched")
-    GatewayCrash(after_sends=CRASH_AFTER, down_time=DOWN).apply(gateway)
+    GatewayCrash(after_sends=CRASH_AFTER, down_time=DOWN).apply(
+        FaultEnv.of(gateway)
+    )
     gateway.start_traffic(count=ATTEMPTS)
     gateway.run(until=HORIZON)
     report = gateway.score()
@@ -49,7 +51,9 @@ def _run_multiplexed() -> None:
 def _run_separate() -> None:
     for sa in range(N_SAS):
         harness = build_protocol(trace=NULL_TRACE, k_p=K, k_q=K, seed=sa)
-        reset_at_count(harness.sender, CRASH_AFTER, down_for=DOWN)
+        Reset(after_sends=CRASH_AFTER, down_time=DOWN).apply(
+            FaultEnv.of(harness)
+        )
         harness.sender.start_traffic(count=ATTEMPTS)
         harness.run(until=HORIZON)
         assert harness.score().converged

@@ -10,7 +10,7 @@ sequence numbers bounded by 2Kp per sender reset.
 Run:  python examples/reset_storm.py
 """
 
-from repro import ResetSchedule, build_protocol
+from repro import FaultEnv, Reset, build_protocol
 
 
 def main() -> None:
@@ -19,12 +19,10 @@ def main() -> None:
     assert harness.adversary is not None
 
     # Alternating faults: sender at 1, 3, 5 ms; receiver at 2, 4, 6 ms.
-    ResetSchedule([(0.001 * t, 0.0003) for t in (1, 3, 5)]).apply(
-        harness.engine, harness.sender
-    )
-    ResetSchedule([(0.001 * t, 0.0003) for t in (2, 4, 6)]).apply(
-        harness.engine, harness.receiver
-    )
+    env = FaultEnv.of(harness)
+    for side, times in (("sender", (1, 3, 5)), ("receiver", (2, 4, 6))):
+        for t in times:
+            Reset(side=side, at=0.001 * t, down_time=0.0003).apply(env)
 
     # Background replay pressure: 40 random recorded messages per ms.
     for ms in range(1, 8):

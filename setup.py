@@ -1,7 +1,9 @@
-"""Legacy setup shim (environments without the ``wheel`` package).
+"""Package metadata: the ``repro`` package lives under ``src/``.
 
-All real metadata lives in ``pyproject.toml``; this file only enables
-``pip install -e . --no-use-pep517`` on minimal offline toolchains.
+This file is the only packaging metadata (there is no ``pyproject.toml``);
+``pip install -e .`` installs the package, and the test and benchmark
+dependencies are in ``requirements-dev.txt``.  Running from a checkout
+needs neither: ``PYTHONPATH=src`` is enough.
 """
 
 from setuptools import find_packages, setup

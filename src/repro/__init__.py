@@ -17,13 +17,16 @@ Huang, Gouda, Elnozahy (ICDCS 2003 / Journal of High Speed Networks 15(2),
 
 Quickstart::
 
-    from repro import build_protocol
+    from repro import FaultEnv, Reset, build_protocol
 
     harness = build_protocol(protected=True, k_p=25, k_q=25)
     harness.sender.start_traffic(count=2000)
-    harness.engine.call_at(0.004, harness.sender.reset, 0.001)
+    Reset(at=0.004, down_time=0.001).apply(FaultEnv.of(harness))
     harness.run(until=0.05)
     print(harness.score().summary())
+
+The paper's faults — resets and adversary replays — and the gateway
+and path faults are kinds of one algebra, :mod:`repro.faults`.
 
 Beyond one pair, :mod:`repro.fleet` scales the same scenarios to whole
 campaigns — thousands of independent sessions under mixed reset/loss/replay
@@ -48,8 +51,8 @@ from repro.core.persistent import PersistentStore
 from repro.core.protocol import ProtocolHarness, build_protocol
 from repro.core.receiver import SaveFetchReceiver, UnprotectedReceiver
 from repro.core.recovery import ProlongedResetSession
-from repro.core.reset import ResetSchedule, reset_at_count, reset_at_time, reset_during_save
 from repro.core.sender import SaveFetchSender, UnprotectedSender
+from repro.faults import Fault, FaultEnv, Replay, Reset
 from repro.fleet import (
     CampaignSpec,
     FleetRunner,
@@ -65,15 +68,7 @@ from repro.ipsec.costs import PAPER_COSTS, CostModel
 from repro.ipsec.replay_window import BitmapReplayWindow, Verdict
 from repro.ipsec.stack import IpsecStack
 from repro.net.adversary import ReplayAdversary
-from repro.netpath import (
-    NatGate,
-    NatRebinding,
-    PathFlap,
-    PathOutage,
-    PathPhase,
-    PathProfile,
-    RegimeShift,
-)
+from repro.netpath import NatGate, PathPhase, PathProfile
 from repro.sim.engine import Engine, EngineEventLimitError
 
 __version__ = "1.0.0"
@@ -88,25 +83,24 @@ __all__ = [
     "DeliveryAuditor",
     "Engine",
     "EngineEventLimitError",
+    "Fault",
+    "FaultEnv",
     "FleetRunner",
     "FleetSummary",
     "FleetTask",
     "IpsecStack",
     "NatGate",
-    "NatRebinding",
     "PAPER_COSTS",
-    "PathFlap",
-    "PathOutage",
     "PathPhase",
     "PathProfile",
     "PersistentStore",
     "ProlongedResetSession",
     "ProtocolHarness",
-    "RegimeShift",
     "RekeyOutcome",
     "RekeySimulation",
+    "Replay",
     "ReplayAdversary",
-    "ResetSchedule",
+    "Reset",
     "ResultStore",
     "SaveFetchOutcome",
     "SaveFetchReceiver",
@@ -118,9 +112,6 @@ __all__ = [
     "Verdict",
     "__version__",
     "build_protocol",
-    "reset_at_count",
-    "reset_at_time",
-    "reset_during_save",
     "run_campaign",
     "savefetch_recovery_outcome",
     "score_run",

@@ -393,13 +393,12 @@ def _cmd_netpath(args: argparse.Namespace) -> int:
     print(header)
     print("-" * len(header))
 
-    def show(label: str, result) -> None:
-        report = result.report
-        nat = result.extra.get("nat", {})
-        print(f"{label:<30} {report.audit.delivered_uids:>9} "
-              f"{report.replays_accepted:>7} {nat.get('rejected', 0):>8} "
-              f"{nat.get('rebinds', 0):>7} {result.extra['blackholed']:>10} "
-              f"{report.audit.never_arrived:>6}")
+    def show(label: str, metrics: dict) -> None:
+        nat = metrics.get("nat", {})
+        print(f"{label:<30} {metrics['delivered_uids']:>9} "
+              f"{metrics['replays_accepted']:>7} {nat.get('rejected', 0):>8} "
+              f"{nat.get('rebinds', 0):>7} {metrics['blackholed']:>10} "
+              f"{metrics['never_arrived']:>6}")
 
     for policy in REBIND_POLICIES:
         show(f"nat_rebinding/{policy}", run_nat_rebinding_scenario(
@@ -445,7 +444,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
 
     if args.scenario is not None:
-        from repro.fleet.runner import scenario_metrics
         from repro.workloads.scenarios import get_scenario
 
         try:
@@ -460,7 +458,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             return 2
         hub = MetricsHub(args.scenario)
         with use_hub(hub):
-            result = scenario(seed=args.seed, **params)
+            metrics = scenario(seed=args.seed, **params)
         export_run(
             run_dir,
             hub,
@@ -468,7 +466,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             scenario=args.scenario,
             params=params,
             seed=args.seed,
-            manifest_extra={"metrics": scenario_metrics(result)},
+            manifest_extra={"metrics": metrics},
         )
         print(f"observed run written to {run_dir}/")
 

@@ -13,8 +13,6 @@ Modules:
   runs (duplicate deliveries = replays accepted, fresh discards, losses).
 * :mod:`~repro.core.protocol` — one-call wiring of engine + link + sender
   + receiver + auditor (+ adversary), the main experiment entry point.
-* :mod:`~repro.core.reset` — fault injection: resets at a time, at a
-  message count, or targeted inside an in-flight SAVE.
 * :mod:`~repro.core.bounds` — the closed-form bounds of Section 5
   (gap <= 2K, lost <= 2Kp, discarded <= 2Kq) and of the failure analysis
   of Section 3, for experiments to compare against.
@@ -41,7 +39,6 @@ from repro.core.convergence import ConvergenceReport, score_run
 from repro.core.persistent import PersistentStore, SaveRecord
 from repro.core.protocol import ProtocolHarness, build_protocol
 from repro.core.receiver import ReceiverResetRecord, SaveFetchReceiver, UnprotectedReceiver
-from repro.core.reset import ResetSchedule, reset_at_count, reset_at_time, reset_during_save
 from repro.core.sender import SaveFetchSender, SenderResetRecord, UnprotectedSender
 
 __all__ = [
@@ -50,7 +47,6 @@ __all__ = [
     "PersistentStore",
     "ProtocolHarness",
     "ReceiverResetRecord",
-    "ResetSchedule",
     "SaveFetchReceiver",
     "SaveFetchSender",
     "SaveRecord",
@@ -63,9 +59,6 @@ __all__ = [
     "lost_seq_bound",
     "predicted_sender_gap",
     "rekey_recovery_time",
-    "reset_at_count",
-    "reset_at_time",
-    "reset_during_save",
     "savefetch_recovery_time",
     "score_run",
     "unprotected_fresh_discards",

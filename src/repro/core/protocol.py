@@ -149,7 +149,7 @@ def build_protocol(
         sender_address: the sender's initial network binding, stamped
             on every packet's ``src`` (default None — address-less, the
             paper's model).  NAT scenarios set it so a
-            :class:`~repro.netpath.NatRebinding` has something to move.
+            :class:`~repro.faults.NatRebinding` has something to move.
         hub: the metrics hub to publish health signals under (default:
             the ambient :func:`repro.obs.default_hub`, which is
             :data:`~repro.obs.NULL_HUB` unless a driver installed one

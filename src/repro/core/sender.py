@@ -103,7 +103,7 @@ class BaseSender(SimProcess):
         address: the sender's current network binding, stamped on every
             fresh packet's ``src`` (default ``None`` — the paper's
             address-less model).  A NAT rebinding
-            (:class:`repro.netpath.NatRebinding`) reassigns it mid-run;
+            (:class:`repro.faults.NatRebinding`) reassigns it mid-run;
             packets sealed earlier keep the old binding.
     """
 

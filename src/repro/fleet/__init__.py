@@ -62,7 +62,6 @@ from repro.fleet.runner import (
     FleetRunner,
     execute_task,
     run_campaign,
-    scenario_metrics,
 )
 from repro.fleet.spec import (
     DEFAULT_MAX_EVENTS,
@@ -106,7 +105,6 @@ __all__ = [
     "progress_ledger_path",
     "report_metrics",
     "run_campaign",
-    "scenario_metrics",
     "shard_index",
     "summarize",
     "summarize_store",

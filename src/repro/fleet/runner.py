@@ -38,7 +38,6 @@ from repro.fleet.results import (
     STATUS_OK,
     ResultStore,
     TaskRecord,
-    report_metrics,
 )
 from repro.fleet.spec import CampaignSpec, FleetTask, decode_params
 from repro.obs.export import write_metrics_jsonl
@@ -52,31 +51,11 @@ from repro.obs.resource import (
 )
 from repro.obs.stream import CampaignStream, ProgressEvent, StreamConfig
 from repro.sim.engine import Engine
-from repro.workloads.scenarios import ScenarioResult, get_scenario
+from repro.workloads.scenarios import get_scenario
 
 #: Progress callback signature: (completed_in_this_run, remaining_total,
 #: record).  Called once per finished task, in completion order.
 ProgressFn = Callable[[int, int, TaskRecord], None]
-
-
-def scenario_metrics(result: Any) -> dict[str, Any]:
-    """Flatten a scenario's return value into JSON-safe task metrics.
-
-    Harness-backed scenarios return a :class:`ScenarioResult`, scored via
-    :func:`report_metrics` plus any scenario-specific ``extra`` fields;
-    simulation scenarios without a protocol harness (rekey, DPD, save
-    policy, ...) return a plain metrics mapping, recorded as-is.
-    """
-    if isinstance(result, ScenarioResult):
-        metrics = report_metrics(result.report)
-        metrics.update(result.extra)
-        return metrics
-    if isinstance(result, Mapping):
-        return dict(result)
-    raise TypeError(
-        f"scenario returned {type(result).__name__}; expected a "
-        "ScenarioResult or a metrics mapping"
-    )
 
 
 # ----------------------------------------------------------------------
@@ -259,8 +238,7 @@ def execute_task(
     try:
         scenario = get_scenario(task.scenario)
         with ambient:
-            result = scenario(seed=task.seed, **decode_params(task.params))
-        metrics = scenario_metrics(result)
+            metrics = scenario(seed=task.seed, **decode_params(task.params))
         if hub is not None:
             if usage_before is not None:
                 ResourceProbe(hub).sample(time.time())

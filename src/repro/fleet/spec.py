@@ -11,6 +11,11 @@ spec always yields the same list of :class:`FleetTask` with the same ids
 and the same per-task seeds, derived via the stable spawn-key scheme in
 :func:`repro.util.rng.derive_seed`.  That invariant is what makes fleet
 results resumable and byte-for-byte reproducible.
+
+Params that are not plain JSON travel as tagged one-key dicts
+(``__costmodel__``, ``__fault__``, ``__pathprofile__``); validation
+decodes them once, so an unknown ``__dunder__`` tag or a malformed fault
+fails when the spec is loaded, before any task runs.
 """
 
 from __future__ import annotations
@@ -23,9 +28,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.gateway.faults import GatewayFault, fault_from_dict
+from repro.faults import Fault
 from repro.ipsec.costs import CostModel
-from repro.netpath.faults import PathFault, path_fault_from_dict
 from repro.netpath.profile import PathProfile
 from repro.util.rng import SeedPrefix, derive_seed, make_rng
 from repro.util.validation import check_positive
@@ -40,16 +44,19 @@ DEFAULT_MAX_EVENTS = 5_000_000
 #: inside task params (see :func:`encode_params` / :func:`decode_params`).
 COSTMODEL_TAG = "__costmodel__"
 
-#: Tag key marking a JSON-encoded gateway fault (``GatewayCrash``,
-#: ``RollingRestart``, ``SAChurn`` — the ``kind`` field dispatches).
-GATEWAYFAULT_TAG = "__gatewayfault__"
+#: Tag key marking a JSON-encoded :class:`~repro.faults.Fault` (any
+#: kind of :data:`~repro.faults.FAULT_KINDS`; its ``kind`` dispatches).
+FAULT_TAG = "__fault__"
 
 #: Tag key marking a JSON-encoded :class:`~repro.netpath.PathProfile`.
 PATHPROFILE_TAG = "__pathprofile__"
 
-#: Tag key marking a JSON-encoded path fault (``PathOutage``,
-#: ``PathFlap``, ``RegimeShift``, ``NatRebinding`` — ``kind`` dispatches).
-PATHFAULT_TAG = "__pathfault__"
+#: Every tag :func:`decode_param_value` knows, each with its decoder.
+_DECODERS: dict[str, Callable[[Any], Any]] = {
+    COSTMODEL_TAG: lambda data: CostModel(**data),
+    FAULT_TAG: Fault.from_dict,
+    PATHPROFILE_TAG: PathProfile.from_dict,
+}
 
 #: Types :func:`encode_param_value` returns as they are (exact types only:
 #: a subclass such as an ``IntEnum`` still takes the isinstance chain).
@@ -59,10 +66,10 @@ _PLAIN_TYPES = frozenset({type(None), bool, int, float, str})
 def encode_param_value(value: Any) -> Any:
     """JSON-safe encoding of one scenario kwarg.
 
-    :class:`CostModel` instances, gateway faults, path profiles and path
-    faults become tagged dicts so per-task cost overrides, fault
-    schedules and time-varying path timelines survive the JSONL result
-    store and hand-written campaign spec files; tuples become lists
+    :class:`CostModel` instances, faults and path profiles become tagged
+    dicts so per-task cost overrides, fault schedules and time-varying
+    path timelines survive the JSONL result store and hand-written
+    campaign spec files; tuples become lists
     (what JSON would do anyway), keeping in-memory and from-disk
     expansions identical.
     """
@@ -70,12 +77,10 @@ def encode_param_value(value: Any) -> Any:
         return value
     if isinstance(value, CostModel):
         return {COSTMODEL_TAG: {k: v for k, v in vars(value).items()}}
-    if isinstance(value, GatewayFault):
-        return {GATEWAYFAULT_TAG: value.to_dict()}
+    if isinstance(value, Fault):
+        return {FAULT_TAG: value.to_dict()}
     if isinstance(value, PathProfile):
         return {PATHPROFILE_TAG: value.to_dict()}
-    if isinstance(value, PathFault):
-        return {PATHFAULT_TAG: value.to_dict()}
     if isinstance(value, (tuple, list)):
         return [encode_param_value(item) for item in value]
     if isinstance(value, Mapping):
@@ -84,16 +89,21 @@ def encode_param_value(value: Any) -> Any:
 
 
 def decode_param_value(value: Any) -> Any:
-    """Inverse of :func:`encode_param_value` (tagged dicts -> objects)."""
+    """Inverse of :func:`encode_param_value` (tagged dicts -> objects).
+
+    Raises:
+        ValueError: for a one-key mapping whose key is a ``__dunder__``
+            tag this codec does not know (a misspelt or retired tag would
+            otherwise reach the scenario as a plain dict).
+    """
     if isinstance(value, Mapping):
-        if set(value) == {COSTMODEL_TAG}:
-            return CostModel(**value[COSTMODEL_TAG])
-        if set(value) == {GATEWAYFAULT_TAG}:
-            return fault_from_dict(value[GATEWAYFAULT_TAG])
-        if set(value) == {PATHPROFILE_TAG}:
-            return PathProfile.from_dict(value[PATHPROFILE_TAG])
-        if set(value) == {PATHFAULT_TAG}:
-            return path_fault_from_dict(value[PATHFAULT_TAG])
+        if len(value) == 1:
+            (tag,) = value
+            if tag in _DECODERS:
+                return _DECODERS[tag](value[tag])
+            if isinstance(tag, str) and tag.startswith("__") and tag.endswith("__"):
+                known = ", ".join(sorted(_DECODERS))
+                raise ValueError(f"unknown param tag {tag!r}; known tags: {known}")
         return {k: decode_param_value(v) for k, v in value.items()}
     if isinstance(value, list):
         return [decode_param_value(item) for item in value]
@@ -113,11 +123,13 @@ def decode_params(params: Mapping[str, Any]) -> dict[str, Any]:
 def validate_scenario_params(
     scenario: str, params: Mapping[str, Any], context: str
 ) -> None:
-    """Check that ``scenario`` is registered and ``params`` name real kwargs.
+    """Check that ``scenario`` is registered, ``params`` name real kwargs
+    and every param value decodes.
 
-    Catching a misspelled scenario or parameter axis here costs one
-    signature inspection; catching it later costs the whole campaign, one
-    per-task ``TypeError`` error record at a time.
+    Catching a misspelled scenario, parameter axis, tag or malformed
+    fault here costs one signature inspection and one decode; catching
+    it later costs the whole campaign, one per-task error record at a
+    time.
     """
     if scenario not in SCENARIOS:
         known = ", ".join(sorted(SCENARIOS))
@@ -137,6 +149,11 @@ def validate_scenario_params(
             f"{context}: scenario {scenario!r} has no parameter(s) "
             f"{unknown}; {detail}"
         )
+    for axis, value in params.items():
+        try:
+            decode_param_value(value)
+        except (ValueError, TypeError, KeyError) as exc:
+            raise ValueError(f"{context}: parameter {axis!r}: {exc}") from None
 
 
 @dataclass(frozen=True)

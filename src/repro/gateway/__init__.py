@@ -13,18 +13,21 @@ deterministic engine run:
 * :mod:`~repro.gateway.core` — :class:`Gateway` / :class:`SAUnit`: N
   SAs from ``build_protocol`` on one engine, SA churn, the correlated
   crash path.
-* :mod:`~repro.gateway.faults` — :class:`GatewayCrash`,
-  :class:`RollingRestart`, :class:`SAChurn` (JSON-round-trippable, see
-  the ``__gatewayfault__`` tag in :mod:`repro.fleet.spec`).
 * :mod:`~repro.gateway.report` — :class:`GatewayReport`, the per-SA
   convergence reports flattened into one fleet-compatible record.
 
+The correlated faults — :class:`~repro.faults.GatewayCrash`,
+:class:`~repro.faults.RollingRestart` and :class:`~repro.faults.SAChurn`
+— are kinds of the one fault algebra in :mod:`repro.faults`, armed
+against ``FaultEnv.of(gateway)``.
+
 Quickstart::
 
-    from repro.gateway import Gateway, GatewayCrash
+    from repro.faults import FaultEnv, GatewayCrash
+    from repro.gateway import Gateway
 
     gw = Gateway(n_sas=16, store_policy="batched")
-    GatewayCrash(after_sends=500).apply(gw)
+    GatewayCrash(after_sends=500).apply(FaultEnv.of(gw))
     gw.start_traffic(count=1200)
     gw.run(until=0.1)
     print(gw.score().summary())
@@ -33,14 +36,6 @@ or from the command line: ``python -m repro gateway --sas 16``.
 """
 
 from repro.gateway.core import GATEWAY_SIDES, Gateway, SAUnit
-from repro.gateway.faults import (
-    FAULT_KINDS,
-    GatewayCrash,
-    GatewayFault,
-    RollingRestart,
-    SAChurn,
-    fault_from_dict,
-)
 from repro.gateway.report import GatewayReport, SAOutcome
 from repro.gateway.store import (
     STORE_POLICIES,
@@ -52,14 +47,9 @@ from repro.gateway.store import (
 )
 
 __all__ = [
-    "FAULT_KINDS",
     "GATEWAY_SIDES",
     "Gateway",
-    "GatewayCrash",
-    "GatewayFault",
     "GatewayReport",
-    "RollingRestart",
-    "SAChurn",
     "SAOutcome",
     "SAUnit",
     "STORE_POLICIES",
@@ -67,6 +57,5 @@ __all__ = [
     "SharedStoreClient",
     "WAL_APPEND_FRACTION",
     "WAL_SCAN_FACTOR",
-    "fault_from_dict",
     "safe_save_interval",
 ]

@@ -13,9 +13,11 @@ run, which is what makes a 50-SA gateway dramatically cheaper than 50
 separate single-SA simulations (``benchmarks/bench_m5_gateway.py``
 measures the multiplexing win).
 
-Fault stories come from :mod:`repro.gateway.faults`
-(:class:`GatewayCrash`, :class:`RollingRestart`, :class:`SAChurn`);
-scoring flattens per-SA
+Fault stories are kinds of :mod:`repro.faults`
+(:class:`~repro.faults.GatewayCrash`, :class:`~repro.faults.RollingRestart`,
+:class:`~repro.faults.SAChurn`, armed against ``FaultEnv.of(gateway)``;
+a path fault for one SA takes the env of that SA's harness); scoring
+flattens per-SA
 :class:`~repro.core.convergence.ConvergenceReport` objects into one
 fleet-compatible :class:`~repro.gateway.report.GatewayReport`.
 """
@@ -33,7 +35,6 @@ from repro.core.sender import BaseSender
 from repro.gateway.report import GatewayReport, SAOutcome
 from repro.gateway.store import SharedStore, safe_save_interval
 from repro.ipsec.costs import CostModel, PAPER_COSTS
-from repro.netpath.faults import PathEnv, PathFault
 from repro.obs.hub import MetricsHub, NULL_HUB, default_hub
 from repro.obs.probe import EventCoreProbe, SharedStoreProbe
 from repro.obs.sampler import DEFAULT_SAMPLE_INTERVAL, Sampler
@@ -84,7 +85,7 @@ class Gateway:
 
     Args:
         n_sas: SAs established at construction (:meth:`add_sa` and
-            :class:`~repro.gateway.faults.SAChurn` can add more mid-run).
+            :class:`~repro.faults.SAChurn` can add more mid-run).
         side: ``"sender"`` — the gateway originates each SA's traffic
             (outbound tunnels) — or ``"receiver"`` — it terminates
             traffic sent by remote peers.  Either way the gateway-side
@@ -290,24 +291,6 @@ class Gateway:
         for unit in self.live_sas():
             unit.gateway_end.reset(down_for=down_for)
         self.store.crash()
-
-    def path_env(self, sa_index: int) -> PathEnv:
-        """The :class:`~repro.netpath.PathEnv` of one SA — what a path
-        fault may touch.  Unlike the correlated gateway faults, a path
-        fault is per-SA: an outage or NAT rebinding hits one tunnel of N
-        while the siblings keep converging undisturbed."""
-        for unit in self.sas:
-            if unit.index == sa_index:
-                return PathEnv(
-                    engine=self.engine,
-                    link=unit.harness.link,
-                    sender=unit.harness.sender,
-                )
-        raise KeyError(f"gateway has no SA with index {sa_index}")
-
-    def apply_path_fault(self, sa_index: int, fault: PathFault) -> None:
-        """Arm one path fault against one SA's path."""
-        fault.apply(self.path_env(sa_index))
 
     # ------------------------------------------------------------------
     # Scoring

@@ -19,8 +19,9 @@ taking the packet).  Optional pieces:
   conditions *time-varying* — an ordered timeline of delay/loss/up
   regimes the link steps through lazily, per offered packet.  A static
   single-phase profile resolves at construction and runs the exact
-  fixed-channel hot path (golden-parity pinned); path faults
-  (:mod:`repro.netpath.faults`) drive the :meth:`Link.path_down` /
+  fixed-channel hot path (golden-parity pinned); the path fault kinds
+  of :mod:`repro.faults` (:class:`~repro.faults.PathFlap`,
+  :class:`~repro.faults.RegimeShift`) drive the :meth:`Link.path_down` /
   :meth:`Link.path_up` / :meth:`Link.shift_regime` hooks.
 """
 
@@ -124,7 +125,7 @@ class Link(SimProcess):
         self.regime_shifts = 0
         # Path dynamics.  The base models are what phases with delay=None
         # / loss=None fall back to; _path_up is the profile's up flag,
-        # _forced_down a depth counter driven by PathOutage/PathFlap.
+        # _forced_down a depth counter driven by PathFlap windows.
         self.path_profile = path
         self._base_delay = self.delay
         self._base_loss = self.loss

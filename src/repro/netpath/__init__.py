@@ -1,4 +1,4 @@
-"""Time-varying network paths: profiles, path faults, NAT rebinding.
+"""Time-varying network paths: profiles and NAT rebinding.
 
 The paper's channel is fixed for the lifetime of an SA.  Deployed SAs
 live on paths that change mid-SA: loss/delay regimes shift, routes flap
@@ -12,15 +12,16 @@ objects:
   delay/loss/up regimes a :class:`~repro.net.link.Link` steps through.
   A static single-phase profile is byte-identical to the fixed channel
   (golden-parity pinned by ``tests/netpath/test_netpath_parity.py``).
-* :mod:`~repro.netpath.faults` — :class:`PathOutage`,
-  :class:`PathFlap`, :class:`RegimeShift`, :class:`NatRebinding`: the
-  injected path events, JSON-round-trippable through fleet campaign
-  specs (the ``__pathfault__`` / ``__pathprofile__`` tags in
-  :mod:`repro.fleet.spec`).
 * :mod:`~repro.netpath.nat` — :class:`NatGate`: the receiver-side
   peer-address check enforcing an SA's rebinding policy
   (:data:`repro.ipsec.sa.REBIND_POLICIES`), with the authoritative
   binding in the SAD when the SA layer is wired.
+
+The injected path events — :class:`~repro.faults.PathFlap`,
+:class:`~repro.faults.RegimeShift` and :class:`~repro.faults.NatRebinding`
+— are kinds of the one fault algebra in :mod:`repro.faults`; a profile
+travels through fleet campaign specs under the ``__pathprofile__`` tag
+of :mod:`repro.fleet.spec`.
 
 Scenarios ``nat_rebinding``, ``path_flap`` and ``mobile_handover``
 (registry names in :data:`repro.workloads.SCENARIOS`) run the stories
@@ -30,30 +31,12 @@ end to end; E16 sweeps phase pattern x reset schedule;
 against the static link.
 """
 
-from repro.netpath.faults import (
-    PATH_FAULT_KINDS,
-    NatRebinding,
-    PathEnv,
-    PathFault,
-    PathFlap,
-    PathOutage,
-    RegimeShift,
-    path_fault_from_dict,
-)
 from repro.netpath.nat import NatGate
 from repro.netpath.profile import PathPhase, PathProfile, PathTimeline
 
 __all__ = [
     "NatGate",
-    "NatRebinding",
-    "PATH_FAULT_KINDS",
-    "PathEnv",
-    "PathFault",
-    "PathFlap",
-    "PathOutage",
     "PathPhase",
     "PathProfile",
     "PathTimeline",
-    "RegimeShift",
-    "path_fault_from_dict",
 ]

@@ -3,13 +3,13 @@
 * :mod:`~repro.workloads.traffic` — traffic generators that drive a
   sender: constant bit rate, Poisson arrivals, and bursty on/off.
 * :mod:`~repro.workloads.scenarios` — named, parameterised end-to-end
-  scenarios composed from the protocol harness, reset injectors and
-  adversary strategies; the experiment modules are built from these.
+  scenarios composed from the protocol harness and the faults of
+  :mod:`repro.faults`, each returning one JSON-safe metrics dict; the
+  experiment modules are built from these.
 """
 
 from repro.workloads.scenarios import (
     SCENARIOS,
-    ScenarioResult,
     get_scenario,
     run_dual_reset_scenario,
     run_loss_reset_scenario,
@@ -28,7 +28,6 @@ __all__ = [
     "ConstantRateTraffic",
     "PoissonTraffic",
     "SCENARIOS",
-    "ScenarioResult",
     "TrafficGenerator",
     "get_scenario",
     "run_dual_reset_scenario",

@@ -1,13 +1,15 @@
 """Named end-to-end scenarios composed from the protocol harness.
 
-Each scenario runs one complete fault story.  Harness-backed scenarios
-return a :class:`ScenarioResult` bundling the harness (for deeper
-inspection) with the scored
-:class:`~repro.core.convergence.ConvergenceReport` plus JSON-safe
-``extra`` metrics; simulation scenarios without a protocol harness
-(rekey cost, DPD probing, SAVE-policy comparison, ...) return a plain
-metrics dict.  The experiment sweeps in :mod:`repro.experiments` reduce
-these over parameter grids; tests pin individual cases.
+Each scenario runs one complete fault story and returns one JSON-safe
+metrics dict.  Harness-backed scenarios return the flattened
+:class:`~repro.core.convergence.ConvergenceReport`
+(:func:`~repro.core.convergence.report_metrics`) updated with
+scenario-specific extras (reset-record details, adversary and path
+counters, ...); the rest (rekey cost, DPD probing, SAVE-policy
+comparison, gateways, ...) return their own metrics.  Faults and
+replays are armed through :mod:`repro.faults`.  The experiment sweeps
+in :mod:`repro.experiments` reduce these over parameter grids; tests
+pin individual cases.
 
 All scenarios are deterministic given their arguments.  The module-level
 :data:`SCENARIOS` registry maps stable names to the ``run_*`` callables so
@@ -18,12 +20,12 @@ reference every scenario by string.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.core.audit import DeliveryAuditor
 from repro.core.baselines import RekeySimulation, savefetch_recovery_outcome
-from repro.core.convergence import ConvergenceReport
+from repro.core.convergence import report_metrics
 from repro.core.dpd import HeartbeatDpd, TrafficDpd
 from repro.core.protocol import ProtocolHarness, build_protocol
 from repro.core.recovery import (
@@ -31,30 +33,27 @@ from repro.core.recovery import (
     ResetNoticeReceiver,
     send_reset_notice,
 )
-from repro.core.reset import call_at_count, reset_at_count, reset_during_save
 from repro.core.sender import SaveFetchSender, UnprotectedSender
-from repro.gateway import (
-    Gateway,
+from repro.faults import (
+    Fault,
+    FaultEnv,
     GatewayCrash,
-    GatewayFault,
+    NatRebinding,
+    PathFlap,
+    RegimeShift,
+    Replay,
+    Reset,
     RollingRestart,
     SAChurn,
-    safe_save_interval,
 )
+from repro.gateway import Gateway, safe_save_interval
 from repro.ipsec.costs import CostModel, PAPER_COSTS
 from repro.ipsec.ike import IkeConfig, IkeInitiator, IkeResponder, SerialCompute
 from repro.net.adversary import ReplayAdversary
 from repro.net.delay import FixedDelay
 from repro.net.link import Link
 from repro.net.loss import BernoulliLoss, GilbertElliottLoss, NoLoss
-from repro.netpath import (
-    NatGate,
-    NatRebinding,
-    PathEnv,
-    PathFlap,
-    PathPhase,
-    PathProfile,
-)
+from repro.netpath import NatGate, PathPhase, PathProfile
 from repro.sim.engine import Engine
 from repro.sim.process import Timer
 from repro.sim.trace import NULL_TRACE
@@ -62,19 +61,17 @@ from repro.util.rng import derive_seed
 from repro.workloads.traffic import BurstyTraffic
 
 
-@dataclass
-class ScenarioResult:
-    """A finished scenario: the harness plus its scored report.
-
-    ``extra`` carries scenario-specific JSON-safe metrics (reset-record
-    details, adversary counters, ...) that the fleet runner merges into
-    the flattened task metrics, so sweep reducers can reach them without
-    the harness object.
-    """
-
-    harness: ProtocolHarness
-    report: ConvergenceReport
-    extra: dict[str, Any] = field(default_factory=dict)
+def _scored(
+    harness: ProtocolHarness,
+    extra: dict[str, Any] | None = None,
+    check_bounds: bool = True,
+) -> dict[str, Any]:
+    """A harness scenario's result: its scored report, flattened, then
+    the scenario's extras."""
+    metrics = report_metrics(harness.score(check_bounds=check_bounds))
+    if extra:
+        metrics.update(extra)
+    return metrics
 
 
 def _sender_reset_extras(harness: ProtocolHarness) -> dict[str, Any]:
@@ -134,7 +131,7 @@ def run_sender_reset_scenario(
     leap_factor: int = 2,
     skip_wake_save: bool = False,
     path: PathProfile | None = None,
-) -> ScenarioResult:
+) -> dict[str, Any]:
     """Claim (i) scenario: steady traffic, one sender reset, more traffic.
 
     The channel is in-order and lossless (the claim's hypothesis).  The
@@ -159,18 +156,16 @@ def run_sender_reset_scenario(
     )
     if down_time is None:
         down_time = 2 * costs.t_save
-    reset_at_count(harness.sender, reset_after_sends, down_for=down_time)
+    Reset(after_sends=reset_after_sends, down_time=down_time).apply(
+        FaultEnv.of(harness)
+    )
     total_attempts = reset_after_sends + messages_after_reset
     # Generous attempt budget: attempts during down/recovery are suppressed.
     slack = int(2 * down_time / costs.t_send) + 10 * k
     harness.sender.start_traffic(count=total_attempts + slack)
     horizon = (total_attempts + slack + 10) * costs.t_send + 10 * costs.t_save
     _run_to_completion(harness, horizon)
-    return ScenarioResult(
-        harness=harness,
-        report=harness.score(),
-        extra=_sender_reset_extras(harness),
-    )
+    return _scored(harness, _sender_reset_extras(harness))
 
 
 def run_receiver_reset_scenario(
@@ -184,7 +179,7 @@ def run_receiver_reset_scenario(
     seed: int = 0,
     leap_factor: int = 2,
     replay_history_after: bool = False,
-) -> ScenarioResult:
+) -> dict[str, Any]:
     """Claim (ii) scenario: steady traffic, one receiver reset.
 
     With ``replay_history_after`` the Section 3 adversary replays the
@@ -205,16 +200,14 @@ def run_receiver_reset_scenario(
     )
     if down_time is None:
         down_time = 2 * costs.t_save
-    reset_at_count(harness.receiver, reset_after_receives, down_for=down_time)
-
+    env = FaultEnv.of(harness)
+    Reset(
+        side="receiver", after_sends=reset_after_receives, down_time=down_time
+    ).apply(env)
     # Fire the replay as soon as the receiver is back up (its window is
     # at its most vulnerable then).
     if replay_history_after:
-        def on_wake_replay() -> None:
-            assert harness.adversary is not None
-            harness.adversary.replay_history(rate=1.0 / costs.t_recv)
-
-        harness.receiver.add_resume_listener(on_wake_replay)
+        Replay(on_wake=True, rate=1.0 / costs.t_recv).apply(env)
 
     # The sender is never suppressed by a *receiver* reset, so no slack:
     # exactly the messages lost to the downtime stay lost (they are
@@ -226,11 +219,7 @@ def run_receiver_reset_scenario(
     horizon = (total_attempts + 10) * costs.t_send + down_time + 10 * costs.t_save
     replay_budget = (total_attempts + 10) * costs.t_recv
     _run_to_completion(harness, horizon + replay_budget)
-    return ScenarioResult(
-        harness=harness,
-        report=harness.score(),
-        extra=_receiver_reset_extras(harness),
-    )
+    return _scored(harness, _receiver_reset_extras(harness))
 
 
 def run_dual_reset_scenario(
@@ -244,7 +233,7 @@ def run_dual_reset_scenario(
     costs: CostModel = PAPER_COSTS,
     seed: int = 0,
     window_jump_attack: bool = True,
-) -> ScenarioResult:
+) -> dict[str, Any]:
     """Section 5's third case: both p and q reset (optionally staggered).
 
     With ``window_jump_attack`` the adversary replays the
@@ -264,32 +253,20 @@ def run_dual_reset_scenario(
     )
     if down_time is None:
         down_time = 2 * costs.t_save
-
-    def dual_reset(sent_total: int, packet: object) -> None:
-        if sent_total == reset_after_sends:
-            harness.sender.reset(down_for=down_time)
-            if stagger == 0.0:
-                harness.receiver.reset(down_for=down_time)
-            else:
-                harness.engine.call_later(
-                    stagger, harness.receiver.reset, down_time
-                )
-
-    harness.sender.add_send_listener(dual_reset)
-
+    env = FaultEnv.of(harness)
+    Reset(
+        side="both", after_sends=reset_after_sends, down_time=down_time,
+        stagger=stagger,
+    ).apply(env)
     if window_jump_attack:
-        def on_wake_jump() -> None:
-            assert harness.adversary is not None
-            harness.adversary.replay_max()
-
-        harness.receiver.add_resume_listener(on_wake_jump)
+        Replay(on_wake=True, strategy="max").apply(env)
 
     total_attempts = reset_after_sends + messages_after_reset
     slack = int(2 * (down_time + stagger) / costs.t_send) + 10 * k
     harness.sender.start_traffic(count=total_attempts + slack)
     horizon = (total_attempts + slack + 10) * costs.t_send + 10 * costs.t_save + stagger
     _run_to_completion(harness, horizon)
-    return ScenarioResult(harness=harness, report=harness.score())
+    return _scored(harness)
 
 
 def run_loss_reset_scenario(
@@ -302,7 +279,7 @@ def run_loss_reset_scenario(
     down_time: float | None = None,
     costs: CostModel = PAPER_COSTS,
     seed: int = 0,
-) -> ScenarioResult:
+) -> dict[str, Any]:
     """Mixed fault story: Bernoulli channel loss plus one sender reset.
 
     Outside the paper's lossless hypothesis, so the run is scored without
@@ -323,13 +300,15 @@ def run_loss_reset_scenario(
     )
     if down_time is None:
         down_time = 2 * costs.t_save
-    reset_at_count(harness.sender, reset_after_sends, down_for=down_time)
+    Reset(after_sends=reset_after_sends, down_time=down_time).apply(
+        FaultEnv.of(harness)
+    )
     total_attempts = reset_after_sends + messages_after_reset
     slack = int(2 * down_time / costs.t_send) + 10 * k
     harness.sender.start_traffic(count=total_attempts + slack)
     horizon = (total_attempts + slack + 10) * costs.t_send + 10 * costs.t_save
     _run_to_completion(harness, horizon)
-    return ScenarioResult(harness=harness, report=harness.score(check_bounds=False))
+    return _scored(harness, check_bounds=False)
 
 
 # ----------------------------------------------------------------------
@@ -343,7 +322,7 @@ def run_reorder_scenario(
     probability: float = 0.05,
     costs: CostModel = PAPER_COSTS,
     seed: int = 0,
-) -> ScenarioResult:
+) -> dict[str, Any]:
     """Section 2 w-Delivery story: a reorder stage of fixed degree.
 
     Messages are held back with the given probability and released
@@ -366,10 +345,9 @@ def run_reorder_scenario(
     assert harness.reorder_stage is not None
     harness.reorder_stage.flush()
     harness.run(until=horizon + 1.0)
-    return ScenarioResult(
-        harness=harness,
-        report=harness.score(check_bounds=False),
-        extra={"reordered": harness.reorder_stage.held_total},
+    return _scored(
+        harness, {"reordered": harness.reorder_stage.held_total},
+        check_bounds=False,
     )
 
 
@@ -432,41 +410,22 @@ def run_staggered_reset_scenario(
         with_adversary=True,
     )
     down = 5 * costs.t_save
-
+    env = FaultEnv.of(harness)
     # Reset p right after it has sent 2 * k_p messages.
-    def on_send(sent_total: int, packet: object) -> None:
-        if sent_total == 2 * k_p:
-            harness.sender.reset(down_for=down)
-
-    harness.sender.add_send_listener(on_send)
-
+    Reset(after_sends=2 * k_p, down_time=down).apply(env)
     # q checkpoints every k_q receives; the (2*k_p/k_q + 1)-th save is the
     # one triggered by the first post-leap jump message.  Strike q halfway
     # through it.
-    store = getattr(harness.receiver, "store", None)
-    jump_save_index = (2 * k_p) // k_q + 1
-    if store is not None:
-        reset_during_save(
-            harness.engine,
-            harness.receiver,
-            store,
-            nth_save=jump_save_index,
-            fraction=0.5,
-            down_for=down,
-        )
-
+    if getattr(harness.receiver, "store", None) is not None:
+        Reset(
+            side="receiver", during_save=(2 * k_p) // k_q + 1, fraction=0.5,
+            down_time=down,
+        ).apply(env)
     # The winning adversary strategy: the instant q is back up, replay the
     # *most recently* recorded messages (a plain replay-newest-first
     # policy) so they land before fresh traffic re-advances the window.
     # Messages delivered above q's resumed right edge are the prize.
-    def on_q_resume() -> None:
-        assert harness.adversary is not None
-        record = harness.receiver.reset_records[-1]
-        lo = (record.resumed_right_edge or 0) + 1
-        hi = record.right_edge_at_reset
-        harness.adversary.replay_range(lo, hi, rate=1e9)
-
-    harness.receiver.add_resume_listener(on_q_resume)
+    Replay(on_wake=True, strategy="exposed", rate=1e9).apply(env)
 
     # Low-rate traffic (inter-send gap well above the outage + recovery
     # time): at line rate, fresh messages buffered during q's post-wake
@@ -518,11 +477,9 @@ def run_prolonged_reset_scenario(
 
     # The adversary replays recorded b->a traffic into the live host
     # midway through the outage (b cannot answer for itself then).
-    def replay_midway() -> None:
-        assert session.adversary is not None
-        session.adversary.replay_history(rate=1000.0)
-
-    session.engine.call_at(reset_at + outage / 2, replay_midway)
+    Replay(at=reset_at + outage / 2, rate=1000.0).apply(
+        FaultEnv(session.engine, adversary=session.adversary)
+    )
 
     session.run(until=reset_at + outage + keep_alive_timeout + 0.5)
     session.stop_traffic()
@@ -575,48 +532,28 @@ def run_recovery_ablation_scenario(
         skip_wake_save=skip_wake_save,
     )
     down = costs.t_save  # wake quickly so recovery overlaps traffic
+    env = FaultEnv.of(harness)
 
     # First reset: strike inside the second background save.
-    reset_during_save(
-        harness.engine,
-        harness.sender,
-        harness.sender.store,  # type: ignore[attr-defined]
-        nth_save=2,
-        fraction=0.5,
-        down_for=down,
-    )
-    if double_reset:
+    Reset(during_save=2, fraction=0.5, down_time=down).apply(env)
+    if double_reset and not skip_wake_save:
         # Second reset: strike inside the *synchronous wake save* of the
-        # first recovery (or, when that save is skipped, immediately
-        # after the first messages of the resumed stream).
-        fired = {"done": False}
+        # first recovery (the 3rd SAVE start).
+        Reset(during_save=3, fraction=0.5, down_time=down).apply(env)
+    elif double_reset:
+        # With that save skipped, strike once the first messages of the
+        # resumed stream are out, so there is something to reuse.
+        struck = False
 
-        def second_strike() -> None:
-            if fired["done"]:
-                return
-            fired["done"] = True
-            harness.sender.reset(down_for=down)
+        def strike_after_first_wake() -> None:
+            nonlocal struck
+            if not struck:
+                struck = True
+                harness.engine.call_later(
+                    5 * costs.t_send, harness.sender.reset, down
+                )
 
-        if skip_wake_save:
-            def on_resume() -> None:
-                if not fired["done"]:
-                    # Let a handful of post-recovery messages out first so
-                    # there is something to reuse.
-                    harness.engine.call_later(
-                        5 * costs.t_send, second_strike
-                    )
-
-            harness.sender.add_resume_listener(on_resume)
-        else:
-            reset_during_save(
-                harness.engine,
-                harness.sender,
-                harness.sender.store,  # type: ignore[attr-defined]
-                nth_save=3,  # the wake save is the 3rd start
-                fraction=0.5,
-                down_for=down,
-                include_synchronous=True,
-            )
+        harness.sender.add_resume_listener(strike_after_first_wake)
 
     messages = 20 * k
     harness.sender.start_traffic(count=messages)
@@ -971,16 +908,9 @@ def run_loss_hole_scenario(
 
     store.add_listener(on_save)
 
-    def on_q_resume() -> None:
-        assert harness.adversary is not None
-        record = harness.receiver.reset_records[-1]
-        lo = (record.resumed_right_edge or 0) + 1
-        hi = record.right_edge_at_reset
-        if hi >= lo:
-            harness.adversary.replay_range(lo, hi, rate=1e9)
-        harness.adversary.replay_max()
-
-    harness.receiver.add_resume_listener(on_q_resume)
+    env = FaultEnv.of(harness)
+    Replay(on_wake=True, strategy="exposed", rate=1e9).apply(env)
+    Replay(on_wake=True, strategy="max").apply(env)
 
     interval = 4 * down  # low-rate traffic: the vulnerable regime (E8)
     attempts = 16 * k
@@ -995,6 +925,24 @@ def run_loss_hole_scenario(
 # ----------------------------------------------------------------------
 # Gateway scenarios (E15): correlated resets over a shared store
 # ----------------------------------------------------------------------
+def _sized_by(
+    fault: Fault, costs: CostModel, sends: int, **defaults: Any
+) -> list[Any]:
+    """Size a gateway scenario from the fault that will actually run, so
+    an override with a long outage or a late trigger cannot end the run
+    mid-recovery: the send count by which the fault has fired (never
+    fewer than ``sends``), then each named default replaced by the
+    fault's own value where it sets one."""
+    if fault.after_sends is not None:
+        sends = fault.after_sends
+    elif fault.at is not None:
+        sends = max(sends, int(fault.at / costs.t_send) + 1)
+    return [sends] + [
+        default if getattr(fault, name, None) is None else getattr(fault, name)
+        for name, default in defaults.items()
+    ]
+
+
 def _gateway_recovery_slack(gateway: Gateway, extra_sas: int = 0) -> float:
     """Extra quiet time the shared store's recovery queueing can add.
 
@@ -1019,7 +967,7 @@ def run_gateway_crash_scenario(
     down_time: float | None = None,
     costs: CostModel = PAPER_COSTS,
     seed: int = 0,
-    fault: GatewayFault | None = None,
+    fault: Fault | None = None,
     path: PathProfile | None = None,
     store_load_factor: float = 0.0,
 ) -> dict[str, Any]:
@@ -1036,7 +984,7 @@ def run_gateway_crash_scenario(
     (:func:`repro.gateway.safe_save_interval`) — the paper's 25 scaled
     to the shared device; pin ``k=25`` at ``n_sas > 1`` under the serial
     policy to watch the under-provisioned store break the 2K gap bound.
-    ``fault`` overrides the built-in :class:`~repro.gateway.GatewayCrash`
+    ``fault`` overrides the built-in :class:`~repro.faults.GatewayCrash`
     (e.g. an absolute-time trigger from a JSON campaign spec).  ``path``
     attaches a :class:`~repro.netpath.PathProfile` to every SA's link;
     ``store_load_factor`` turns on the shared store's load-dependent
@@ -1060,21 +1008,10 @@ def run_gateway_crash_scenario(
     )
     if fault is None:
         fault = GatewayCrash(after_sends=crash_after_sends, down_time=down_time)
-    else:
-        # The traffic budget and horizon must cover the fault that will
-        # actually run, not this scenario's defaults — otherwise an
-        # override with a long outage (or a late trigger) ends the run
-        # mid-recovery and the record claims convergence untested.
-        # (getattr: any GatewayFault kind is accepted here.)
-        if getattr(fault, "down_time", None) is not None:
-            down_time = fault.down_time
-        if getattr(fault, "after_sends", None) is not None:
-            crash_after_sends = fault.after_sends
-        elif getattr(fault, "at", None) is not None:
-            crash_after_sends = max(
-                crash_after_sends, int(fault.at / costs.t_send) + 1
-            )
-    fault.apply(gateway)
+    crash_after_sends, down_time = _sized_by(
+        fault, costs, crash_after_sends, down_time=down_time
+    )
+    fault.apply(FaultEnv.of(gateway))
     total_attempts = crash_after_sends + messages_after_reset
     recovery_slack = _gateway_recovery_slack(gateway)
     slack = int((2 * down_time + recovery_slack) / costs.t_send) + 10 * k
@@ -1100,7 +1037,7 @@ def run_rolling_restart_scenario(
     down_time: float | None = None,
     costs: CostModel = PAPER_COSTS,
     seed: int = 0,
-    fault: GatewayFault | None = None,
+    fault: Fault | None = None,
 ) -> dict[str, Any]:
     """A restart wave: SA ``i`` resets ``i * stagger`` after the trigger.
 
@@ -1131,18 +1068,10 @@ def run_rolling_restart_scenario(
         fault = RollingRestart(
             after_sends=restart_after_sends, stagger=stagger, down_time=down_time
         )
-    else:
-        # Budget/horizon follow the overriding fault (see gateway_crash).
-        if getattr(fault, "down_time", None) is not None:
-            down_time = fault.down_time
-        stagger = getattr(fault, "stagger", stagger)
-        if getattr(fault, "after_sends", None) is not None:
-            restart_after_sends = fault.after_sends
-        elif getattr(fault, "at", None) is not None:
-            restart_after_sends = max(
-                restart_after_sends, int(fault.at / costs.t_send) + 1
-            )
-    fault.apply(gateway)
+    restart_after_sends, down_time, stagger = _sized_by(
+        fault, costs, restart_after_sends, down_time=down_time, stagger=stagger
+    )
+    fault.apply(FaultEnv.of(gateway))
     total_attempts = restart_after_sends + messages_after_reset
     wave = (n_sas - 1) * stagger + 2 * down_time
     slack = int((wave + _gateway_recovery_slack(gateway)) / costs.t_send)
@@ -1164,7 +1093,7 @@ def run_sa_churn_scenario(
     churn_interval: float | None = None,
     costs: CostModel = PAPER_COSTS,
     seed: int = 0,
-    fault: GatewayFault | None = None,
+    fault: Fault | None = None,
 ) -> dict[str, Any]:
     """SA churn: tunnels are torn down and established mid-run.
 
@@ -1191,21 +1120,18 @@ def run_sa_churn_scenario(
         # All cycles land inside the middle half of the initial streams.
         churn_interval = stream_time / (2 * max(1, churn_cycles))
     churn_start = stream_time / 4
-    new_sa_messages = messages
     if fault is None:
         fault = SAChurn(
-            start=churn_start,
+            at=churn_start,
             interval=churn_interval,
             cycles=churn_cycles,
             messages=messages,
         )
-    else:
-        # Horizon follows the overriding fault (see gateway_crash).
-        churn_start = getattr(fault, "start", churn_start)
-        churn_interval = getattr(fault, "interval", churn_interval)
-        churn_cycles = getattr(fault, "cycles", churn_cycles)
-        new_sa_messages = getattr(fault, "messages", messages)
-    fault.apply(gateway)
+    _, churn_start, churn_interval, churn_cycles, new_sa_messages = _sized_by(
+        fault, costs, 0, at=churn_start, interval=churn_interval,
+        cycles=churn_cycles, messages=messages,
+    )
+    fault.apply(FaultEnv.of(gateway))
     gateway.start_traffic(count=messages)
     horizon = (
         churn_start
@@ -1237,25 +1163,22 @@ def _netpath_extras(harness: ProtocolHarness, gate: NatGate | None = None) -> di
 
 
 def _schedule_reset(
-    harness: ProtocolHarness,
+    env: FaultEnv,
     reset_schedule: str,
     during_at: float,
     after_at: float,
     down_time: float,
 ) -> None:
-    """Arm the E16 reset-schedule axis: no reset, a reset *during* the
-    path impairment, or one safely *after* it settles."""
-    if reset_schedule == "none":
-        return
-    if reset_schedule == "during":
-        harness.engine.call_at(during_at, harness.sender.reset, down_time)
-    elif reset_schedule == "after":
-        harness.engine.call_at(after_at, harness.sender.reset, down_time)
-    else:
+    """Arm the E16 reset-schedule axis: no sender reset, one *during*
+    the path impairment, or one safely *after* it settles."""
+    if reset_schedule not in ("none", "during", "after"):
         raise ValueError(
             f"unknown reset_schedule {reset_schedule!r}; "
             "expected 'none', 'during' or 'after'"
         )
+    if reset_schedule != "none":
+        at = during_at if reset_schedule == "during" else after_at
+        Reset(at=at, down_time=down_time).apply(env)
 
 
 def run_nat_rebinding_scenario(
@@ -1270,7 +1193,7 @@ def run_nat_rebinding_scenario(
     path: PathProfile | None = None,
     costs: CostModel = PAPER_COSTS,
     seed: int = 0,
-) -> ScenarioResult:
+) -> dict[str, Any]:
     """The peer's NAT mapping changes mid-SA; the receiver's policy decides.
 
     The sender starts bound to ``nat:a``; after ``rebind_after_sends``
@@ -1303,28 +1226,20 @@ def run_nat_rebinding_scenario(
     )
     gate = NatGate(harness.receiver, policy=policy, initial_binding="nat:a")
     harness.link.sink = gate.on_receive
-    env = PathEnv(
-        engine=harness.engine,
-        link=harness.link,
-        sender=harness.sender,
-        gate=gate,
-    )
+    env = FaultEnv.of(harness)
     NatRebinding(after_sends=rebind_after_sends, new_address="nat:b").apply(env)
-
     if replay_old_binding:
         # Strike right after the first new-binding packet: the receiver
         # has just (maybe) rebound and the recorded history is entirely
         # old-binding traffic.
-        def fire_replay() -> None:
-            assert harness.adversary is not None
-            harness.adversary.replay_history(rate=1.0 / costs.t_recv)
-
-        call_at_count(harness.sender, rebind_after_sends + 1, fire_replay)
+        Replay(
+            after_sends=rebind_after_sends + 1, rate=1.0 / costs.t_recv
+        ).apply(env)
 
     down_time = 2 * costs.t_save
     rebind_at = rebind_after_sends * costs.t_send
     settle_at = (rebind_after_sends + messages_after_rebind // 2) * costs.t_send
-    _schedule_reset(harness, reset_schedule, rebind_at, settle_at, down_time)
+    _schedule_reset(env, reset_schedule, rebind_at, settle_at, down_time)
 
     total_attempts = rebind_after_sends + messages_after_rebind
     slack = 0 if reset_schedule == "none" else int(2 * down_time / costs.t_send) + 10 * k
@@ -1332,11 +1247,7 @@ def run_nat_rebinding_scenario(
     horizon = (total_attempts + slack + 10) * costs.t_send + 10 * costs.t_save
     replay_budget = (total_attempts + 10) * costs.t_recv if replay_old_binding else 0.0
     _run_to_completion(harness, horizon + replay_budget)
-    return ScenarioResult(
-        harness=harness,
-        report=harness.score(),
-        extra=_netpath_extras(harness, gate),
-    )
+    return _scored(harness, _netpath_extras(harness, gate))
 
 
 def run_path_flap_scenario(
@@ -1352,7 +1263,7 @@ def run_path_flap_scenario(
     path: PathProfile | None = None,
     costs: CostModel = PAPER_COSTS,
     seed: int = 0,
-) -> ScenarioResult:
+) -> dict[str, Any]:
     """A flapping route: repeated blackhole windows under steady traffic.
 
     Packets offered inside a window vanish without ICMP (scored as
@@ -1377,19 +1288,17 @@ def run_path_flap_scenario(
         seed=seed,
         path=path,
     )
-    flap = PathFlap(
-        at=(flap_after_sends + 0.5) * costs.t_send,
-        down_time=down_time,
-        up_time=up_time,
-        cycles=cycles,
-    )
-    flap.apply(PathEnv(engine=harness.engine, link=harness.link))
-
+    env = FaultEnv.of(harness)
+    flap_at = (flap_after_sends + 0.5) * costs.t_send
+    PathFlap(
+        at=flap_at, down_time=down_time, up_time=up_time, cycles=cycles
+    ).apply(env)
+    flap_ends_at = flap_at + (cycles - 1) * (down_time + up_time) + down_time
     _schedule_reset(
-        harness,
+        env,
         reset_schedule,
-        during_at=flap.at + down_time / 2,  # inside the first window
-        after_at=flap.ends_at + 2 * costs.t_save,
+        during_at=flap_at + down_time / 2,  # inside the first window
+        after_at=flap_ends_at + 2 * costs.t_save,
         down_time=2 * costs.t_save,
     )
 
@@ -1403,11 +1312,7 @@ def run_path_flap_scenario(
         + 10 * costs.t_save
     )
     _run_to_completion(harness, horizon)
-    return ScenarioResult(
-        harness=harness,
-        report=harness.score(check_bounds=False),
-        extra=_netpath_extras(harness),
-    )
+    return _scored(harness, _netpath_extras(harness), check_bounds=False)
 
 
 def run_mobile_handover_scenario(
@@ -1424,7 +1329,7 @@ def run_mobile_handover_scenario(
     reset_schedule: str = "none",
     costs: CostModel = PAPER_COSTS,
     seed: int = 0,
-) -> ScenarioResult:
+) -> dict[str, Any]:
     """A mobile peer hands over networks mid-SA: outage + new regime + NAT.
 
     At the handover instant three things happen at once, which is what
@@ -1458,25 +1363,22 @@ def run_mobile_handover_scenario(
         loss=BernoulliLoss(degraded_loss) if degraded_loss > 0 else None,
     )
 
-    def on_handover() -> None:
-        harness.link.path_down()
-        harness.engine.call_later(outage, harness.link.path_up)
-        harness.link.shift_regime(visited)
-        harness.sender.address = "nat:visited"
-
-    call_at_count(harness.sender, handover_after_sends, on_handover)
-
+    env = FaultEnv.of(harness)
+    for fault in (
+        PathFlap(after_sends=handover_after_sends, down_time=outage),
+        RegimeShift(after_sends=handover_after_sends, phase=visited),
+        NatRebinding(after_sends=handover_after_sends, new_address="nat:visited"),
+    ):
+        fault.apply(env)
     if replay_old_binding:
-        def fire_replay() -> None:
-            assert harness.adversary is not None
-            harness.adversary.replay_history(rate=1.0 / costs.t_recv)
-
         # Right after the first visited-network packet leaves.
-        call_at_count(harness.sender, handover_after_sends + 1, fire_replay)
+        Replay(
+            after_sends=handover_after_sends + 1, rate=1.0 / costs.t_recv
+        ).apply(env)
 
     handover_at = handover_after_sends * costs.t_send
     _schedule_reset(
-        harness,
+        env,
         reset_schedule,
         during_at=handover_at + outage / 2,
         after_at=handover_at + outage + (messages_after_handover // 2) * costs.t_send,
@@ -1493,11 +1395,7 @@ def run_mobile_handover_scenario(
     )
     replay_budget = (total_attempts + 10) * costs.t_recv if replay_old_binding else 0.0
     _run_to_completion(harness, horizon + replay_budget)
-    return ScenarioResult(
-        harness=harness,
-        report=harness.score(check_bounds=False),
-        extra=_netpath_extras(harness, gate),
-    )
+    return _scored(harness, _netpath_extras(harness, gate), check_bounds=False)
 
 
 # ----------------------------------------------------------------------
@@ -1611,7 +1509,7 @@ def run_rekey_storm_scenario(
 #: Stable scenario names for declarative drivers (fleet campaign specs
 #: and experiment sweeps).  Every ``run_*`` scenario callable in this
 #: module is reachable by name here.
-SCENARIOS: dict[str, Callable[..., "ScenarioResult | dict[str, Any]"]] = {
+SCENARIOS: dict[str, Callable[..., dict[str, Any]]] = {
     "sender_reset": run_sender_reset_scenario,
     "receiver_reset": run_receiver_reset_scenario,
     "dual_reset": run_dual_reset_scenario,
@@ -1635,7 +1533,7 @@ SCENARIOS: dict[str, Callable[..., "ScenarioResult | dict[str, Any]"]] = {
 }
 
 
-def get_scenario(name: str) -> Callable[..., ScenarioResult]:
+def get_scenario(name: str) -> Callable[..., dict[str, Any]]:
     """Look up a scenario by registry name.
 
     Raises:

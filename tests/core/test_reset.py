@@ -1,21 +1,16 @@
-"""Tests for the reset fault injectors."""
+"""Tests for endpoint resets (:class:`repro.faults.Reset`) and their triggers."""
 
 import pytest
 
 from repro.core.protocol import build_protocol
-from repro.core.reset import (
-    ResetSchedule,
-    reset_at_count,
-    reset_at_time,
-    reset_during_save,
-)
-from repro.ipsec.costs import PAPER_COSTS
+from repro.faults import FaultEnv, Reset
+from repro.sim.engine import Engine
 
 
 class TestResetAtTime:
     def test_fires_at_time(self):
         harness = build_protocol()
-        reset_at_time(harness.engine, harness.sender, at=0.001, down_for=0.0001)
+        Reset(at=0.001, down_time=0.0001).apply(FaultEnv.of(harness))
         harness.sender.start_traffic(count=500)
         harness.run(until=1.0)
         assert len(harness.sender.reset_records) == 1
@@ -25,7 +20,7 @@ class TestResetAtTime:
 class TestResetAtCount:
     def test_sender_count(self):
         harness = build_protocol()
-        reset_at_count(harness.sender, count=100, down_for=0.0001)
+        Reset(after_sends=100, down_time=0.0001).apply(FaultEnv.of(harness))
         harness.sender.start_traffic(count=300)
         harness.run(until=1.0)
         record = harness.sender.reset_records[0]
@@ -33,7 +28,9 @@ class TestResetAtCount:
 
     def test_receiver_count(self):
         harness = build_protocol()
-        reset_at_count(harness.receiver, count=50, down_for=0.0001)
+        Reset(side="receiver", after_sends=50, down_time=0.0001).apply(
+            FaultEnv.of(harness)
+        )
         harness.sender.start_traffic(count=300)
         harness.run(until=1.0)
         record = harness.receiver.reset_records[0]
@@ -41,28 +38,26 @@ class TestResetAtCount:
 
     def test_fires_only_once(self):
         harness = build_protocol()
-        reset_at_count(harness.sender, count=10, down_for=0.0)
+        Reset(after_sends=10).apply(FaultEnv.of(harness))
         harness.sender.start_traffic(count=100)
         harness.run(until=1.0)
         assert len(harness.sender.reset_records) == 1
 
     def test_rejects_bad_count(self):
-        harness = build_protocol()
         with pytest.raises(ValueError):
-            reset_at_count(harness.sender, count=0)
+            Reset(after_sends=0)
 
     def test_rejects_unsupported_target(self):
         with pytest.raises(TypeError):
-            reset_at_count(object(), count=5)
+            Reset(after_sends=5).apply(FaultEnv(Engine(), sender=object()))
 
 
 class TestResetDuringSave:
     def test_strikes_inside_nth_save(self):
         harness = build_protocol(k_p=50)
         store = harness.sender.store
-        reset_during_save(
-            harness.engine, harness.sender, store, nth_save=2, fraction=0.5,
-            down_for=0.0001,
+        Reset(during_save=2, fraction=0.5, down_time=0.0001).apply(
+            FaultEnv.of(harness)
         )
         harness.sender.start_traffic(count=400)
         harness.run(until=1.0)
@@ -76,47 +71,37 @@ class TestResetDuringSave:
         )
 
     def test_fraction_validated(self):
-        harness = build_protocol()
         with pytest.raises(ValueError):
-            reset_during_save(
-                harness.engine, harness.sender, harness.sender.store, fraction=1.0
-            )
+            Reset(during_save=1, fraction=1.0)
 
     def test_nth_validated(self):
-        harness = build_protocol()
         with pytest.raises(ValueError):
-            reset_during_save(
-                harness.engine, harness.sender, harness.sender.store, nth_save=0
-            )
+            Reset(during_save=0)
 
-    def test_synchronous_saves_skipped_by_default(self):
+    def test_synchronous_wake_save_counts(self):
         harness = build_protocol(k_p=25)
-        fired = []
-        harness.sender.add_resume_listener(lambda: fired.append("resume"))
-        # Arm on save #2; reset manually first so save #2 would be the
-        # post-wake synchronous one — which must NOT trigger the injector.
-        reset_during_save(
-            harness.engine,
-            harness.sender,
-            harness.sender.store,
-            nth_save=2,
-            down_for=0.0,
-        )
+        store = harness.sender.store
+        # Arm on SAVE start #2; a manual reset first makes #2 the
+        # post-wake synchronous SAVE, which counts like any other.
+        Reset(during_save=2, down_time=0.0).apply(FaultEnv.of(harness))
         harness.sender.send_burst(26)  # background save #1
         harness.run(until=0.01)
         harness.sender.reset(down_for=0.0)  # wake save is synchronous
         harness.run(until=0.02)
-        assert fired == ["resume"]  # recovered; injector did not strike it
-        assert len(harness.sender.reset_records) == 1
+        assert [r.synchronous for r in store.history] == [False, True, True]
+        assert len(harness.sender.reset_records) == 2
+        struck = harness.sender.reset_records[1]
+        assert struck.reset_time == pytest.approx(
+            store.history[1].started_at + 0.5 * store.t_save
+        )
 
 
-class TestResetSchedule:
-    def test_periodic_schedule(self):
-        schedule = ResetSchedule.periodic(first_at=0.001, period=0.002, count=3,
-                                          down_for=0.0001)
-        assert len(schedule.faults) == 3
+class TestResetList:
+    def test_list_of_timed_resets(self):
         harness = build_protocol()
-        schedule.apply(harness.engine, harness.sender)
+        env = FaultEnv.of(harness)
+        for at in (0.001, 0.003, 0.005):
+            Reset(at=at, down_time=0.0001).apply(env)
         harness.sender.start_traffic(count=2000)
         harness.run(until=1.0)
         assert len(harness.sender.reset_records) == 3
@@ -124,9 +109,9 @@ class TestResetSchedule:
     def test_reset_storm_still_converges(self):
         """Repeated resets: every cycle recovers, nothing replayable."""
         harness = build_protocol(k_p=25, k_q=25)
-        ResetSchedule.periodic(0.001, 0.002, 4, 0.0003).apply(
-            harness.engine, harness.sender
-        )
+        env = FaultEnv.of(harness)
+        for at in (0.001, 0.003, 0.005, 0.007):
+            Reset(at=at, down_time=0.0003).apply(env)
         harness.sender.start_traffic(count=3000)
         harness.run(until=1.0)
         report = harness.score()
@@ -135,6 +120,6 @@ class TestResetSchedule:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ResetSchedule([(-1.0, 0.0)])
+            Reset(at=-1.0)
         with pytest.raises(ValueError):
-            ResetSchedule.periodic(0.0, 0.0, 2, 0.0)
+            Reset(at=0.0, down_time=-1.0)

@@ -5,17 +5,18 @@ import json
 
 import pytest
 
-from repro.fleet.runner import execute_task, scenario_metrics
+from repro.faults import GatewayCrash, RollingRestart
+from repro.fleet.runner import execute_task
 from repro.fleet.spec import (
     COSTMODEL_TAG,
-    GATEWAYFAULT_TAG,
+    FAULT_TAG,
     CampaignSpec,
     FleetTask,
     ScenarioGrid,
+    decode_param_value,
     decode_params,
     encode_params,
 )
-from repro.gateway import GatewayCrash, RollingRestart
 from repro.ipsec.costs import PAPER_COSTS, CostModel
 
 
@@ -120,16 +121,12 @@ class TestDictScenarios:
         assert record.status == "ok", record.error
         assert record.metrics["detected"] is True
 
-    def test_scenario_metrics_rejects_other_types(self):
-        with pytest.raises(TypeError, match="expected a ScenarioResult"):
-            scenario_metrics(42)
-
 
 class TestGatewayFaultCodec:
     def test_fault_roundtrip_is_tagged_and_json_safe(self):
         fault = GatewayCrash(at=0.002, down_time=0.0002)
         encoded = encode_params({"n_sas": 4, "fault": fault})
-        assert set(encoded["fault"]) == {GATEWAYFAULT_TAG}
+        assert set(encoded["fault"]) == {FAULT_TAG}
         decoded = decode_params(json.loads(json.dumps(encoded)))
         assert decoded["fault"] == fault
         assert decode_params(encode_params({
@@ -169,3 +166,36 @@ class TestGatewayFaultCodec:
         assert record.status == "ok", record.error
         assert record.metrics["gateway_crashes"] == 1
         assert record.metrics["converged"] is True
+
+
+def grid_spec(fault_param):
+    return CampaignSpec.from_dict({
+        "name": "tags",
+        "grids": [{
+            "scenario": "gateway_crash",
+            "params": {"n_sas": 2, "fault": fault_param},
+        }],
+    })
+
+
+class TestBadTagsFailAtSpecLoad:
+    """A misspelt, retired or malformed tagged param must fail while the
+    spec is validated, not decode to a plain dict that fails every task."""
+
+    @pytest.mark.parametrize("tag", [
+        "__gatewayfualt__", "__costmodle__", "__gatewayfault__", "__pathfault__",
+    ])
+    def test_unknown_dunder_tag_is_rejected(self, tag):
+        with pytest.raises(ValueError, match="unknown param tag"):
+            decode_param_value({tag: {"kind": "crash", "at": 0.001}})
+        with pytest.raises(ValueError, match="parameter 'fault'"):
+            grid_spec({tag: {"kind": "crash", "at": 0.001}}).validate_scenarios()
+
+    def test_malformed_fault_is_rejected(self):
+        with pytest.raises(ValueError, match="exactly one trigger"):
+            grid_spec({FAULT_TAG: {"kind": "crash"}}).validate_scenarios()
+
+    def test_plain_dicts_still_decode(self):
+        value = {"__note": 1, "nested": {"x": [1, 2]}}
+        assert decode_param_value(value) == value
+        assert decode_param_value({"a": 1, "__b__": 2}) == {"a": 1, "__b__": 2}

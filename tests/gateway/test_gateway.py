@@ -4,13 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.gateway import (
-    Gateway,
-    GatewayCrash,
-    RollingRestart,
-    SAChurn,
-    fault_from_dict,
-)
+from repro.faults import Fault, FaultEnv, GatewayCrash, RollingRestart, SAChurn
+from repro.gateway import Gateway
 from repro.ipsec.costs import PAPER_COSTS
 
 T_SAVE = PAPER_COSTS.t_save
@@ -19,7 +14,8 @@ T_SEND = PAPER_COSTS.t_send
 
 def run_crash_gateway(n_sas: int = 4, policy: str = "batched", **kwargs):
     gateway = Gateway(n_sas=n_sas, k=50, store_policy=policy, **kwargs)
-    GatewayCrash(after_sends=100, down_time=2 * T_SAVE).apply(gateway)
+    crash = GatewayCrash(after_sends=100, down_time=2 * T_SAVE)
+    crash.apply(FaultEnv.of(gateway))
     gateway.start_traffic(count=400)
     gateway.run(until=500 * T_SEND + 20 * T_SAVE + n_sas * T_SAVE)
     return gateway
@@ -58,7 +54,8 @@ class TestConstruction:
 
     def test_default_k_keeps_the_guarantees_at_scale(self):
         gateway = Gateway(n_sas=16, store_policy="write_ahead")
-        GatewayCrash(after_sends=200, down_time=2 * T_SAVE).apply(gateway)
+        crash = GatewayCrash(after_sends=200, down_time=2 * T_SAVE)
+        crash.apply(FaultEnv.of(gateway))
         gateway.start_traffic(count=600)
         gateway.run(until=0.01)
         report = gateway.score()
@@ -122,7 +119,7 @@ class TestGatewayCrash:
 
     def test_at_time_trigger(self):
         gateway = Gateway(n_sas=2, k=50)
-        GatewayCrash(at=0.001, down_time=2 * T_SAVE).apply(gateway)
+        GatewayCrash(at=0.001, down_time=2 * T_SAVE).apply(FaultEnv.of(gateway))
         gateway.start_traffic(count=500)
         gateway.run(until=0.004)
         assert gateway.crash_times == [0.001]
@@ -149,18 +146,19 @@ class TestGatewayCrash:
         assert metrics["converged"]
 
     def test_trigger_must_be_exactly_one(self):
-        gateway = Gateway(n_sas=1)
+        # Checked at construction, before a fault can reach a fleet worker.
         with pytest.raises(ValueError, match="exactly one trigger"):
-            GatewayCrash().apply(gateway)
+            GatewayCrash()
         with pytest.raises(ValueError, match="exactly one trigger"):
-            GatewayCrash(at=0.1, after_sends=5).apply(gateway)
+            GatewayCrash(at=0.1, after_sends=5)
 
 
 class TestRollingRestart:
     def test_resets_are_staggered_not_correlated(self):
         gateway = Gateway(n_sas=3, k=75)
         stagger = 4 * T_SAVE
-        RollingRestart(at=0.001, stagger=stagger, down_time=T_SAVE).apply(gateway)
+        wave = RollingRestart(at=0.001, stagger=stagger, down_time=T_SAVE)
+        wave.apply(FaultEnv.of(gateway))
         gateway.start_traffic(count=800)
         gateway.run(until=0.006)
         times = [
@@ -196,7 +194,8 @@ class TestSAChurn:
 
     def test_cycles_retire_and_establish(self):
         gateway = Gateway(n_sas=2, k=75)
-        SAChurn(start=0.0005, interval=0.0005, cycles=2, messages=100).apply(gateway)
+        churn = SAChurn(at=0.0005, interval=0.0005, cycles=2, messages=100)
+        churn.apply(FaultEnv.of(gateway))
         gateway.start_traffic(count=200)
         gateway.run(until=0.004)
         assert gateway.churn_events == 2
@@ -222,15 +221,15 @@ class TestFaultRoundTrip:
         faults = [
             GatewayCrash(after_sends=10, down_time=0.001),
             RollingRestart(at=0.5, stagger=0.002),
-            SAChurn(start=0.1, interval=0.2, cycles=3, messages=50),
+            SAChurn(at=0.1, interval=0.2, cycles=3, messages=50),
         ]
         for fault in faults:
-            rebuilt = fault_from_dict(fault.to_dict())
+            rebuilt = Fault.from_dict(fault.to_dict())
             assert rebuilt == fault
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown gateway fault kind"):
-            fault_from_dict({"kind": "meteor"})
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            Fault.from_dict({"kind": "meteor"})
 
 
 class TestDeterminism:

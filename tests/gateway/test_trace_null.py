@@ -10,14 +10,17 @@ match the untraced run's bit for bit.
 from __future__ import annotations
 
 from repro.core.convergence import report_metrics
-from repro.gateway import Gateway, GatewayCrash
+from repro.faults import FaultEnv, GatewayCrash
+from repro.gateway import Gateway
 from repro.ipsec.costs import PAPER_COSTS
 from repro.sim.trace import NULL_TRACE, TraceRecorder
 
 
 def run_gateway(trace) -> "Gateway":
     gateway = Gateway(n_sas=50, k=50, store_policy="batched", trace=trace)
-    GatewayCrash(after_sends=60, down_time=2 * PAPER_COSTS.t_save).apply(gateway)
+    GatewayCrash(after_sends=60, down_time=2 * PAPER_COSTS.t_save).apply(
+        FaultEnv.of(gateway)
+    )
     gateway.start_traffic(count=200)
     gateway.run(until=0.002)
     return gateway

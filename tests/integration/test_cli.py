@@ -137,6 +137,57 @@ class TestCli:
         assert main(["fleet", str(spec_path), "--sample"]) == 2
         assert "--sample needs a session count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fault", [
+        {"__gatewayfault__": {"kind": "crash", "at": 0.0008}},  # retired tag
+        {"__fault__": {"kind": "crash"}},  # no trigger
+    ])
+    def test_fleet_rejects_a_bad_fault_before_any_task_runs(
+        self, tmp_path, capsys, fault
+    ):
+        import json
+
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "name": "bad-fault",
+            "grids": [{"scenario": "gateway_crash",
+                       "params": {"n_sas": 2, "fault": fault}}],
+        }))
+        out_dir = tmp_path / "runs"
+        assert main(["fleet", str(spec_path), "--out", str(out_dir)]) == 2
+        assert "invalid campaign spec" in capsys.readouterr().err
+        assert not (out_dir / "results.jsonl").exists()
+
+    def test_netpath_prints_every_story(self, capsys):
+        assert main(["netpath", "--messages", "200"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert [row for row in rows if row and row[0].startswith(
+            ("nat_rebinding/", "path_flap", "mobile_handover")
+        )] == [
+            ["nat_rebinding/static", "200", "0", "0", "0", "0", "0"],
+            ["nat_rebinding/strict", "100", "0", "101", "0", "0", "100"],
+            ["nat_rebinding/rebind_on_valid", "200", "0", "0", "1", "0", "0"],
+            ["path_flap", "150", "0", "0", "0", "50", "50"],
+            ["mobile_handover", "247", "0", "0", "1", "99", "52"],
+        ]
+
+    def test_netpath_rejects_too_few_messages(self, capsys):
+        assert main(["netpath", "--messages", "10"]) == 2
+        assert "--messages must be >= 20" in capsys.readouterr().err
+
+    def test_obs_scenario_manifest_carries_the_scenario_result(self, tmp_path):
+        import json
+
+        from repro.workloads.scenarios import run_sender_reset_scenario
+
+        params = {"reset_after_sends": 120, "messages_after_reset": 80}
+        run_dir = tmp_path / "run"
+        assert main(["obs", str(run_dir), "--scenario", "sender_reset",
+                     "--params", json.dumps(params), "--seed", "7",
+                     "--check"]) == 0
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        expected = run_sender_reset_scenario(seed=7, **params)
+        assert manifest["metrics"] == json.loads(json.dumps(expected))
+
     def test_check_small_budget(self, capsys):
         assert main(["check", "--budget", "3000"]) == 0
         out = capsys.readouterr().out

@@ -1,4 +1,5 @@
-"""Tests for repro.netpath.faults and their fleet JSON round-trip."""
+"""Tests for the path fault kinds of :mod:`repro.faults` and their fleet
+JSON round-trip."""
 
 from __future__ import annotations
 
@@ -7,8 +8,9 @@ import json
 import pytest
 
 from repro.core.protocol import build_protocol
+from repro.faults import Fault, FaultEnv, NatRebinding, PathFlap, RegimeShift
 from repro.fleet.spec import (
-    PATHFAULT_TAG,
+    FAULT_TAG,
     PATHPROFILE_TAG,
     CampaignSpec,
     ScenarioGrid,
@@ -19,16 +21,7 @@ from repro.gateway import Gateway
 from repro.net.delay import FixedDelay
 from repro.net.link import Link
 from repro.net.loss import BernoulliLoss
-from repro.netpath import (
-    NatRebinding,
-    PathEnv,
-    PathFlap,
-    PathOutage,
-    PathPhase,
-    PathProfile,
-    RegimeShift,
-    path_fault_from_dict,
-)
+from repro.netpath import PathPhase, PathProfile
 from repro.sim.engine import Engine
 from repro.sim.trace import NULL_TRACE
 
@@ -40,31 +33,30 @@ def make_link():
     return engine, link, delivered
 
 
-class TestPathOutage:
+class TestOneCycleOutage:
     def test_blackholes_exactly_the_window(self):
         engine, link, delivered = make_link()
-        PathOutage(at=0.001, duration=0.001).apply(PathEnv(engine, link=link))
+        PathFlap(at=0.001, down_time=0.001).apply(FaultEnv(engine, link=link))
         for t in (0.0005, 0.0015, 0.0025):
             engine.call_at(t, link.send, t)
         engine.run()
         assert delivered == [0.0005, 0.0025]
         assert link.blackholed == 1
 
-    def test_rejects_non_positive_duration(self):
-        with pytest.raises(ValueError, match="duration"):
-            PathOutage(at=0.0, duration=0.0)
+    def test_rejects_non_positive_down_time(self):
+        with pytest.raises(ValueError, match="down_time"):
+            PathFlap(at=0.0, down_time=0.0)
 
     def test_needs_a_link(self):
         with pytest.raises(ValueError, match="needs a link"):
-            PathOutage(at=0.0, duration=1.0).apply(PathEnv(Engine()))
+            PathFlap(at=0.0, down_time=1.0).apply(FaultEnv(Engine()))
 
 
 class TestPathFlap:
     def test_cycles_open_and_close(self):
         engine, link, delivered = make_link()
         flap = PathFlap(at=0.001, down_time=0.001, up_time=0.001, cycles=2)
-        assert flap.ends_at == pytest.approx(0.004)
-        flap.apply(PathEnv(engine, link=link))
+        flap.apply(FaultEnv(engine, link=link))
         # down: [1ms, 2ms) and [3ms, 4ms); up elsewhere
         times = [0.0005, 0.0015, 0.0025, 0.0035, 0.0045]
         for t in times:
@@ -78,6 +70,8 @@ class TestPathFlap:
             PathFlap(at=0.0, down_time=1.0, up_time=1.0, cycles=0)
         with pytest.raises(ValueError, match="down_time"):
             PathFlap(at=0.0, down_time=0.0, up_time=1.0)
+        with pytest.raises(ValueError, match="up_time"):
+            PathFlap(at=0.0, down_time=1.0, cycles=2)
 
 
 class TestRegimeShift:
@@ -86,7 +80,7 @@ class TestRegimeShift:
         RegimeShift(
             at=0.001,
             phase=PathPhase("bad", loss=BernoulliLoss(1.0)),
-        ).apply(PathEnv(engine, link=link))
+        ).apply(FaultEnv(engine, link=link))
         engine.call_at(0.0005, link.send, "before")
         engine.call_at(0.0015, link.send, "after")
         engine.run()
@@ -101,8 +95,9 @@ class TestRegimeShift:
 class TestNatRebinding:
     def test_after_sends_moves_the_sender_address(self):
         harness = build_protocol(trace=NULL_TRACE, sender_address="nat:a")
-        env = PathEnv(harness.engine, link=harness.link, sender=harness.sender)
-        NatRebinding(after_sends=3, new_address="nat:b").apply(env)
+        NatRebinding(after_sends=3, new_address="nat:b").apply(
+            FaultEnv.of(harness)
+        )
         harness.sender.start_traffic(count=6)
         harness.run(until=1.0)
         srcs = [p for _, p in harness.receiver.delivered_log]
@@ -119,11 +114,11 @@ class TestNatRebinding:
 
     def test_rejects_empty_address(self):
         with pytest.raises(ValueError, match="new_address"):
-            NatRebinding(new_address="")
+            NatRebinding(new_address="", at=0.0)
 
 
 ALL_FAULTS = [
-    PathOutage(at=0.5, duration=0.25),
+    PathFlap(at=0.5, down_time=0.25),
     PathFlap(at=0.1, down_time=0.05, up_time=0.1, cycles=3),
     RegimeShift(at=1.0, phase=PathPhase(
         "congested", delay=FixedDelay(0.002), loss=BernoulliLoss(0.1)
@@ -132,20 +127,24 @@ ALL_FAULTS = [
 ]
 
 
+#: A one-cycle flap is an outage.
+FAULT_IDS = ["outage", "flap", "regime_shift", "nat_rebinding"]
+
+
 class TestJsonRoundTrip:
-    @pytest.mark.parametrize("fault", ALL_FAULTS, ids=lambda f: f.kind)
+    @pytest.mark.parametrize("fault", ALL_FAULTS, ids=FAULT_IDS)
     def test_fault_dict_round_trip(self, fault):
         data = json.loads(json.dumps(fault.to_dict()))
-        assert path_fault_from_dict(data) == fault
+        assert Fault.from_dict(data) == fault
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown path fault kind"):
-            path_fault_from_dict({"kind": "gremlin"})
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            Fault.from_dict({"kind": "gremlin"})
 
-    @pytest.mark.parametrize("fault", ALL_FAULTS, ids=lambda f: f.kind)
+    @pytest.mark.parametrize("fault", ALL_FAULTS, ids=FAULT_IDS)
     def test_fleet_codec_tags_faults(self, fault):
         encoded = encode_params({"fault": fault})
-        assert set(encoded["fault"]) == {PATHFAULT_TAG}
+        assert set(encoded["fault"]) == {FAULT_TAG}
         decoded = decode_params(json.loads(json.dumps(encoded)))
         assert decoded["fault"] == fault
 
@@ -194,7 +193,8 @@ class TestJsonRoundTrip:
 class TestGatewayPerSaPaths:
     def test_outage_hits_one_sa_of_n(self):
         gateway = Gateway(n_sas=3, k=50, seed=0)
-        gateway.apply_path_fault(1, PathOutage(at=0.0005, duration=0.0005))
+        outage = PathFlap(at=0.0005, down_time=0.0005)
+        outage.apply(FaultEnv.of(gateway.sas[1].harness))
         gateway.start_traffic(count=200)
         gateway.run(until=0.01)
         blackholed = [unit.harness.link.blackholed for unit in gateway.sas]
@@ -202,11 +202,6 @@ class TestGatewayPerSaPaths:
         assert blackholed[0] == 0 and blackholed[2] == 0
         report = gateway.score(check_bounds=False)
         assert report.metrics()["replays_accepted"] == 0
-
-    def test_unknown_sa_index_rejected(self):
-        gateway = Gateway(n_sas=2, k=50)
-        with pytest.raises(KeyError, match="no SA with index"):
-            gateway.path_env(9)
 
     def test_per_sa_profile_override(self):
         hole = PathProfile(phases=(PathPhase("hole", up=False),))
