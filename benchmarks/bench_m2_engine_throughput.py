@@ -1,5 +1,5 @@
 """Bench M2 — microbenchmarks of the substrates: DES engine event rate,
-cancellation-heavy, timer-churn and timer-wheel schedules, ESP seal/open
+cancellation-heavy, timer-churn and long-horizon schedules, ESP seal/open
 throughput, end-to-end simulated messages per second, and model-checker
 state rate.
 
@@ -11,8 +11,9 @@ reference clocks ``post_later``; ``bench_engine_cancellable_rate`` keeps
 the handle-returning ``call_later`` flavour honest.  The cancel-heavy and
 timer-churn benches exercise the cancellation paths (live-entry
 accounting, compaction, dead-entry reclaim), and the sparse-horizon and
-cascade-heavy benches hit the timer wheel where it differs from a heap —
-far timers parked in wheel levels and windows that advance constantly.
+cascade-heavy benches run long-horizon schedules: 20k timers 1 s apart,
+all queued before the run, and a single timer re-armed 10 s ahead each
+time it fires.
 
 Every engine bench reports the shared machine-normalized events/s line
 from :mod:`repro.perf`; ``benchmarks/baselines/engine_events.json`` holds
@@ -143,11 +144,9 @@ def bench_engine_timer_churn(benchmark, report_rate):
 def bench_engine_sparse_horizon(benchmark, report_rate):
     """Long-horizon sparse timers: 20k events spread over 20,000 s.
 
-    Every event lands far beyond the wheel's 8 s front window, so the
-    queue parks them in the coarse wheel levels and pays a window
-    advance (plus cascade) to reach each one.  A heap pays log n on
-    every push instead; this is the schedule where the two cores differ
-    the most structurally.
+    Every event is posted before the run starts, 1 s apart, so the heap
+    holds all 20k at once: each push and each pop pays O(log n) on the
+    largest heap of any engine bench.
     """
 
     def run_sparse(count: int = 20_000) -> int:
@@ -167,12 +166,12 @@ def bench_engine_sparse_horizon(benchmark, report_rate):
 
 
 def bench_engine_cascade_heavy(benchmark, report_rate):
-    """Self-rescheduling tick stepping just past the front window.
+    """Self-rescheduling tick stepping 10 s at a time.
 
-    Each event re-arms 10 s ahead — past the 8 s front span — so every
-    single pop forces the wheel to advance its window and cascade the
-    next event down from a coarse level.  This is the worst case for
-    the hybrid layout: zero events are absorbed by the front heap.
+    Each event re-arms 10 s ahead of the clock, so the heap never holds
+    more than one entry and a 20k-event run spans ~55 simulated hours:
+    the clock advances far on every pop.  The name is a gated key of
+    ``benchmarks/baselines/engine_events.json``, so it stays.
     """
 
     def run_cascades(count: int = 20_000) -> int:

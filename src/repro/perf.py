@@ -14,13 +14,15 @@ so the numbers are comparable across files *and* across machines:
   per benchmark: raw events/s or sessions/s plus the normalized rate.
 * :func:`check_report` / :func:`main` — the CI gate:
   ``python -m repro.perf check BENCH.json --baseline baseline.json``
-  reads pytest-benchmark JSON output, recomputes normalized rates on the
-  current host, prints the signed percentage delta per gated benchmark,
-  and fails if any gated benchmark dropped more than the baseline's
-  tolerance below its checked-in normalized rate.  Exit codes are
-  distinct so CI can tell failure modes apart: 0 ok, 1 regression,
-  2 a gated benchmark is absent from the results JSON, 3 the baseline
-  file itself is missing or unreadable (see ``EXIT_*``).
+  reads pytest-benchmark JSON output, normalizes each entry's rate by the
+  machine score stamped into it when it was captured (calibrating this
+  host only for an entry that carries none), prints the signed
+  percentage delta per gated benchmark, and fails if any gated benchmark
+  dropped more than the baseline's tolerance below its checked-in
+  normalized rate.  Exit codes are distinct so CI can tell failure
+  modes apart: 0 ok, 1 regression, 2 a gated benchmark is absent from
+  the results JSON, 3 the baseline file itself is missing or unreadable
+  (see ``EXIT_*``).
   ``python -m repro.perf update`` refreshes the baseline in place after
   an intentional perf change.
 
@@ -243,9 +245,10 @@ EXIT_MISSING_BASELINE = 3
 class GateResult:
     """Verdict for one gated benchmark.
 
-    ``current_raw`` is the un-normalized rate on this host — not gated
-    (it is machine-dependent), but printed so a green run still reports
-    what the hardware actually did.
+    ``current_raw`` is the un-normalized rate of the capture host — not
+    gated (it is machine-dependent), but printed so a green run still
+    reports what the hardware actually did; ``score`` is the machine
+    score it was normalized by.
     """
 
     name: str
@@ -253,6 +256,7 @@ class GateResult:
     baseline_normalized: float
     floor: float
     current_raw: float | None = None
+    score: float | None = None
 
     @property
     def ok(self) -> bool:
@@ -274,6 +278,8 @@ class GateResult:
             f" [{self.current_raw:,.0f} raw]"
             if self.current_raw is not None else ""
         )
+        if self.score is not None:
+            raw += f" @ score {self.score:.2f}"
         return (
             f"  {self.name}: normalized {self.current_normalized:,.1f} "
             f"vs baseline {self.baseline_normalized:,.1f} "
@@ -311,11 +317,29 @@ def load_benchmark_provenance(path: Path) -> dict[str, dict[str, Any]]:
     return provenance
 
 
+def load_capture_scores(path: Path) -> dict[str, float]:
+    """Map benchmark name -> the machine score it was captured at.
+
+    The ``report_rate`` fixture stamps its process's :func:`machine_score`
+    into every entry's :data:`RATE_SCHEMA` payload, and the stamped
+    ``normalized_rate`` (what the bench printed and the run archive
+    keeps) is the raw rate over that score.  Entries without a positive
+    stamped score are absent.
+    """
+    scores: dict[str, float] = {}
+    for name, info in load_benchmark_provenance(path).items():
+        captured = info.get("machine_score")
+        if isinstance(captured, (int, float)) and captured > 0:
+            scores[name] = float(captured)
+    return scores
+
+
 def check_report(
     bench_times: dict[str, float],
     baseline: dict[str, Any],
     tolerance: float | None = None,
     score: float | None = None,
+    captured: dict[str, float] | None = None,
 ) -> tuple[list[GateResult], list[str]]:
     """Compare measured benchmark times against a baseline.
 
@@ -326,8 +350,12 @@ def check_report(
             ``{"count": N, "normalized_rate": R}``).
         tolerance: allowed fractional drop; defaults to the baseline's
             ``tolerance`` (and to 0.20 if the file has none).
-        score: machine score override (tests); defaults to calibrating the
-            current host.
+        score: machine score for entries with no ``captured`` score
+            (tests pass it); defaults to calibrating the current host,
+            once, and only if some entry needs it.
+        captured: name -> the machine score each entry was captured at
+            (see :func:`load_capture_scores`).  Normalizing by it gives
+            the gate the same number the bench printed, on any host.
 
     Returns:
         ``(results, missing)`` — verdicts for every gated benchmark found,
@@ -335,24 +363,28 @@ def check_report(
     """
     if tolerance is None:
         tolerance = float(baseline.get("tolerance", 0.20))
-    if score is None:
-        score = machine_score()
+    captured = captured or {}
     results: list[GateResult] = []
     missing: list[str] = []
     for name, spec in baseline["benchmarks"].items():
         if name not in bench_times:
             missing.append(name)
             continue
+        entry_score = captured.get(name)
+        if entry_score is None:
+            if score is None:
+                score = machine_score()
+            entry_score = score
         raw = spec["count"] / bench_times[name]
-        normalized = raw / score
         base = float(spec["normalized_rate"])
         results.append(
             GateResult(
                 name=name,
-                current_normalized=normalized,
+                current_normalized=raw / entry_score,
                 baseline_normalized=base,
                 floor=base * (1.0 - tolerance),
                 current_raw=raw,
+                score=entry_score,
             )
         )
     return results, missing
@@ -372,36 +404,6 @@ def _load_baseline(path: Path) -> dict[str, Any] | None:
               file=sys.stderr)
         return None
     return baseline
-
-
-def _print_provenance_mismatch(
-    bench_json: Path, gated_names: set[str], score: float
-) -> None:
-    """Explain normalized-vs-raw when the results came off another host.
-
-    When a gated benchmark's capture-time machine score (stamped into
-    ``extra_info`` by the ``report_rate`` fixture) disagrees with the
-    current host's, the raw rates in the file are not comparable here —
-    say so, and say which numbers the gate actually compares.
-    """
-    try:
-        provenance = load_benchmark_provenance(bench_json)
-    except (OSError, json.JSONDecodeError):
-        return
-    for name, info in sorted(provenance.items()):
-        if name not in gated_names:
-            continue
-        captured = info.get("machine_score")
-        if not isinstance(captured, (int, float)) or captured <= 0:
-            continue
-        if abs(captured - score) / captured > 0.05:
-            sha = info.get("git_sha") or "unknown commit"
-            print(
-                f"provenance: {name} was captured at machine score "
-                f"{captured:.2f} ({sha}); this host scores {score:.2f} — "
-                "raw rates are not comparable across hosts, the gate "
-                "compares normalized rates only"
-            )
 
 
 def _archive_bench(bench_json: str, archive_dir: str) -> None:
@@ -425,19 +427,16 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print("restore the checked-in baseline (benchmarks/baselines/) or "
               "seed one, then re-run the gate", file=sys.stderr)
         return EXIT_MISSING_BASELINE
-    bench_times = load_benchmark_json(Path(args.bench_json))
-    score = machine_score()
+    bench_json = Path(args.bench_json)
     results, missing = check_report(
-        bench_times, baseline, tolerance=args.tolerance, score=score
+        load_benchmark_json(bench_json), baseline,
+        tolerance=args.tolerance, captured=load_capture_scores(bench_json),
     )
     metric = baseline.get("metric", "items/s")
-    print(f"perf gate: {args.bench_json} vs {args.baseline} "
-          f"({metric}, machine score {score:.2f})")
+    print(f"perf gate: {args.bench_json} vs {args.baseline} ({metric}, "
+          "each rate normalized by the machine score it was captured at)")
     for result in results:
         print(result.format())
-    _print_provenance_mismatch(
-        Path(args.bench_json), set(baseline["benchmarks"]), score
-    )
     if getattr(args, "archive", None):
         # Archive before the verdict: a regressed run's evidence is the
         # run most worth keeping.
@@ -466,17 +465,20 @@ def _cmd_update(args: argparse.Namespace) -> int:
     baseline = _load_baseline(baseline_path)
     if baseline is None:
         return EXIT_MISSING_BASELINE
-    bench_times = load_benchmark_json(Path(args.bench_json))
-    score = machine_score()
-    missing = [n for n in baseline["benchmarks"] if n not in bench_times]
+    bench_json = Path(args.bench_json)
+    results, missing = check_report(
+        load_benchmark_json(bench_json), baseline,
+        captured=load_capture_scores(bench_json),
+    )
     if missing:
         print(f"error: gated benchmarks missing from {args.bench_json}: "
               f"{', '.join(missing)}", file=sys.stderr)
         return EXIT_MISSING_BENCH
-    for name, spec in baseline["benchmarks"].items():
-        rate = spec["count"] / bench_times[name]
-        spec["normalized_rate"] = round(rate / score, 3)
-        spec["raw_rate_at_capture"] = round(rate, 1)
+    for result in results:
+        spec = baseline["benchmarks"][result.name]
+        spec["normalized_rate"] = round(result.current_normalized, 3)
+        spec["raw_rate_at_capture"] = round(result.current_raw, 1)
+    score = results[0].score if results else machine_score()
     baseline["machine_score_at_capture"] = round(score, 3)
     baseline_path.write_text(json.dumps(baseline, indent=2) + "\n")
     print(f"baseline {baseline_path} refreshed "

@@ -97,9 +97,11 @@ class Engine:
         """Schedule ``callback(*args)`` at absolute simulated ``time``.
 
         Scheduling in the past is an error: it would silently reorder
-        causality.
+        causality.  A NaN ``time`` is refused too (the comparison is
+        written so that NaN fails it): NaN keys compare false both ways
+        and would corrupt the heap's order.
         """
-        if time < self.now:
+        if not time >= self.now:
             raise ValueError(
                 f"cannot schedule at t={time} before current time t={self.now}"
             )
@@ -133,7 +135,7 @@ class Engine:
         cancel with.  Ordering is identical to :meth:`call_at` at the same
         instant (one shared sequence counter).
         """
-        if time < self.now:
+        if not time >= self.now:
             raise ValueError(
                 f"cannot schedule at t={time} before current time t={self.now}"
             )
@@ -193,38 +195,35 @@ class Engine:
             raise RuntimeError("Engine.run() is not reentrant")
         self._running = True
         self._stop_requested = False
-        # The inlined hot loop over the timer wheel's front heap — the
-        # hottest code in the library.  It fires entry tuples directly
+        # The inlined hot loop over the queue's heap — the hottest code
+        # in the library.  It pops entry tuples and fires them directly
         # (the Event, when there is one, is only touched to check
-        # cancellation and to detach it), and all limit modes collapse to
-        # plain compares against sentinel budgets, so the common
-        # unlimited case pays nothing extra.  The queue invariants kept
-        # here (live counter decrement, dead-entry drop) mirror
-        # ``EventQueue.pop_next``.
+        # cancellation and to detach it) until the heap is empty, and all
+        # limit modes collapse to plain compares against sentinel
+        # budgets, so the common unlimited case pays nothing extra.  The
+        # queue invariants kept here (live counter decrement, dead-entry
+        # drop) mirror ``EventQueue.pop_next``; the loop holds the heap
+        # list itself, which the queue only ever mutates in place.
         queue = self._queue
         cap = _NO_LIMIT if max_events is None else max_events
         hard_limit = self.hard_event_limit
         budget = _NO_LIMIT if hard_limit is None else hard_limit
         horizon = float("inf") if until is None else until
-        front = queue._front
-        advance = queue._advance
+        heap = queue._heap
         pop = heappop
         processed = self._events_processed
         fired = 0
         try:
-            while fired < cap and not self._stop_requested:
-                if not front:
-                    if not advance():
-                        break
+            while heap and fired < cap and not self._stop_requested:
                 # One specialised unpack instead of four tuple subscripts.
-                time, prio, seq, event, callback, args = pop(front)
+                time, prio, seq, event, callback, args = pop(heap)
                 if event is not None and event.cancelled:
                     queue._dead -= 1
                     continue
                 if time > horizon:
                     # Not due yet: this entry stays scheduled.  The rebuilt
                     # tuple is key-identical, so ordering is unaffected.
-                    heappush(front, (time, prio, seq, event, callback, args))
+                    heappush(heap, (time, prio, seq, event, callback, args))
                     break
                 queue._live -= 1
                 self.now = time

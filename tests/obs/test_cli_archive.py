@@ -127,24 +127,18 @@ class TestPerfCheckArchive:
         assert snapshot.meta["git_sha"] == "deadbeef" * 5
 
     def test_provenance_mismatch_printed(self, tmp_path, capsys):
-        # Captured on a host twice as fast as this one: the raw rates in
-        # the file are not comparable, and the gate says so.
-        bench = write_bench_json(tmp_path / "BENCH_M3.json",
-                                 score=perf.machine_score() * 2.0)
+        # Captured on a host twice as fast as this one: the gate reads
+        # the file's own normalized rate, the one the archive keeps.
+        score = perf.machine_score() * 2.0
+        bench = write_bench_json(tmp_path / "BENCH_M3.json", score=score)
         baseline = write_baseline(tmp_path / "baseline.json")
         code = perf.main(["check", str(bench), "--baseline", str(baseline)])
         captured = capsys.readouterr().out
         assert code == perf.EXIT_OK
-        assert "provenance: bench_engine_event_rate" in captured
-        assert "normalized rates only" in captured
-
-    def test_matching_provenance_stays_quiet(self, tmp_path, capsys):
-        bench = write_bench_json(tmp_path / "BENCH_M3.json",
-                                 score=perf.machine_score())
-        baseline = write_baseline(tmp_path / "baseline.json")
-        assert perf.main(["check", str(bench), "--baseline", str(baseline)]) \
-            == perf.EXIT_OK
-        assert "provenance:" not in capsys.readouterr().out
+        stamped = json.loads(bench.read_text())["benchmarks"][0]
+        rate = stamped["extra_info"]["normalized_rate"]
+        assert f"normalized {rate:,.1f} vs baseline" in captured
+        assert f"@ score {score:.2f} ok" in captured
 
     def test_unreadable_target_warns_but_gates(self, tmp_path, capsys):
         # Archiving is best-effort: a warehouse failure must never turn

@@ -27,6 +27,16 @@ class TestScheduling:
         with pytest.raises(ValueError, match="before current time"):
             engine.call_at(0.5, lambda: None)
 
+    def test_call_at_rejects_nan(self, engine):
+        with pytest.raises(ValueError, match="before current time"):
+            engine.call_at(float("nan"), lambda: None)
+        assert engine.pending_events == 0
+
+    def test_post_at_rejects_nan(self, engine):
+        with pytest.raises(ValueError, match="before current time"):
+            engine.post_at(float("nan"), lambda: None)
+        assert engine.pending_events == 0
+
     def test_negative_delay_rejected(self, engine):
         with pytest.raises(ValueError, match="delay"):
             engine.call_later(-1.0, lambda: None)

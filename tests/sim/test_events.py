@@ -3,8 +3,8 @@
 import random
 
 import pytest
-from heap_oracle import HeapEventQueue
 
+from repro.sim.engine import Engine
 from repro.sim.events import (
     PRIORITY_EARLY,
     PRIORITY_LATE,
@@ -152,37 +152,47 @@ class TestLiveCounterAccounting:
 
 
 class TestHeapCompaction:
-    """Compaction is the heap oracle's only reclaim mechanism (the wheel
-    drops dead entries at slot drain); these tests pin its internals."""
+    """Lazy cancellation's memory bound: once dead entries outnumber live
+    ones, and there are at least ``COMPACT_MIN`` of them, the heap is
+    rebuilt from its live entries — in place, because a running engine
+    holds the list."""
+
+    MIN = EventQueue.COMPACT_MIN
 
     def test_compaction_drops_dead_entries(self):
-        queue = HeapEventQueue()
-        events = [queue.push(float(i), lambda: None) for i in range(200)]
-        for event in events[:150]:
+        queue = EventQueue()
+        count = 3 * self.MIN
+        events = [queue.push(float(i), lambda: None) for i in range(count)]
+        for event in events[: count * 3 // 4]:
             event.cancel()
-        # The heap crossed the dead-fraction threshold mid-way through the
-        # cancels, so it must have compacted: the invariant is that dead
-        # entries never exceed the compaction fraction of a large heap.
-        assert len(queue) == 50
-        heap_size = len(queue._heap)
-        assert heap_size < 200
-        assert heap_size - 50 <= heap_size * HeapEventQueue.COMPACT_FRACTION
+        # The cancel that made dead outnumber live rebuilt the heap from
+        # the live half; the later cancels left dead <= live.
+        live = count - count * 3 // 4
+        assert len(queue) == live
+        assert len(queue._heap) == count - (count // 2 + 1)
+        assert queue._dead == len(queue._heap) - live <= live
 
     def test_small_heaps_are_not_compacted(self):
-        queue = HeapEventQueue()
-        events = [queue.push(float(i), lambda: None) for i in range(10)]
-        for event in events[:9]:
+        queue = EventQueue()
+        events = [queue.push(float(i), lambda: None) for i in range(self.MIN)]
+        for event in events[:-1]:
             event.cancel()
-        assert len(queue._heap) == 10  # below COMPACT_MIN: lazy removal only
+        # Dead outnumber live, but fewer than COMPACT_MIN: lazy removal only.
+        assert len(queue._heap) == self.MIN
         assert len(queue) == 1
+        events[-1].cancel()  # the COMPACT_MIN-th dead entry
+        assert queue._heap == [] and queue._dead == 0
 
     def test_compaction_preserves_pop_order(self):
-        queue = HeapEventQueue()
-        events = [queue.push(float(i % 7), lambda: None) for i in range(300)]
+        queue = EventQueue()
+        events = [
+            queue.push(float(i % 7), lambda: None) for i in range(3 * self.MIN)
+        ]
         survivors = [e for i, e in enumerate(events) if i % 4 == 0]
         for i, event in enumerate(events):
             if i % 4:
                 event.cancel()
+        assert len(queue._heap) < len(events)
         popped = []
         while queue:
             popped.append(queue.pop())
@@ -190,6 +200,27 @@ class TestHeapCompaction:
             survivors, key=lambda e: (e.time, e.priority, e.sequence)
         )
         assert popped == expected
+
+    def test_compaction_inside_a_run_keeps_the_engines_heap(self):
+        # A callback's cancel storm compacts the heap the run loop is
+        # popping; events scheduled after it must still fire in order.
+        engine = Engine()
+        fired = []
+        events = [
+            engine.call_at(1.0 + i, fired.append, i)
+            for i in range(3 * self.MIN)
+        ]
+
+        def storm():
+            for event in events[1::4] + events[2::4] + events[3::4]:
+                event.cancel()
+            engine.post_at(1.5, fired.append, "posted")
+
+        engine.call_at(0.5, storm)
+        engine.run()
+        expected = list(range(0, 3 * self.MIN, 4))
+        assert fired == [0, "posted"] + expected[1:]
+        assert engine.pending_events == 0 and engine._queue._dead == 0
 
 
 class TestRandomizedOrderingContract:

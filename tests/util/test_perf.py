@@ -14,6 +14,7 @@ from repro.perf import (
     current_git_sha,
     load_benchmark_json,
     load_benchmark_provenance,
+    load_capture_scores,
     machine_score,
     measure_rate,
 )
@@ -180,6 +181,22 @@ class TestCheckReport:
             fast[0].current_normalized
         )
 
+    def test_captured_score_wins_over_the_host_score(self):
+        baseline = make_baseline(
+            bench_a={"count": 1000, "normalized_rate": 100.0},
+            bench_b={"count": 1000, "normalized_rate": 100.0},
+        )
+        results, _ = check_report(
+            {"bench_a": 10.0, "bench_b": 10.0}, baseline, score=4.0,
+            captured={"bench_a": 1.0},
+        )
+        by_name = {result.name: result for result in results}
+        assert by_name["bench_a"].current_normalized == pytest.approx(100.0)
+        assert by_name["bench_a"].score == 1.0
+        # No stamped score: the host score normalizes it.
+        assert by_name["bench_b"].current_normalized == pytest.approx(25.0)
+        assert by_name["bench_b"].score == 4.0
+
     def test_gate_result_format_names_verdict(self):
         ok = GateResult("bench_a", 100.0, 100.0, 80.0)
         bad = GateResult("bench_a", 10.0, 100.0, 80.0)
@@ -315,32 +332,43 @@ class TestProvenance:
                                        schema="somebody.else/rate@9")
         assert load_benchmark_provenance(path) == {}
 
-    def test_mismatch_printed_for_gated_benchmark(self, tmp_path, capsys):
-        path = write_tagged_bench_json(tmp_path / "bench.json", score=2.0)
-        perf._print_provenance_mismatch(path, {"bench_a"}, score=1.0)
+    def test_load_capture_scores_skips_unstamped(self, tmp_path):
+        path = write_tagged_bench_json(tmp_path / "bench.json", score=0.5)
+        assert load_capture_scores(path) == {"bench_a": 0.5}
+        path = write_tagged_bench_json(tmp_path / "bench.json", score=None)
+        assert load_capture_scores(path) == {}
+
+    def test_check_reads_the_stamped_normalized_rate(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Captured at score 0.5, at exactly the baseline's normalized
+        # rate, and checked on a host scoring 1.0: the gate compares the
+        # rate the bench stamped, not one re-normalized by this host.
+        monkeypatch.setattr(perf, "_machine_score", 1.0)
+        bench = write_tagged_bench_json(tmp_path / "bench.json",
+                                        seconds=10.0, score=0.5)
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps(make_baseline(
+            bench_a={"count": 1000, "normalized_rate": 1000 / 10.0 / 0.5}
+        )))
+        assert perf.main(["check", str(bench),
+                          "--baseline", str(baseline)]) == 0
         out = capsys.readouterr().out
-        assert "provenance: bench_a" in out
-        assert "machine score 2.00" in out
-        assert "cafe" in out
+        assert "normalized 200.0 vs baseline 200.0 (↑+0.0%" in out
+        assert "@ score 0.50 ok" in out
 
-    def test_within_five_percent_stays_quiet(self, tmp_path, capsys):
-        path = write_tagged_bench_json(tmp_path / "bench.json", score=1.04)
-        perf._print_provenance_mismatch(path, {"bench_a"}, score=1.0)
-        assert capsys.readouterr().out == ""
-
-    def test_ungated_benchmark_not_reported(self, tmp_path, capsys):
-        path = write_tagged_bench_json(tmp_path / "bench.json", score=2.0)
-        perf._print_provenance_mismatch(path, {"bench_other"}, score=1.0)
-        assert capsys.readouterr().out == ""
-
-    def test_missing_sha_reported_as_unknown(self, tmp_path, capsys):
-        path = write_tagged_bench_json(tmp_path / "bench.json", score=2.0,
-                                       sha=None)
-        perf._print_provenance_mismatch(path, {"bench_a"}, score=1.0)
-        assert "unknown commit" in capsys.readouterr().out
-
-    def test_unreadable_file_is_silent(self, tmp_path, capsys):
-        path = tmp_path / "bench.json"
-        path.write_text("{not json")
-        perf._print_provenance_mismatch(path, {"bench_a"}, score=1.0)
-        assert capsys.readouterr().out == ""
+    def test_update_keeps_the_stamped_normalized_rate(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(perf, "_machine_score", 1.0)
+        bench = write_tagged_bench_json(tmp_path / "bench.json",
+                                        seconds=10.0, score=0.5)
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps(make_baseline(
+            bench_a={"count": 1000, "normalized_rate": 1.0}
+        )))
+        assert perf.main(["update", str(bench),
+                          "--baseline", str(baseline)]) == 0
+        refreshed = json.loads(baseline.read_text())
+        assert refreshed["benchmarks"]["bench_a"]["normalized_rate"] == 200.0
+        assert refreshed["machine_score_at_capture"] == 0.5
