@@ -10,7 +10,6 @@ against the Section 5 bounds.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -96,13 +95,6 @@ def report_metrics(report: ConvergenceReport) -> dict[str, Any]:
     }
 
 
-def _first_delivery_after(receiver: BaseReceiver, t: float) -> float | None:
-    # delivered_log is in simulated-time order; (t,) sorts before (t, seq).
-    log = receiver.delivered_log
-    index = bisect_left(log, (t,))
-    return log[index][0] if index < len(log) else None
-
-
 def score_run(
     auditor: DeliveryAuditor,
     sender: BaseSender | None = None,
@@ -160,10 +152,9 @@ def score_run(
                     report.bound_violations.append(
                         f"receiver gap {record.gap} > 2Kq={gap_bound(receiver.k)}"
                     )
-            if record.wake_time is not None:
-                first = _first_delivery_after(receiver, record.wake_time)
-                if first is not None:
-                    report.time_to_converge.append(first - record.wake_time)
+            first = record.first_delivery_time
+            if first is not None:
+                report.time_to_converge.append(first - record.wake_time)
         if (
             check_bounds
             and protected_receiver

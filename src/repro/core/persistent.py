@@ -86,7 +86,6 @@ class PersistentStore(SimProcess):
         self._committed = initial_value
         self._in_flight: list[tuple[SaveRecord, Event]] = []
         self._listeners: list[SaveListener] = []
-        self.history: list[SaveRecord] = []
         # Statistics.
         self.saves_started = 0
         self.saves_committed = 0
@@ -160,7 +159,6 @@ class PersistentStore(SimProcess):
             synchronous=synchronous,
         )
         self.saves_started += 1
-        self.history.append(record)
         self.trace("save_start", value=value, synchronous=synchronous)
         self._notify(record)
         event = self.engine.call_at(

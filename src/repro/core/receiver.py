@@ -55,6 +55,8 @@ class ReceiverResetRecord:
         resume_time: when normal processing resumed (post-wake SAVE
             committed and the buffer drained).
         buffered_during_wake: messages held in the wake buffer.
+        first_delivery_time: when the first delivery after the wake
+            happened (None until one does).
     """
 
     reset_time: float
@@ -65,6 +67,7 @@ class ReceiverResetRecord:
     wake_time: float | None = None
     resume_time: float | None = None
     buffered_during_wake: int = 0
+    first_delivery_time: float | None = None
 
     @property
     def gap(self) -> int | None:
@@ -112,11 +115,12 @@ class BaseReceiver(SimProcess):
         self.wait = False
         # Statistics.
         self.delivered_total = 0
-        self.verdict_counts: dict[Verdict, int] = {v: 0 for v in Verdict}
+        self._verdict_counts = [0] * len(Verdict)  # by Verdict.index
         self.integrity_failures = 0
         self.dropped_while_down = 0
-        self.delivered_log: list[tuple[float, int]] = []
         self.reset_records: list[ReceiverResetRecord] = []
+        # Woken reset records whose first delivery has not happened yet.
+        self._awaiting_delivery: list[ReceiverResetRecord] = []
         self._process_listeners: list[ProcessListener] = []
         self._resume_listeners: list[Callable[[], None]] = []
         self._wake_buffer: list[Any] = []
@@ -128,6 +132,11 @@ class BaseReceiver(SimProcess):
     def right_edge(self) -> int:
         """Current right edge ``r`` of the anti-replay window."""
         return self.window.right_edge
+
+    @property
+    def verdict_counts(self) -> dict[Verdict, int]:
+        """Processed packets per window verdict, in definition order."""
+        return {v: self._verdict_counts[v.index] for v in Verdict}
 
     def add_process_listener(self, listener: ProcessListener) -> None:
         """Register a callback invoked after every processed packet."""
@@ -147,7 +156,7 @@ class BaseReceiver(SimProcess):
             # The host is off; the packet is lost like any other arriving
             # at a dead interface.
             self.dropped_while_down += 1
-            if self.traced:
+            if self.engine.trace.enabled:
                 self.trace("drop_down", packet=repr(packet))
             return
         if self.wait:
@@ -155,35 +164,38 @@ class BaseReceiver(SimProcess):
             self._wake_buffer.append(packet)
             if self.reset_records:
                 self.reset_records[-1].buffered_during_wake += 1
-            if self.traced:
+            if self.engine.trace.enabled:
                 self.trace("buffer", packet=repr(packet))
             return
         self._process(packet)
 
     def _process(self, packet: Any) -> None:
+        engine = self.engine
         try:
             seq, payload = open_packet(self.encap, self.sa, packet)
         except IntegrityError:
             self.integrity_failures += 1
-            if self.traced:
+            if engine.trace.enabled:
                 self.trace("integrity_fail", packet=repr(packet))
             if self.auditor is not None:
                 self.auditor.note_processed(packet, DeliveryAuditor.INTEGRITY_FAIL)
             return
         verdict = self.window.update(seq)
-        self.verdict_counts[verdict] += 1
+        self._verdict_counts[verdict.index] += 1
         if self.auditor is not None:
             self.auditor.note_processed(packet, verdict)
         if verdict.accepted:
             self.delivered_total += 1
-            self.delivered_log.append((self.now, seq))
-            if self.traced:
+            if self._awaiting_delivery:
+                for record in self._awaiting_delivery:
+                    record.first_delivery_time = engine.now
+                self._awaiting_delivery.clear()
+            if engine.trace.enabled:
                 self.trace("deliver", seq=seq, verdict=verdict.value)
             if self.on_deliver is not None:
                 self.on_deliver(seq, payload)
-        else:
-            if self.traced:
-                self.trace("discard", seq=seq, verdict=verdict.value)
+        elif engine.trace.enabled:
+            self.trace("discard", seq=seq, verdict=verdict.value)
         self._after_process(verdict)
         for listener in self._process_listeners:
             listener(packet, verdict)
@@ -224,6 +236,7 @@ class BaseReceiver(SimProcess):
         self.is_up = True
         record = self.reset_records[-1]
         record.wake_time = self.now
+        self._awaiting_delivery.append(record)
         self.trace("wake")
         self._on_wake(record)
 

@@ -176,12 +176,13 @@ class BaseSender(SimProcess):
         return True
 
     def _transmit(self) -> None:
+        engine = self.engine
         auditor = self.auditor
         packet = seal(
-            self.encap, self.sa, self.s, self.payload, self.now,
+            self.encap, self.sa, self.s, self.payload, engine.now,
             None if auditor is None else auditor.register_send(), self.address,
         )
-        if self.traced:
+        if engine.trace.enabled:
             self.trace("send", seq=self.s)
         self.last_sent_seq = self.s
         self.sent_total += 1

@@ -53,10 +53,17 @@ class Verdict(enum.Enum):
     #: at or below the left edge: too old to judge, discarded.
     STALE = "stale"
 
-    @property
-    def accepted(self) -> bool:
-        """Whether the message is delivered to the application."""
-        return self in (Verdict.ACCEPT_ADVANCE, Verdict.ACCEPT_IN_WINDOW)
+    #: Whether the message is delivered to the application.  Both are
+    #: plain attributes, set once below: no property call, no hashing.
+    accepted: bool
+    #: Position in definition order; receivers count verdicts by it.
+    index: int
+
+
+for _index, _verdict in enumerate(Verdict):
+    _verdict.index = _index
+    _verdict.accepted = _verdict in (Verdict.ACCEPT_ADVANCE, Verdict.ACCEPT_IN_WINDOW)
+del _index, _verdict
 
 
 class BitmapReplayWindow:

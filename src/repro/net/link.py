@@ -209,37 +209,38 @@ class Link(SimProcess):
         self.trace("regime_shift", phase=phase.name)
 
     def _transmit(self, packet: Any, injected: bool) -> None:
+        engine = self.engine
+        now = engine.now
         self.offered += 1
         for tap in self._taps:
-            tap(self.now, packet, injected)
+            tap(now, packet, injected)
         timeline = self._timeline
-        if timeline is not None and self.now >= timeline.next_change:
-            timeline.advance(self.now)
+        if timeline is not None and now >= timeline.next_change:
+            timeline.advance(now)
             self._apply_regime(timeline)
         if self._forced_down or not self._path_up:
             self.blackholed += 1
             self.dropped += 1
-            if self.traced:
+            if engine.trace.enabled:
                 self.trace("blackhole", packet=repr(packet), injected=injected)
             return
         if self.loss.should_drop(self._rng):
             self.dropped += 1
-            if self.traced:
+            if engine.trace.enabled:
                 self.trace("drop", packet=repr(packet), injected=injected)
             return
-        delay = self.delay.sample(self._rng)
-        delivery_time = self.now + delay
+        delivery_time = now + self.delay.sample(self._rng)
         if self.fifo and delivery_time < self._last_delivery_time:
             delivery_time = self._last_delivery_time
         self._last_delivery_time = max(self._last_delivery_time, delivery_time)
         # Deliveries are never cancelled, so they ride the zero-alloc
         # post path (no Event handle).
-        self.engine.post_at(delivery_time, self._deliver, packet, injected)
+        engine.post_at(delivery_time, self._deliver, packet, injected)
 
     def _deliver(self, packet: Any, injected: bool) -> None:
         if self.availability is not None and not self.availability():
             self.undeliverable += 1
-            if self.traced:
+            if self.engine.trace.enabled:
                 self.trace("unreachable", packet=repr(packet), injected=injected)
             if self.icmp_sink is not None:
                 self.icmp_sink(
@@ -251,6 +252,6 @@ class Link(SimProcess):
                 )
             return
         self.delivered += 1
-        if self.traced:
+        if self.engine.trace.enabled:
             self.trace("deliver", packet=repr(packet), injected=injected)
         self.sink(packet)

@@ -28,11 +28,13 @@ from typing import Any, Callable, ClassVar
 
 from repro.sim.events import PRIORITY_NORMAL, Event, EventQueue
 from repro.sim.trace import TraceRecorder
-from repro.util.validation import check_non_negative
 
 #: Sentinel budget meaning "unlimited" — larger than any real event count,
 #: so the run loop can use one plain integer compare for all limit modes.
 _NO_LIMIT = 1 << 62
+
+#: Every scheduled time and delay is below this.
+_INF = float("inf")
 
 
 class EngineEventLimitError(RuntimeError):
@@ -99,12 +101,12 @@ class Engine:
         Scheduling in the past is an error: it would silently reorder
         causality.  A NaN ``time`` is refused too (the comparison is
         written so that NaN fails it): NaN keys compare false both ways
-        and would corrupt the heap's order.
+        and would corrupt the heap's order.  So is an infinite one: it
+        would leave the clock at ``inf`` for good.
         """
-        if not time >= self.now:
-            raise ValueError(
-                f"cannot schedule at t={time} before current time t={self.now}"
-            )
+        if not self.now <= time < _INF:
+            raise ValueError(f"cannot schedule at t={time}: not finite, or "
+                             f"before current time t={self.now}")
         return self._queue.push(time, callback, args, priority)
 
     def call_later(
@@ -114,12 +116,12 @@ class Engine:
         *args: Any,
         priority: int = PRIORITY_NORMAL,
     ) -> Event:
-        """Schedule ``callback(*args)`` after a non-negative ``delay``."""
-        # The comparison doubles as the validity check — only on failure
-        # do we pay for the descriptive error — and a non-negative delay
-        # makes call_at's past-check redundant.
-        if not delay >= 0:
-            check_non_negative("delay", delay)
+        """Schedule ``callback(*args)`` after a finite, non-negative ``delay``."""
+        # One comparison chain is the whole validity check (NaN fails it
+        # too), and a non-negative delay makes call_at's past-check
+        # redundant.
+        if not 0 <= delay < _INF:
+            raise ValueError(f"delay must be finite and >= 0, got {delay!r}")
         return self._queue.push(self.now + delay, callback, args, priority)
 
     def post_at(
@@ -135,10 +137,9 @@ class Engine:
         cancel with.  Ordering is identical to :meth:`call_at` at the same
         instant (one shared sequence counter).
         """
-        if not time >= self.now:
-            raise ValueError(
-                f"cannot schedule at t={time} before current time t={self.now}"
-            )
+        if not self.now <= time < _INF:
+            raise ValueError(f"cannot schedule at t={time}: not finite, or "
+                             f"before current time t={self.now}")
         self._queue.post(time, callback, args, priority)
 
     def post_later(
@@ -149,8 +150,8 @@ class Engine:
         priority: int = PRIORITY_NORMAL,
     ) -> None:
         """Fire-and-forget :meth:`call_later` (see :meth:`post_at`)."""
-        if not delay >= 0:
-            check_non_negative("delay", delay)
+        if not 0 <= delay < _INF:
+            raise ValueError(f"delay must be finite and >= 0, got {delay!r}")
         self._queue.post(self.now + delay, callback, args, priority)
 
     # ------------------------------------------------------------------
@@ -208,7 +209,7 @@ class Engine:
         cap = _NO_LIMIT if max_events is None else max_events
         hard_limit = self.hard_event_limit
         budget = _NO_LIMIT if hard_limit is None else hard_limit
-        horizon = float("inf") if until is None else until
+        horizon = _INF if until is None else until
         heap = queue._heap
         pop = heappop
         processed = self._events_processed

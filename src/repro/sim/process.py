@@ -32,16 +32,6 @@ class SimProcess:
         """Current simulated time."""
         return self.engine.now
 
-    @property
-    def traced(self) -> bool:
-        """Whether trace records are being kept.
-
-        Hot paths that build expensive detail for a trace call — ``repr``
-        of a packet on every delivery, say — should check this first so an
-        untraced session skips the work entirely.
-        """
-        return self.engine.trace.enabled
-
     def trace(self, kind: str, **detail: Any) -> None:
         """Record a trace event attributed to this process."""
         recorder = self.engine.trace

@@ -146,23 +146,21 @@ class NullTraceRecorder(TraceRecorder):
     packets) check :attr:`enabled` first and skip the work entirely.
 
     ``enabled`` is pinned ``False``: flipping it on would silently lose
-    records, so it refuses.  All query helpers behave as an empty trace.
+    records, so it refuses.  It stays a plain attribute (only writes are
+    checked), so a hot handler's ``engine.trace.enabled`` read costs no
+    call.  All query helpers behave as an empty trace.
     """
 
     def __init__(self) -> None:
         super().__init__(enabled=False)
 
-    @property
-    def enabled(self) -> bool:  # type: ignore[override]
-        return False
-
-    @enabled.setter
-    def enabled(self, value: bool) -> None:
-        if value:
+    def __setattr__(self, name: str, value: Any) -> None:
+        if name == "enabled" and value:
             raise ValueError(
                 "NullTraceRecorder cannot be enabled; build the simulation "
                 "with a real TraceRecorder instead"
             )
+        super().__setattr__(name, value)
 
     def record(self, time: float, source: str, kind: str, **detail: Any) -> None:
         """Drop the record."""

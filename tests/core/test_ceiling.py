@@ -164,12 +164,14 @@ class TestCeilingReceiver:
 class TestCeilingEndToEnd:
     def test_harness_run_converges(self):
         harness = build_protocol(variant="ceiling", k_p=25, k_q=25)
+        seqs = []
+        harness.receiver.on_deliver = lambda seq, payload: seqs.append(seq)
         harness.sender.start_traffic(count=300)
         harness.engine.call_at(0.0005, harness.sender.reset, 0.0002)
         harness.run(until=1.0)
         report = harness.score(check_bounds=False)
         assert report.replays_accepted == 0
-        seqs = [seq for _, seq in harness.receiver.delivered_log]
+        assert seqs
         assert len(seqs) == len(set(seqs))
 
     def test_dual_reset_with_replay_safe(self):

@@ -1,7 +1,17 @@
 """Tests for run scoring / convergence reports."""
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.convergence import score_run
 from repro.core.protocol import build_protocol
+from repro.core.receiver import SaveFetchReceiver
+from repro.faults import FaultEnv, Reset
+from repro.ipsec.costs import CostModel
+from repro.sim.trace import NULL_TRACE
+
+COSTS = CostModel(t_save=100e-6, t_send=4e-6, t_fetch=0.0)
 
 
 class TestScoring:
@@ -67,3 +77,86 @@ class TestScoring:
         harness.run(until=1.0)
         report = score_run(harness.auditor, sender=harness.sender, receiver=None)
         assert report.receiver_resets == 0
+
+
+class TestTimeToConverge:
+    def test_zero_length_receiver_reset_scores_from_the_wake(self):
+        """The delivery that triggers a zero-length reset happened before
+        the wake, in the same instant; it does not end the convergence.
+        The receiver resumes after its synchronous SAVE (0.0002 s), and
+        the first delivery after that is the convergence time."""
+        harness = build_protocol(seed=3)
+        Reset(side="receiver", after_sends=50).apply(FaultEnv.of(harness))
+        harness.sender.start_traffic(count=400)
+        harness.run()
+        record = harness.receiver.reset_records[0]
+        assert record.wake_time == record.reset_time
+        assert harness.score().time_to_converge == [pytest.approx(0.0002)]
+        assert record.first_delivery_time >= record.resume_time
+
+
+#: A fault: (side, slot, down time).  ``"q@count"`` resets the receiver
+#: after ``slot`` processed packets, inside the delivery that triggers it.
+RESET = st.tuples(
+    st.sampled_from(["p", "q", "both", "q@count"]),
+    st.integers(min_value=0, max_value=120),
+    st.sampled_from([0.0, 50e-6, 200e-6, 1e-3]),
+)
+
+
+@given(
+    resets=st.lists(RESET, min_size=1, max_size=5),
+    protected=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_first_delivery_time_is_the_first_delivery_after_the_wake(
+    resets, protected
+):
+    harness = build_protocol(protected=protected, k_p=50, k_q=50, costs=COSTS,
+                             seed=1, trace=NULL_TRACE)
+    engine, receiver = harness.engine, harness.receiver
+    # The oracle: deliveries and wakes in the order they happened.
+    log = []
+    receiver.on_deliver = lambda seq, payload: log.append(("deliver", engine.now))
+    wake = receiver.wake
+
+    def logged_wake():
+        if not receiver.is_up:
+            log.append(("wake", receiver.reset_records[-1]))
+        wake()
+
+    receiver.wake = logged_wake
+    for side, slot, down in resets:
+        if side == "q@count":
+            Reset(side="receiver", after_sends=slot + 1, down_time=down).apply(
+                FaultEnv.of(harness)
+            )
+            continue
+        if side in ("p", "both"):
+            engine.call_at(slot * 1e-4, harness.sender.reset, down)
+        if side in ("q", "both"):
+            engine.call_at(slot * 1e-4, receiver.reset, down)
+    harness.sender.start_traffic(count=3_000)
+    harness.run()
+
+    expected = {}
+    for index, (kind, entry) in enumerate(log):
+        if kind == "wake":
+            expected[id(entry)] = next(
+                (time for kind, time in log[index + 1:] if kind == "deliver"),
+                None,
+            )
+    for record in receiver.reset_records:
+        assert record.first_delivery_time == expected.get(id(record))
+        if (
+            isinstance(receiver, SaveFetchReceiver)
+            and record.resume_time is not None
+            and record.first_delivery_time is not None
+        ):
+            # A packet buffered during the wake SAVE waits for the resume.
+            assert record.first_delivery_time >= record.resume_time
+    assert harness.score(check_bounds=False).time_to_converge == [
+        record.first_delivery_time - record.wake_time
+        for record in receiver.reset_records
+        if record.first_delivery_time is not None
+    ]

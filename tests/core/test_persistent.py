@@ -115,7 +115,7 @@ class TestListeners:
         record = store.begin_save(9, synchronous=True)
         assert record.synchronous
         engine.run()
-        assert store.history[0].committed
+        assert record.committed
 
 
 class TestValidation:

@@ -7,6 +7,18 @@ from repro.faults import FaultEnv, Reset
 from repro.sim.engine import Engine
 
 
+def started_saves(store):
+    """Every SAVE ``store`` starts from now on, in start order."""
+    started = []
+
+    def on_save(record):
+        if not record.committed:  # listeners fire at start and at commit
+            started.append(record)
+
+    store.add_listener(on_save)
+    return started
+
+
 class TestResetAtTime:
     def test_fires_at_time(self):
         harness = build_protocol()
@@ -56,6 +68,7 @@ class TestResetDuringSave:
     def test_strikes_inside_nth_save(self):
         harness = build_protocol(k_p=50)
         store = harness.sender.store
+        started = started_saves(store)
         Reset(during_save=2, fraction=0.5, down_time=0.0001).apply(
             FaultEnv.of(harness)
         )
@@ -64,7 +77,7 @@ class TestResetDuringSave:
         record = harness.sender.reset_records[0]
         assert record.save_in_flight
         # Second background save stores 101; struck halfway through.
-        aborted = [r for r in store.history if r.aborted]
+        aborted = [r for r in started if r.aborted]
         assert [r.value for r in aborted] == [101]
         assert record.reset_time == pytest.approx(
             aborted[0].started_at + 0.5 * store.t_save
@@ -81,6 +94,7 @@ class TestResetDuringSave:
     def test_synchronous_wake_save_counts(self):
         harness = build_protocol(k_p=25)
         store = harness.sender.store
+        started = started_saves(store)
         # Arm on SAVE start #2; a manual reset first makes #2 the
         # post-wake synchronous SAVE, which counts like any other.
         Reset(during_save=2, down_time=0.0).apply(FaultEnv.of(harness))
@@ -88,11 +102,11 @@ class TestResetDuringSave:
         harness.run(until=0.01)
         harness.sender.reset(down_for=0.0)  # wake save is synchronous
         harness.run(until=0.02)
-        assert [r.synchronous for r in store.history] == [False, True, True]
+        assert [r.synchronous for r in started] == [False, True, True]
         assert len(harness.sender.reset_records) == 2
         struck = harness.sender.reset_records[1]
         assert struck.reset_time == pytest.approx(
-            store.history[1].started_at + 0.5 * store.t_save
+            started[1].started_at + 0.5 * store.t_save
         )
 
 

@@ -1,0 +1,42 @@
+"""What a session keeps: O(resets) state, not O(messages).
+
+A pair's receiver keeps one first-delivery time per reset record (no
+delivery log), its stores keep no SAVE history, and the auditor keeps one
+flag byte per uid, so memory held at the end of a session barely grows
+with the number of messages it carried.
+"""
+
+import gc
+import tracemalloc
+
+from repro.core.protocol import build_protocol
+from repro.sim.trace import NULL_TRACE
+
+#: Bytes a session may keep per added message: the auditor's flag byte
+#: plus ``bytearray`` over-allocation, with room to spare.  A per-message
+#: tuple in a list costs ~100 B.
+MAX_BYTES_PER_MESSAGE = 4
+
+
+def retained_bytes(messages: int) -> int:
+    """Traced memory held by a finished, still-live untraced session."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        harness = build_protocol(trace=NULL_TRACE, seed=1)
+        harness.sender.start_traffic(count=messages)
+        harness.run()
+        assert harness.receiver.delivered_total == messages
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_session_retains_o1_bytes_per_message():
+    small = retained_bytes(20_000)
+    large = retained_bytes(40_000)
+    per_message = (large - small) / 20_000
+    assert per_message <= MAX_BYTES_PER_MESSAGE, (
+        f"a session keeps {per_message:.1f} B per added message"
+    )

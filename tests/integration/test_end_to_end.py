@@ -93,12 +93,14 @@ class TestEspIntegration:
 class TestWindowInSitu:
     def test_receiver_reset_run_delivers_in_order(self):
         harness = build_protocol(seed=9, costs=FAST)
+        delivered = []
+        harness.receiver.on_deliver = lambda seq, payload: delivered.append(seq)
         harness.sender.start_traffic(count=600)
         harness.engine.call_at(0.001, harness.receiver.reset, 0.0002)
         harness.run(until=1.0)
         report = harness.score()
         assert report.converged
-        delivered = [seq for _, seq in harness.receiver.delivered_log]
+        assert len(delivered) == harness.receiver.delivered_total
         assert delivered == sorted(delivered)
 
 

@@ -19,6 +19,20 @@ def window_cls(request):
     return request.param
 
 
+class TestVerdict:
+    def test_accepted_members(self):
+        assert [v for v in Verdict if v.accepted] == [
+            Verdict.ACCEPT_ADVANCE, Verdict.ACCEPT_IN_WINDOW
+        ]
+
+    def test_index_is_definition_order(self):
+        assert [v.index for v in Verdict] == [0, 1, 2, 3]
+
+    def test_hashed_by_name_not_identity(self):
+        """Identity hashing would make set order differ between processes."""
+        assert all(hash(v) == hash(v.name) for v in Verdict)
+
+
 class TestInitialState:
     def test_right_edge_zero(self, window_cls):
         assert window_cls(8).right_edge == 0

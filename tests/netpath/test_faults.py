@@ -98,11 +98,17 @@ class TestNatRebinding:
         NatRebinding(after_sends=3, new_address="nat:b").apply(
             FaultEnv.of(harness)
         )
+        srcs = []
+
+        def on_process(packet, verdict):
+            if verdict.accepted:
+                srcs.append(packet.src)
+
+        harness.receiver.add_process_listener(on_process)
         harness.sender.start_traffic(count=6)
         harness.run(until=1.0)
-        srcs = [p for _, p in harness.receiver.delivered_log]
         assert harness.sender.address == "nat:b"
-        assert len(srcs) == 6
+        assert srcs == ["nat:a"] * 3 + ["nat:b"] * 3
 
     def test_needs_exactly_one_trigger_at_construction(self):
         """Misconfigured faults must fail at spec-authoring time, before

@@ -41,6 +41,18 @@ class TestScheduling:
         with pytest.raises(ValueError, match="delay"):
             engine.call_later(-1.0, lambda: None)
 
+    @pytest.mark.parametrize(
+        "method", ["call_at", "call_later", "post_at", "post_later"]
+    )
+    def test_rejects_infinity(self, engine, method):
+        """Firing an event at ``inf`` would strand the clock there."""
+        with pytest.raises(ValueError, match="finite"):
+            getattr(engine, method)(float("inf"), lambda: None)
+        assert engine.pending_events == 0
+        engine.call_later(1.0, lambda: None)
+        engine.run(until=5.0)
+        assert engine.now == 5.0
+
     def test_events_scheduled_during_run_execute(self, engine):
         order = []
 
