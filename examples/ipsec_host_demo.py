@@ -1,77 +1,78 @@
 #!/usr/bin/env python3
-"""A multi-SA IPsec host surviving a host-wide reset (RFC 2401 stack).
+"""A multi-SA IPsec host surviving a host-wide reset.
 
-Two hosts run the full processing model — SPD policy lookup, SAD lookup,
-ESP seal/open, per-SA anti-replay — over several SAs at once.  A
-host-wide reset erases *every* SA's volatile counters; with per-SA
-SAVE/FETCH each association recovers independently in microseconds,
+Host a talks to host b over several ESP security associations at once:
+each SA is one SAVE/FETCH pair from ``build_protocol`` (its own SPI,
+keys, sequence counter, persistent store and anti-replay window), and
+all of them run on one shared engine, so they share host a's clock and
+fate.  A host-wide reset of a erases *every* SA's volatile counter at the
+same instant; with per-SA SAVE/FETCH each association recovers
+independently in microseconds (FETCH, leap by 2K, synchronous SAVE),
 which is the multi-SA scenario the paper contrasts with tearing all of
 them down and re-running IKE (priced by examples/rekey_vs_savefetch.py).
+Once the traffic is over, an on-path adversary replays every SA's
+recorded history at b.
 
 Run:  python examples/ipsec_host_demo.py
 """
 
-from repro.ipsec.sa import make_sa_pair
-from repro.ipsec.sad import SecurityAssociationDatabase
-from repro.ipsec.spd import PolicyAction, SecurityPolicyDatabase
-from repro.ipsec.stack import IpsecStack
-from repro.net.link import Link
-from repro.sim.engine import Engine
+from collections import defaultdict
+
+from repro import PAPER_COSTS, Engine, FaultEnv, Replay, Reset, build_protocol
+from repro.sim.trace import NULL_TRACE
 
 N_SAS = 8
+ATTEMPTS = 400  # send attempts per SA
+RESET_AT = 0.0006  # s: mid-stream on every SA
+DOWN_TIME = 0.0005  # s
+REPLAY_AT = 0.01  # s: after every SA has finished sending
 
 
 def main() -> None:
-    engine = Engine()
-    spd = SecurityPolicyDatabase()
-    spd.add_rule("*", "*", "*", PolicyAction.PROTECT)
-    sad_a, sad_b = SecurityAssociationDatabase(), SecurityAssociationDatabase()
+    engine = Engine(trace=NULL_TRACE)
+    wire: dict[int, list[int]] = defaultdict(list)  # SPI -> seqs sent
 
-    inbox_b: list[bytes] = []
-    stack_a = IpsecStack(engine, "a", spd, sad_a, k=25)
-    stack_b = IpsecStack(
-        engine, "b", spd, sad_b, k=25,
-        deliver_upward=lambda src, data: inbox_b.append(data),
-    )
-    link_ab = Link(engine, "link:a->b", sink=stack_b.on_receive)
-    link_ba = Link(engine, "link:b->a", sink=stack_a.on_receive)
-    stack_a.add_route("b", link_ab.send)
-    stack_b.add_route("a", link_ba.send)
+    def on_wire(_t: float, packet, injected: bool) -> None:
+        if not injected:  # the adversary's replays are not sends
+            wire[packet.spi].append(packet.seq)
 
-    for seed in range(N_SAS):
-        pair = make_sa_pair("a", "b", seed_or_rng=seed)
-        for sad in (sad_a, sad_b):
-            sad.add(pair.forward)
-            sad.add(pair.backward)
-
-    wire: list = []
-    link_ab.add_tap(lambda t, p, injected: wire.append(p))
-
-    # Phase 1: traffic (the outbound lookup uses the newest SA; all eight
-    # exist, exercising SAD generation selection).
-    for i in range(200):
-        stack_a.send("b", f"msg-{i}".encode())
-    engine.run(until=0.01)
-
-    # Phase 2: host-wide reset of a — all SA counters lost at once.
-    stack_a.reset(down_for=0.001)
+    pairs = []
+    for i in range(N_SAS):
+        harness = build_protocol(
+            encap="esp", engine=engine, sender_name=f"a{i}",
+            receiver_name=f"b{i}", seed=i, with_adversary=True,
+        )
+        harness.link.add_tap(on_wire)
+        env = FaultEnv.of(harness)
+        Reset(at=RESET_AT, down_time=DOWN_TIME).apply(env)
+        Replay(at=REPLAY_AT, strategy="history").apply(env)
+        # SA i sends every (1 + i/4) t_send, so each counter stands
+        # somewhere else when the reset hits.
+        harness.sender.start_traffic(
+            count=ATTEMPTS, interval=PAPER_COSTS.t_send * (1 + i / 4)
+        )
+        pairs.append(harness)
     engine.run(until=0.02)
 
-    # Phase 3: traffic resumes; every SA recovered via FETCH + leap.
-    for i in range(200, 400):
-        stack_a.send("b", f"msg-{i}".encode())
-    engine.run(until=0.05)
-
-    seqs = [p.seq for p in wire]
-    print("=== multi-SA host reset (RFC 2401 stack, per-SA SAVE/FETCH) ===")
-    print(f"SAs on host a                : {len(sad_a)}")
-    print(f"packets sealed + sent        : {stack_a.stats.sent_protected}")
-    print(f"delivered at b               : {stack_b.stats.delivered}")
-    print(f"replay discards at b         : {stack_b.stats.replay_discarded}")
-    print(f"integrity failures at b      : {stack_b.stats.integrity_failures}")
-    print(f"sequence numbers reused      : {len(seqs) - len(set(seqs))}")
-    assert len(seqs) == len(set(seqs)), "BUG: sequence number reuse"
-    assert stack_b.stats.replay_discarded == 0
+    reports = [harness.score() for harness in pairs]
+    reused = sum(len(seqs) - len(set(seqs)) for seqs in wire.values())
+    replayed = sum(harness.adversary.injections for harness in pairs)
+    print("=== host-wide reset of a: per-SA SAVE/FETCH over ESP ===")
+    print(f"{'SA':<4} {'SPI':>10} {'sent':>5} {'delivered':>9} "
+          f"{'last seq':>8} {'resumed':>7} {'replays acc.':>12}")
+    for i, (harness, report) in enumerate(zip(pairs, reports)):
+        record = harness.sender.reset_records[0]
+        print(f"a{i}   {harness.sa_pair.forward.spi:>#10x} "
+              f"{report.audit.fresh_sent:>5} {report.audit.delivered_uids:>9} "
+              f"{record.last_used_seq:>8} {record.resumed_seq:>7} "
+              f"{report.replays_accepted:>12}")
+    print(f"SPIs on the wire             : {len(wire)}")
+    print(f"replays injected at b        : {replayed}")
+    print(f"replays accepted at b        : {sum(r.replays_accepted for r in reports)}")
+    print(f"sequence numbers reused      : {reused}")
+    assert len(wire) == N_SAS, "BUG: an SA carried no traffic"
+    assert reused == 0, "BUG: sequence number reuse"
+    assert all(report.converged for report in reports), "BUG: an SA did not converge"
     print("every SA recovered independently; no reuse, nothing replayable.")
 
 

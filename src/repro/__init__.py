@@ -66,7 +66,6 @@ from repro.fleet import (
 )
 from repro.ipsec.costs import PAPER_COSTS, CostModel
 from repro.ipsec.replay_window import BitmapReplayWindow, Verdict
-from repro.ipsec.stack import IpsecStack
 from repro.net.adversary import ReplayAdversary
 from repro.netpath import NatGate, PathPhase, PathProfile
 from repro.sim.engine import Engine, EngineEventLimitError
@@ -88,7 +87,6 @@ __all__ = [
     "FleetRunner",
     "FleetSummary",
     "FleetTask",
-    "IpsecStack",
     "NatGate",
     "PAPER_COSTS",
     "PathPhase",

@@ -23,11 +23,10 @@ from repro.core.bounds import savefetch_recovery_time
 from repro.ipsec.costs import CostModel, PAPER_COSTS
 from repro.ipsec.ike import IkeConfig, IkeInitiator, IkeResponder, IkeResult
 from repro.ipsec.sa import SaPair
-from repro.ipsec.sad import SecurityAssociationDatabase
 from repro.net.delay import FixedDelay
 from repro.net.link import Link
 from repro.sim.engine import Engine
-from repro.util.validation import check_non_negative, check_positive
+from repro.util.validation import check_non_negative, check_positive_int
 
 
 @dataclass
@@ -68,15 +67,13 @@ class RekeySimulation:
         costs: CostModel = PAPER_COSTS,
         seed: int = 0,
     ) -> None:
-        check_positive("n_sas", n_sas)
+        self.n_sas = check_positive_int("n_sas", n_sas)
         check_non_negative("rtt", rtt)
         check_non_negative("detection_delay", detection_delay)
-        self.n_sas = int(n_sas)
         self.rtt = rtt
         self.detection_delay = detection_delay
         self.costs = costs
         self.seed = seed
-        self.sad = SecurityAssociationDatabase()
 
     def run(self) -> RekeyOutcome:
         """Tear down and sequentially renegotiate every SA; measure it."""
@@ -115,8 +112,6 @@ class RekeySimulation:
 
         def on_complete(result: IkeResult) -> None:
             results.append(result)
-            self.sad.add(result.sa_pair.forward)
-            self.sad.add(result.sa_pair.backward)
             state["messages"] += result.messages_sent
             state["done_at"] = result.completed_at
             negotiate_next()
@@ -176,10 +171,10 @@ def savefetch_recovery_outcome(
     on the recovering host — the honest comparison with the sequential
     IKE train.
     """
-    check_positive("n_sas", n_sas)
+    check_positive_int("n_sas", n_sas)
     per_sa = savefetch_recovery_time(costs)
     return SaveFetchOutcome(
-        n_sas=int(n_sas),
+        n_sas=n_sas,
         recovery_time=n_sas * per_sa,
         messages_exchanged=0,
         compute_time=n_sas * per_sa,

@@ -21,7 +21,7 @@ from typing import Callable
 
 from repro.sim.engine import Engine
 from repro.sim.process import SimProcess, Timer
-from repro.util.validation import check_non_negative, check_positive
+from repro.util.validation import check_non_negative, check_positive, check_positive_int
 
 #: Callback invoked with a probe token; must get the probe to the peer.
 ProbeSender = Callable[[int], None]
@@ -43,11 +43,10 @@ class _DpdBase(SimProcess):
     ) -> None:
         super().__init__(engine, name)
         check_positive("timeout", timeout)
-        check_positive("max_misses", max_misses)
         self.send_probe = send_probe
         self.on_dead = on_dead
         self.timeout = timeout
-        self.max_misses = int(max_misses)
+        self.max_misses = check_positive_int("max_misses", max_misses)
         self.peer_alive = True
         self.declared_dead_at: float | None = None
         self.probes_sent = 0

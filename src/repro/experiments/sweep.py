@@ -244,16 +244,3 @@ class ExperimentDriver:
             for note in spec.notes(result.rows):
                 result.note(note)
         return result
-
-
-def run_sweep(
-    spec: SweepSpec,
-    jobs: int = 1,
-    store: ResultStore | MemoryResultStore | Any | None = None,
-    progress: ProgressFn | None = None,
-    obs_dir: str | Path | None = None,
-) -> ExperimentResult:
-    """Convenience wrapper: build the driver and run the sweep."""
-    return ExperimentDriver(
-        spec, jobs=jobs, store=store, progress=progress, obs_dir=obs_dir
-    ).run()

@@ -41,7 +41,7 @@ from repro.obs.sampler import DEFAULT_SAMPLE_INTERVAL, Sampler
 from repro.sim.engine import Engine
 from repro.sim.trace import NULL_TRACE, TraceRecorder
 from repro.util.rng import derive_seed
-from repro.util.validation import check_positive
+from repro.util.validation import check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.netpath.profile import PathProfile
@@ -149,7 +149,7 @@ class Gateway:
         hub: MetricsHub | None = None,
         sample_interval: float = DEFAULT_SAMPLE_INTERVAL,
     ) -> None:
-        check_positive("n_sas", n_sas)
+        check_positive_int("n_sas", n_sas)
         if side not in GATEWAY_SIDES:
             raise ValueError(
                 f"unknown gateway side {side!r}; expected one of {GATEWAY_SIDES}"
@@ -158,8 +158,8 @@ class Gateway:
         self.protected = protected
         if k is None:
             k = safe_save_interval(n_sas, costs, store_policy)
-        self.k = int(k)
-        self.w = int(w)
+        self.k = check_positive_int("k", k)
+        self.w = check_positive_int("w", w)
         self.costs = costs
         self.seed = seed
         self.leap_factor = leap_factor

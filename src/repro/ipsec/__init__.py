@@ -15,10 +15,9 @@ Contents:
 
 * :mod:`~repro.ipsec.crypto` — keys, HMAC integrity, a clearly-labelled
   non-cryptographic stream-cipher stand-in.
-* :mod:`~repro.ipsec.sa` — :class:`SecurityAssociation` records and the
-  per-direction endpoint state.
-* :mod:`~repro.ipsec.sad` / :mod:`~repro.ipsec.spd` — the SA database and
-  security policy database of RFC 2401.
+* :mod:`~repro.ipsec.sa` — :class:`SecurityAssociation` records (the
+  stable attributes; the volatile counter and window live in the
+  :mod:`repro.core` endpoints).
 * :mod:`~repro.ipsec.esp` / :mod:`~repro.ipsec.ah` — packet encapsulation
   with enforced integrity.
 * :mod:`~repro.ipsec.replay_window` — the anti-replay window, one
@@ -45,8 +44,6 @@ from repro.ipsec.esp import EspPacket, esp_open, esp_seal
 from repro.ipsec.ike import IkeConfig, IkeInitiator, IkeMessage, IkeResponder, IkeResult
 from repro.ipsec.replay_window import BitmapReplayWindow, Verdict
 from repro.ipsec.sa import SaPair, SecurityAssociation, make_sa_pair
-from repro.ipsec.sad import SecurityAssociationDatabase
-from repro.ipsec.spd import PolicyAction, SecurityPolicyDatabase, SpdEntry
 
 __all__ = [
     "AhPacket",
@@ -60,12 +57,8 @@ __all__ = [
     "IkeResult",
     "IntegrityError",
     "PAPER_COSTS",
-    "PolicyAction",
     "SaPair",
     "SecurityAssociation",
-    "SecurityAssociationDatabase",
-    "SecurityPolicyDatabase",
-    "SpdEntry",
     "Verdict",
     "ah_open",
     "ah_seal",

@@ -13,7 +13,8 @@ that make full re-establishment expensive.  The *volatile* attributes (the
 sequence counter and the window) live in the protocol endpoints
 (:mod:`repro.core.sender` / :mod:`repro.core.receiver`), because they are
 precisely the state a reset erases; keeping them separate makes the fault
-model explicit.
+model explicit.  The peer's network binding is volatile too: the
+receiver-side :class:`repro.netpath.NatGate` keeps it.
 """
 
 from __future__ import annotations
@@ -31,22 +32,6 @@ _spi_counter = itertools.count(0x1000)
 AUTH_ALG = "hmac-sha256"
 ENC_ALG = "xor-stream-sim"
 
-#: Peer-address rebinding policies (RFC 3947/4555-style NAT handling,
-#: simulation form; enforced by the SAD and by
-#: :class:`repro.netpath.NatGate`):
-#:
-#: * ``"static"`` — addresses are ignored entirely (the paper's model:
-#:   an SA names hosts, not network bindings).
-#: * ``"strict"`` — the SA is pinned to the address it was established
-#:   from; traffic from any other source is dropped.  Safe, but a NAT
-#:   rebinding mid-SA silently kills the tunnel.
-#: * ``"rebind_on_valid"`` — MOBIKE-style: the binding moves to a new
-#:   source address the first time a packet from it passes the
-#:   anti-replay window.  In-flight packets from the old binding are
-#:   still processed — the window, not the address, remains the replay
-#:   authority.
-REBIND_POLICIES = ("static", "strict", "rebind_on_valid")
-
 
 @dataclass(frozen=True)
 class SecurityAssociation:
@@ -63,11 +48,6 @@ class SecurityAssociation:
         created_at: simulated establishment time.
         generation: how many times this (p, q, direction) SA slot has been
             re-established; the IETF-rekey baseline bumps it.
-        rebind_policy: what happens when the peer's *network binding*
-            (not its identity) changes mid-SA — one of
-            :data:`REBIND_POLICIES`.  Stable like the other attributes:
-            the policy is negotiated at establishment, the *current*
-            binding is volatile state tracked by the SAD.
         mac: the HMAC key schedule of ``auth_key``, built once here so
             that no packet pays for it; derived, so it stays out of
             ``repr``, equality and the hash.
@@ -83,20 +63,10 @@ class SecurityAssociation:
     lifetime_seconds: float = 3600.0
     created_at: float = 0.0
     generation: int = 0
-    rebind_policy: str = "static"
     mac: MacKey = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.rebind_policy not in REBIND_POLICIES:
-            raise ValueError(
-                f"unknown rebind policy {self.rebind_policy!r}; "
-                f"expected one of {REBIND_POLICIES}"
-            )
         object.__setattr__(self, "mac", MacKey(self.auth_key))
-
-    def expired(self, now: float) -> bool:
-        """Whether the soft lifetime has elapsed at simulated time ``now``."""
-        return now - self.created_at >= self.lifetime_seconds
 
     def __repr__(self) -> str:
         return (
@@ -111,14 +81,6 @@ class SaPair:
     forward: SecurityAssociation  #: p -> q
     backward: SecurityAssociation  #: q -> p
 
-    def for_sender(self, host: str) -> SecurityAssociation:
-        """The outbound SA when ``host`` is sending."""
-        if host == self.forward.src:
-            return self.forward
-        if host == self.backward.src:
-            return self.backward
-        raise KeyError(f"host {host!r} is not an endpoint of {self!r}")
-
 
 def make_sa(
     src: str,
@@ -129,7 +91,6 @@ def make_sa(
     generation: int = 0,
     master_secret: bytes | None = None,
     spi: int | None = None,
-    rebind_policy: str = "static",
 ) -> SecurityAssociation:
     """Create one unidirectional SA with fresh (seeded) key material.
 
@@ -159,7 +120,6 @@ def make_sa(
         lifetime_seconds=lifetime_seconds,
         created_at=now,
         generation=generation,
-        rebind_policy=rebind_policy,
     )
 
 
@@ -171,7 +131,6 @@ def make_sa_pair(
     lifetime_seconds: float = 3600.0,
     generation: int = 0,
     master_secret: bytes | None = None,
-    rebind_policy: str = "static",
 ) -> SaPair:
     """Create the forward (a->b) and backward (b->a) SAs of a conversation."""
     rng = make_rng(seed_or_rng)
@@ -186,7 +145,6 @@ def make_sa_pair(
             lifetime_seconds=lifetime_seconds,
             generation=generation,
             master_secret=master_secret,
-            rebind_policy=rebind_policy,
         ),
         backward=make_sa(
             host_b,
@@ -196,6 +154,5 @@ def make_sa_pair(
             lifetime_seconds=lifetime_seconds,
             generation=generation,
             master_secret=master_secret,
-            rebind_policy=rebind_policy,
         ),
     )

@@ -13,9 +13,8 @@ objects:
   A static single-phase profile is byte-identical to the fixed channel
   (golden-parity pinned by ``tests/netpath/test_netpath_parity.py``).
 * :mod:`~repro.netpath.nat` — :class:`NatGate`: the receiver-side
-  peer-address check enforcing an SA's rebinding policy
-  (:data:`repro.ipsec.sa.REBIND_POLICIES`), with the authoritative
-  binding in the SAD when the SA layer is wired.
+  peer-address check, keeping the SA's one peer binding and enforcing
+  a rebinding policy (:data:`repro.netpath.nat.REBIND_POLICIES`).
 
 The injected path events — :class:`~repro.faults.PathFlap`,
 :class:`~repro.faults.RegimeShift` and :class:`~repro.faults.NatRebinding`

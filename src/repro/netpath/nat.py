@@ -9,7 +9,8 @@ receiving gateway's address check as a front end on the receive path::
 
     link -> NatGate.on_receive -> receiver.on_receive -> window
 
-The gate enforces one of :data:`repro.ipsec.sa.REBIND_POLICIES`:
+The gate keeps the SA's one peer binding and enforces one of
+:data:`REBIND_POLICIES`:
 
 * ``"static"`` — forward everything, never move the binding (the
   paper's address-less model; the gate is pure instrumentation).
@@ -22,26 +23,18 @@ The gate enforces one of :data:`repro.ipsec.sa.REBIND_POLICIES`:
   keep flowing through the window — which is the point: the window, not
   the address, is the replay authority, so a recorded-history replay
   from the old binding is rejected exactly as it would be without NAT.
-
-When the SA layer is in play, pass ``sad``/``sa``: the policy then comes
-from the SA and the authoritative binding lives in the
-:class:`~repro.ipsec.sad.SecurityAssociationDatabase`
-(:meth:`~repro.ipsec.sad.SecurityAssociationDatabase.rebind_peer`
-enforces the policy).  Without them the gate keeps the binding itself —
-the plain-message scenarios in :mod:`repro.workloads.scenarios` use that
-form.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro.ipsec.sa import REBIND_POLICIES
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.receiver import BaseReceiver
-    from repro.ipsec.sa import SecurityAssociation
-    from repro.ipsec.sad import SecurityAssociationDatabase
+
+#: Peer-address rebinding policies (RFC 3947/4555-style NAT handling,
+#: simulation form), one per gate; see the module docstring.
+REBIND_POLICIES = ("static", "strict", "rebind_on_valid")
 
 
 class NatGate:
@@ -51,12 +44,9 @@ class NatGate:
         receiver: the protocol receiver whose ``on_receive`` the gate
             forwards to.  The gate registers a process listener to learn
             window verdicts (how ``rebind_on_valid`` decides).
-        policy: one of :data:`~repro.ipsec.sa.REBIND_POLICIES`; ignored
-            when ``sa`` is given (the SA's negotiated policy wins).
+        policy: one of :data:`REBIND_POLICIES`.
         initial_binding: the address the SA was established from
             (``None`` latches to the first source seen).
-        sad / sa: optional SA-layer integration — the binding is then
-            read from and written through the SAD.
     """
 
     def __init__(
@@ -64,24 +54,15 @@ class NatGate:
         receiver: "BaseReceiver",
         policy: str = "rebind_on_valid",
         initial_binding: str | None = None,
-        sad: "SecurityAssociationDatabase | None" = None,
-        sa: "SecurityAssociation | None" = None,
     ) -> None:
-        if (sad is None) != (sa is None):
-            raise ValueError("sad and sa must be given together")
-        if sa is not None:
-            policy = sa.rebind_policy
         if policy not in REBIND_POLICIES:
             raise ValueError(
                 f"unknown rebind policy {policy!r}; expected one of {REBIND_POLICIES}"
             )
         self.receiver = receiver
         self.policy = policy
-        self.sad = sad
-        self.sa = sa
-        self._binding = initial_binding
-        if sad is not None and sa is not None and initial_binding is not None:
-            sad.bind_peer(sa, initial_binding)
+        #: The current peer binding.
+        self.binding = initial_binding
         #: Candidate source per in-flight packet, awaiting its window
         #: verdict.  Keyed by ``id(packet)``, as the receiver reports the
         #: verdict with the very object that arrived, and holding the
@@ -98,27 +79,6 @@ class NatGate:
         self.rebinds = 0
         receiver.add_process_listener(self._on_verdict)
 
-    @property
-    def binding(self) -> str | None:
-        """The current peer binding (SAD-authoritative when wired)."""
-        if self.sad is not None and self.sa is not None:
-            return self.sad.peer_binding(self.sa)
-        return self._binding
-
-    def _set_binding(self, address: str) -> None:
-        self._binding = address
-        if self.sad is not None and self.sa is not None:
-            self.sad.bind_peer(self.sa, address)
-
-    def _try_rebind(self, address: str) -> bool:
-        if self.sad is not None and self.sa is not None:
-            if not self.sad.rebind_peer(self.sa, address):
-                return False
-            self._binding = address
-            return True
-        self._binding = address
-        return True
-
     # ------------------------------------------------------------------
     # Receive path
     # ------------------------------------------------------------------
@@ -131,7 +91,7 @@ class NatGate:
             self.receiver.on_receive(packet)
             return
         if self.binding is None:
-            self._set_binding(src)  # first contact establishes the binding
+            self.binding = src  # first contact establishes the binding
         if src != self.binding:
             if self.policy == "strict":
                 self.rejected += 1
@@ -150,7 +110,8 @@ class NatGate:
         if not getattr(verdict, "accepted", False):
             return
         src = entry[1]
-        if src != self.binding and self._try_rebind(src):
+        if src != self.binding:
+            self.binding = src
             self.rebinds += 1
 
     def metrics(self) -> dict[str, Any]:

@@ -18,7 +18,6 @@ from repro.util.validation import (
     check_non_negative,
     check_positive,
     check_probability,
-    check_type,
 )
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "check_non_negative",
     "check_positive",
     "check_probability",
-    "check_type",
     "derive_seed",
     "make_rng",
     "microseconds",

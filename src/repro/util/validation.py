@@ -7,8 +7,6 @@ silently producing wrong simulation results.
 
 from __future__ import annotations
 
-from typing import Any
-
 
 def check_positive(name: str, value: float) -> float:
     """Require ``value > 0``; return it."""
@@ -35,18 +33,4 @@ def check_probability(name: str, value: float) -> float:
     """Require ``0 <= value <= 1``; return it."""
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-    return value
-
-
-def check_type(name: str, value: Any, expected: type | tuple[type, ...]) -> Any:
-    """Require ``isinstance(value, expected)``; return ``value``."""
-    if not isinstance(value, expected):
-        expected_name = (
-            expected.__name__
-            if isinstance(expected, type)
-            else " | ".join(t.__name__ for t in expected)
-        )
-        raise TypeError(
-            f"{name} must be {expected_name}, got {type(value).__name__}"
-        )
     return value

@@ -1199,7 +1199,7 @@ def run_nat_rebinding_scenario(
     The sender starts bound to ``nat:a``; after ``rebind_after_sends``
     transmissions the NAT rebinds it to ``nat:b``, so later packets
     carry the new source while everything recorded earlier keeps the old
-    one.  ``policy`` is one of :data:`repro.ipsec.sa.REBIND_POLICIES`:
+    one.  ``policy`` is one of :data:`repro.netpath.nat.REBIND_POLICIES`:
     ``rebind_on_valid`` moves the binding on the first window-valid
     packet and converges cleanly; ``strict`` pins the tunnel and drops
     the entire post-rebinding stream at the gate (counted, not scored as

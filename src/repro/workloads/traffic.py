@@ -1,15 +1,16 @@
-"""Traffic generators.
+"""The bursty traffic clock.
 
 The paper motivates measuring the SAVE interval "in terms of the number of
 messages, rather than in terms of time, because the rate of message
 generation may change over time.  At some time, the rate of message
-generation can be very low."  These generators provide exactly that
+generation can be very low."  :class:`BurstyTraffic` provides exactly that
 variability so experiments can confirm the message-count policy behaves
 well where a time-based policy would not (E6's wasteful-SAVE comparison).
 
-A generator owns the *pacing* only; the actual transmission is the
+The generator owns the *pacing* only; the actual transmission is the
 sender's :meth:`~repro.core.sender.BaseSender.send_one`, so suppressed
-sends (host down / recovering) behave identically across generators.
+sends (host down / recovering) are counted as attempts and behave as
+they do under the sender's own clock.
 """
 
 from __future__ import annotations
@@ -17,82 +18,10 @@ from __future__ import annotations
 from repro.core.sender import BaseSender
 from repro.sim.engine import Engine
 from repro.sim.process import SimProcess
-from repro.util.rng import make_rng
-from repro.util.validation import check_positive
+from repro.util.validation import check_positive, check_positive_int
 
 
-class TrafficGenerator(SimProcess):
-    """Base class: schedules :meth:`tick` times, sends on each tick."""
-
-    def __init__(self, engine: Engine, name: str, sender: BaseSender) -> None:
-        super().__init__(engine, name)
-        self.sender = sender
-        self.attempts = 0
-        self._running = False
-        self._remaining: int | None = None
-
-    def start(self, count: int | None = None) -> None:
-        """Begin generating; optionally stop after ``count`` attempts."""
-        self._running = True
-        self._remaining = count
-        self.call_later(self.next_gap(), self._tick)
-
-    def stop(self) -> None:
-        """Stop generating (pending tick becomes a no-op)."""
-        self._running = False
-
-    def next_gap(self) -> float:
-        """Time until the next send attempt (subclass-defined)."""
-        raise NotImplementedError
-
-    def _tick(self) -> None:
-        if not self._running:
-            return
-        if self._remaining is not None:
-            if self._remaining <= 0:
-                self._running = False
-                return
-            self._remaining -= 1
-        self.attempts += 1
-        self.sender.send_one()
-        self.call_later(self.next_gap(), self._tick)
-
-
-class ConstantRateTraffic(TrafficGenerator):
-    """One send attempt every ``interval`` seconds (CBR)."""
-
-    def __init__(
-        self, engine: Engine, sender: BaseSender, interval: float, name: str = "cbr"
-    ) -> None:
-        super().__init__(engine, name, sender)
-        check_positive("interval", interval)
-        self.interval = interval
-
-    def next_gap(self) -> float:
-        return self.interval
-
-
-class PoissonTraffic(TrafficGenerator):
-    """Poisson arrivals with mean rate ``rate`` attempts/second."""
-
-    def __init__(
-        self,
-        engine: Engine,
-        sender: BaseSender,
-        rate: float,
-        seed: int | None = None,
-        name: str = "poisson",
-    ) -> None:
-        super().__init__(engine, name, sender)
-        check_positive("rate", rate)
-        self.rate = rate
-        self._rng = make_rng(seed)
-
-    def next_gap(self) -> float:
-        return self._rng.expovariate(self.rate)
-
-
-class BurstyTraffic(TrafficGenerator):
+class BurstyTraffic(SimProcess):
     """On/off bursts: ``burst_len`` sends at ``burst_interval`` pacing,
     then an idle period of ``idle_time`` — the regime where time-based
     SAVE policies waste writes (paper, Section 4)."""
@@ -106,20 +35,44 @@ class BurstyTraffic(TrafficGenerator):
         idle_time: float,
         name: str = "bursty",
     ) -> None:
-        super().__init__(engine, name, sender)
-        check_positive("burst_len", burst_len)
-        check_positive("burst_interval", burst_interval)
-        check_positive("idle_time", idle_time)
-        self.burst_len = int(burst_len)
-        self.burst_interval = burst_interval
-        self.idle_time = idle_time
+        super().__init__(engine, name)
+        self.burst_len = check_positive_int("burst_len", burst_len)
+        self.burst_interval = check_positive("burst_interval", burst_interval)
+        self.idle_time = check_positive("idle_time", idle_time)
+        self.sender = sender
+        self.attempts = 0
+        self._running = False
+        self._remaining: int | None = None
         # next_gap is called once before the first send; start at -1 so
         # the idle gap lands after exactly burst_len sends.
         self._in_burst = -1
 
+    def start(self, count: int | None = None) -> None:
+        """Begin generating; optionally stop after ``count`` attempts."""
+        self._running = True
+        self._remaining = count
+        self.call_later(self.next_gap(), self._tick)
+
+    def stop(self) -> None:
+        """Stop generating (pending tick becomes a no-op)."""
+        self._running = False
+
     def next_gap(self) -> float:
+        """Time until the next send attempt."""
         self._in_burst += 1
         if self._in_burst >= self.burst_len:
             self._in_burst = 0
             return self.idle_time
         return self.burst_interval
+
+    def _tick(self) -> None:
+        if not self._running:
+            return
+        if self._remaining is not None:
+            if self._remaining <= 0:
+                self._running = False
+                return
+            self._remaining -= 1
+        self.attempts += 1
+        self.sender.send_one()
+        self.call_later(self.next_gap(), self._tick)

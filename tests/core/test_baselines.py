@@ -39,11 +39,6 @@ class TestRekeySimulation:
             outcome.renegotiation_time + 0.5
         )
 
-    def test_new_sas_in_sad(self):
-        sim = RekeySimulation(n_sas=2, rtt=0.001, costs=FAST)
-        sim.run()
-        assert len(sim.sad) == 4  # forward + backward per pair
-
     def test_distinct_pairs_distinct_keys(self):
         outcome = RekeySimulation(n_sas=2, rtt=0.001, costs=FAST).run()
         a, b = outcome.sa_pairs
@@ -61,8 +56,16 @@ class TestRekeySimulation:
         with pytest.raises(ValueError):
             RekeySimulation(n_sas=0)
 
+    def test_n_sas_is_not_truncated(self):
+        with pytest.raises(TypeError, match="n_sas must be int"):
+            RekeySimulation(n_sas=2.5)
+
 
 class TestSaveFetchOutcome:
+    def test_n_sas_is_not_truncated(self):
+        with pytest.raises(TypeError, match="n_sas must be int"):
+            savefetch_recovery_outcome(n_sas=2.5)
+
     def test_recovery_is_local_io_only(self):
         outcome = savefetch_recovery_outcome(n_sas=1, costs=FAST)
         assert outcome.messages_exchanged == 0

@@ -93,6 +93,10 @@ class TestHeartbeatDpd:
         dpd.on_probe_ack(9999)  # unknown token: no crash, no state change
         assert dpd.peer_alive
 
+    def test_max_misses_is_not_truncated(self, engine):
+        with pytest.raises(TypeError, match="max_misses must be int"):
+            self.make(engine, max_misses=2.5)
+
 
 class TestTrafficDpd:
     def make(self, engine, rtt=0.01):

@@ -70,6 +70,19 @@ class TestConstruction:
         with pytest.raises(ValueError, match="unknown store policy"):
             Gateway(n_sas=1, store_policy="mmap")
 
+    @pytest.mark.parametrize("kwargs", [
+        {"n_sas": 2.5}, {"n_sas": 2, "k": 25.7}, {"n_sas": 2, "w": 64.9},
+    ], ids=["n_sas", "k", "w"])
+    def test_count_arguments_are_not_truncated(self, kwargs):
+        with pytest.raises(TypeError, match="must be int"):
+            Gateway(**kwargs)
+
+    def test_scenario_k_is_not_truncated(self):
+        from repro.workloads.scenarios import run_gateway_crash_scenario
+
+        with pytest.raises(TypeError, match="k must be int"):
+            run_gateway_crash_scenario(n_sas=2, k=25.5)
+
 
 class TestGatewayCrash:
     def test_crash_resets_every_sa_at_the_same_instant(self):

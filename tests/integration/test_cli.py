@@ -189,10 +189,33 @@ class TestCli:
         assert manifest["metrics"] == json.loads(json.dumps(expected))
 
     def test_check_small_budget(self, capsys):
-        assert main(["check", "--budget", "3000"]) == 0
+        # The SAFE cases need more states than this: they end TRUNCATED.
+        assert main(["check", "--budget", "3000"]) == 1
         out = capsys.readouterr().out
         assert "COUNTEREXAMPLE" in out  # unprotected cases fail fast
         assert "unprotected / p resets" in out
+
+    def test_check_prints_expected_verdicts_and_counts_truncation(self, capsys):
+        assert main(["check", "--budget", "2000"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        rows = {}
+        for line in lines:
+            if " states)" in line:
+                status, _, expected, *rest = line[34:].split()
+                rows[line[:34].strip()] = (status, expected, rest[-1] == "DEVIATION")
+        found, truncated = ("COUNTEREXAMPLE", "COUNTEREXAMPLE", False), (
+            "TRUNCATED", "SAFE", True)
+        assert rows == {
+            "unprotected / p resets": found,
+            "unprotected / q resets": found,
+            "save-fetch / p resets": truncated,
+            "save-fetch / q resets": truncated,
+            "save-fetch / q resets + loss": found,
+            "save-fetch / staggered dual": found,
+            "ceiling / q resets + loss": truncated,
+            "ceiling / staggered dual": truncated,
+        }
+        assert lines[-1].startswith("4 of 8 cases deviate")
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):

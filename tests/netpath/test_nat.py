@@ -1,14 +1,12 @@
-"""Tests for repro.netpath.nat, Message.src, and the SA/SAD rebinding policy."""
+"""Tests for repro.netpath.nat, Message.src, and the rebinding policies."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.protocol import build_protocol
-from repro.ipsec.sa import REBIND_POLICIES, make_sa
-from repro.ipsec.sad import SecurityAssociationDatabase
 from repro.net.message import Message
-from repro.netpath.nat import NatGate
+from repro.netpath.nat import REBIND_POLICIES, NatGate
 from repro.sim.trace import NULL_TRACE
 
 
@@ -51,44 +49,6 @@ class TestSaRebindPolicy:
     def test_policies_are_the_known_set(self):
         assert REBIND_POLICIES == ("static", "strict", "rebind_on_valid")
 
-    def test_sa_rejects_unknown_policy(self):
-        with pytest.raises(ValueError, match="rebind policy"):
-            make_sa("p", "q", seed_or_rng=0, rebind_policy="wander")
-
-    def test_sad_tracks_and_moves_bindings_per_policy(self):
-        sad = SecurityAssociationDatabase()
-        mobile = make_sa("p", "q", seed_or_rng=0, rebind_policy="rebind_on_valid")
-        pinned = make_sa("p", "r", seed_or_rng=1, rebind_policy="strict")
-        sad.add(mobile)
-        sad.add(pinned)
-        sad.bind_peer(mobile, "nat:a")
-        sad.bind_peer(pinned, "nat:a")
-        assert sad.rebind_peer(mobile, "nat:b")
-        assert sad.peer_binding(mobile) == "nat:b"
-        assert not sad.rebind_peer(pinned, "nat:b")
-        assert sad.peer_binding(pinned) == "nat:a"
-        assert sad.rebinds == 1 and sad.rebinds_refused == 1
-
-    def test_remove_clears_binding(self):
-        sad = SecurityAssociationDatabase()
-        sa = make_sa("p", "q", seed_or_rng=0)
-        sad.add(sa)
-        sad.bind_peer(sa, "nat:a")
-        sad.remove(sa)
-        assert sad.peer_binding(sa) is None
-
-    def test_remove_peer_bulk_teardown_clears_bindings(self):
-        """The IETF-remedy bulk teardown must not leave stale bindings a
-        re-established SA with the same SPI would inherit."""
-        sad = SecurityAssociationDatabase()
-        sa = make_sa("p", "q", seed_or_rng=0)
-        sad.add(sa)
-        sad.bind_peer(sa, "nat:a")
-        assert sad.remove_peer("p", "q") == 1
-        reborn = make_sa("p", "q", seed_or_rng=1, spi=sa.spi)
-        sad.add(reborn)
-        assert sad.peer_binding(reborn) is None
-
 
 def gated_harness(policy: str, **kwargs):
     harness = build_protocol(
@@ -104,11 +64,6 @@ class TestNatGate:
         harness = build_protocol(trace=NULL_TRACE)
         with pytest.raises(ValueError, match="rebind policy"):
             NatGate(harness.receiver, policy="wander")
-
-    def test_sad_and_sa_must_come_together(self):
-        harness = build_protocol(trace=NULL_TRACE)
-        with pytest.raises(ValueError, match="together"):
-            NatGate(harness.receiver, sad=SecurityAssociationDatabase())
 
     def test_rebind_on_valid_moves_binding_once(self):
         harness, gate = gated_harness("rebind_on_valid")
@@ -166,26 +121,3 @@ class TestNatGate:
         harness.run(until=0.001)
         assert gate.binding == "nat:a"
         assert gate.rejected == 0
-
-    def test_sad_backed_gate_moves_the_sad_binding(self):
-        """With sad/sa wired, the SAD holds the authoritative binding and
-        the SA's negotiated policy overrides the gate argument."""
-        sad = SecurityAssociationDatabase()
-        sa = make_sa("p", "q", seed_or_rng=3, rebind_policy="rebind_on_valid")
-        sad.add(sa)
-        harness = build_protocol(trace=NULL_TRACE, sender_address="nat:a")
-        gate = NatGate(
-            harness.receiver, policy="strict",  # overridden by the SA
-            sad=sad, sa=sa, initial_binding="nat:a",
-        )
-        harness.link.sink = gate.on_receive
-        assert gate.policy == "rebind_on_valid"
-        assert sad.peer_binding(sa) == "nat:a"
-        harness.sender.send_burst(3)
-        harness.sender.address = "nat:b"
-        harness.sender.send_burst(3)
-        harness.run(until=0.01)
-        assert sad.peer_binding(sa) == "nat:b"
-        assert gate.binding == "nat:b"
-        assert sad.rebinds == 1
-        assert harness.receiver.delivered_total == 6

@@ -7,7 +7,6 @@ from repro.util.validation import (
     check_positive,
     check_positive_int,
     check_probability,
-    check_type,
 )
 
 
@@ -55,14 +54,3 @@ class TestCheckProbability:
         with pytest.raises(ValueError, match="p must be in"):
             check_probability("p", value)
 
-
-class TestCheckType:
-    def test_accepts_match(self):
-        assert check_type("x", 3, int) == 3
-
-    def test_accepts_tuple_of_types(self):
-        assert check_type("x", 3.5, (int, float)) == 3.5
-
-    def test_rejects_mismatch(self):
-        with pytest.raises(TypeError, match="x must be int"):
-            check_type("x", "3", int)

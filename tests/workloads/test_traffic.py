@@ -1,11 +1,11 @@
-"""Tests for the traffic generators."""
+"""Tests for the bursty traffic clock."""
 
 import pytest
 
 from repro.core.sender import UnprotectedSender
 from repro.ipsec.costs import CostModel
 from repro.net.link import Link
-from repro.workloads.traffic import BurstyTraffic, ConstantRateTraffic, PoissonTraffic
+from repro.workloads.traffic import BurstyTraffic
 
 FAST = CostModel(t_save=100e-6, t_send=4e-6)
 
@@ -17,56 +17,6 @@ def sender(engine):
     sender = UnprotectedSender(engine, "p", link, costs=FAST)
     sender.received = received  # type: ignore[attr-defined]
     return sender
-
-
-class TestConstantRate:
-    def test_exact_spacing(self, engine, sender):
-        traffic = ConstantRateTraffic(engine, sender, interval=0.001)
-        traffic.start(count=5)
-        engine.run(until=1.0)
-        times = [t for t, _ in ((m.sent_at, m) for m in sender.received)]
-        assert times == pytest.approx([0.001 * i for i in range(1, 6)])
-
-    def test_stop(self, engine, sender):
-        traffic = ConstantRateTraffic(engine, sender, interval=0.001)
-        traffic.start()
-        engine.run(until=0.0055)
-        traffic.stop()
-        engine.run(until=1.0)
-        assert len(sender.received) == 5
-
-    def test_attempts_counted_even_when_suppressed(self, engine, sender):
-        traffic = ConstantRateTraffic(engine, sender, interval=0.001)
-        sender.reset(down_for=None)  # host down: sends suppressed
-        traffic.start(count=3)
-        engine.run(until=1.0)
-        assert traffic.attempts == 3
-        assert sender.received == []
-
-
-class TestPoisson:
-    def test_mean_rate(self, engine, sender):
-        traffic = PoissonTraffic(engine, sender, rate=10_000, seed=1)
-        traffic.start()
-        engine.run(until=1.0)
-        traffic.stop()
-        assert 9_000 < len(sender.received) < 11_000
-
-    def test_deterministic_under_seed(self, engine):
-        def arrival_times(seed):
-            from repro.sim.engine import Engine
-
-            local = Engine()
-            received = []
-            link = Link(local, "link", sink=received.append)
-            s = UnprotectedSender(local, "p", link, costs=FAST)
-            traffic = PoissonTraffic(local, s, rate=1000, seed=seed)
-            traffic.start(count=20)
-            local.run(until=10.0)
-            return [m.sent_at for m in received]
-
-        assert arrival_times(3) == arrival_times(3)
-        assert arrival_times(3) != arrival_times(4)
 
 
 class TestBursty:
@@ -82,6 +32,30 @@ class TestBursty:
         gaps = [b - a for a, b in zip(times, times[1:])]
         assert sum(1 for g in gaps if g > 0.05) == 1
 
+    def test_stop(self, engine, sender):
+        traffic = BurstyTraffic(
+            engine, sender, burst_len=10, burst_interval=0.001, idle_time=0.1
+        )
+        traffic.start()
+        engine.run(until=0.0055)
+        traffic.stop()
+        engine.run(until=1.0)
+        assert len(sender.received) == 5
+
+    def test_attempts_counted_even_when_suppressed(self, engine, sender):
+        traffic = BurstyTraffic(
+            engine, sender, burst_len=2, burst_interval=0.001, idle_time=0.01
+        )
+        sender.reset(down_for=None)  # host down: sends suppressed
+        traffic.start(count=3)
+        engine.run(until=1.0)
+        assert traffic.attempts == 3
+        assert sender.received == []
+
     def test_validation(self, engine, sender):
         with pytest.raises(ValueError):
             BurstyTraffic(engine, sender, burst_len=0, burst_interval=1, idle_time=1)
+
+    def test_burst_len_must_be_an_int(self, engine, sender):
+        with pytest.raises(TypeError, match="burst_len"):
+            BurstyTraffic(engine, sender, burst_len=2.5, burst_interval=1, idle_time=1)
