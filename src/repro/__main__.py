@@ -44,14 +44,12 @@ Commands:
   directory's files — metrics, manifest, trace, plus any
   ``progress.jsonl`` ledger and ``flight_*.json`` dumps it carries —
   and fails loudly; the CI obs smoke job runs it.
-* ``obs archive|diff|history`` — the run warehouse
-  (:mod:`repro.obs.archive`): ingest observed runs / fleet aggregates /
-  BENCH reports into an append-only content-addressed archive,
-  statistically diff any two runs into per-metric GREEN/YELLOW/RED
-  verdicts (exit 1 on a gated RED — the CI regression gate), and render
-  N-run signal history with EWMA control bands.  ``fleet --archive DIR``
-  and ``python -m repro.perf check --archive DIR`` feed the same
-  warehouse.
+* ``obs snapshot|diff`` — cross-run checks (:mod:`repro.obs.archive`,
+  :mod:`repro.obs.compare`): ``snapshot`` reduces an observed run or a
+  fleet campaign to one content-addressed ``run.json`` (``--out PATH``
+  writes it; how the committed reference is regenerated), and ``diff``
+  statistically compares two runs into per-metric GREEN/YELLOW/RED
+  verdicts (exit 1 on a gated RED — the CI regression gate).
 """
 
 from __future__ import annotations
@@ -294,15 +292,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         encoding="utf-8",
     )
     print(f"aggregate written to {aggregate_path}")
-    if args.archive:
-        from repro.obs.archive import RunArchive
-
-        snapshot, created = RunArchive(args.archive).ingest(
-            out_dir, name=spec.name
-        )
-        status = "archived" if created else "already archived"
-        print(f"{status}: {out_dir} -> {args.archive} "
-              f"[{snapshot.short_id}]")
     if summary.errors:
         print(f"error: {summary.errors} session(s) errored; "
               "re-run the same command to retry them", file=sys.stderr)
@@ -561,50 +550,40 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_obs_archive(args: argparse.Namespace) -> int:
+def _cmd_obs_snapshot(args: argparse.Namespace) -> int:
     import json
 
-    from repro.obs.archive import RunArchive
+    from repro.obs.archive import snapshot_target
 
-    archive = RunArchive(args.archive)
     try:
-        snapshot, created = archive.ingest(
-            args.target, kind=args.kind, name=args.name
-        )
+        snapshot = snapshot_target(args.target)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: cannot archive {args.target}: {exc}", file=sys.stderr)
+        print(f"error: cannot snapshot {args.target}: {exc}", file=sys.stderr)
         return 2
-    if args.write_snapshot:
-        out = Path(args.write_snapshot)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(
-            json.dumps(snapshot.as_dict(), sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
-        print(f"snapshot written to {out}")
-    if args.json:
-        print(json.dumps(snapshot.as_dict(), sort_keys=True, indent=2))
+    document = json.dumps(snapshot.as_dict(), sort_keys=True, indent=2) + "\n"
+    if args.out is None:
+        sys.stdout.write(document)
         return 0
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(document, encoding="utf-8")
     counts = ", ".join(
         f"{n} {table}" for table, n in snapshot.signal_count().items() if n
     ) or "no signals"
-    status = "archived" if created else "already archived (content match)"
-    print(f"{status}: {snapshot.kind} {snapshot.name!r} "
+    print(f"snapshot written to {out}: {snapshot.kind} {snapshot.name!r} "
           f"[{snapshot.short_id}] — {counts}")
-    print(f"index: {archive.index_path} ({len(archive.index())} run(s))")
     return 0
 
 
 def _cmd_obs_diff(args: argparse.Namespace) -> int:
     import json
 
-    from repro.obs.archive import RunArchive
+    from repro.obs.archive import snapshot_target
     from repro.obs.compare import diff_runs, render_diff_table
 
-    archive = RunArchive(args.archive)
     try:
-        baseline = archive.resolve(args.baseline)
-        current = archive.resolve(args.current)
+        baseline = snapshot_target(args.baseline)
+        current = snapshot_target(args.current)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -618,88 +597,39 @@ def _cmd_obs_diff(args: argparse.Namespace) -> int:
             "REGRESSION: protocol metrics went RED vs the baseline.\n"
             "if the change is intentional, refresh the reference snapshot "
             "and commit it:\n"
-            f"  python -m repro obs archive {args.current} "
-            f"--write-snapshot {args.baseline}",
+            f"  python -m repro obs snapshot {args.current} "
+            f"--out {args.baseline}",
             file=sys.stderr,
         )
         return 1
     return 0
 
 
-def _cmd_obs_history(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.obs.archive import RunArchive
-    from repro.obs.trend import (
-        compute_trend,
-        history_signals,
-        render_history_table,
-    )
-
-    archive = RunArchive(args.archive)
-    snapshots = archive.history(
-        kind=args.kind, name=args.name, last=args.last
-    )
-    signals = (
-        [name.strip() for name in args.signals.split(",") if name.strip()]
-        if args.signals else None
-    )
-    if args.json:
-        columns = history_signals(snapshots, signals)
-        payload = {
-            name: [
-                {
-                    "run_id": point.run_id, "value": point.value,
-                    "center": point.center, "band": point.band,
-                    "anomaly": point.anomaly,
-                }
-                for point in compute_trend(snapshots, name)
-            ]
-            for name in columns
-        }
-        print(json.dumps(payload, sort_keys=True, indent=2))
-        return 0
-    print(render_history_table(snapshots, signals))
-    return 0
-
-
-def _obs_warehouse_main(argv: list[str]) -> int:
-    """The ``obs archive|diff|history`` verbs (the run warehouse).
+def _obs_verbs_main(argv: list[str]) -> int:
+    """The ``obs snapshot|diff`` verbs.
 
     Dispatched before the main parser so the long-standing
     ``obs <run-dir>`` summarize form keeps its exact argument surface.
     """
-    from repro.obs.archive import RUN_KINDS
-
     parser = argparse.ArgumentParser(
         prog="repro obs",
-        description="run warehouse: archive runs, diff them, chart history",
+        description="cross-run checks: snapshot a run, diff two runs",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p_arch = sub.add_parser(
-        "archive", help="ingest a run/bench artifact into the warehouse",
-        epilog="example: python -m repro obs archive obs_smoke_run "
-               "--archive run_warehouse",
+    p_snap = sub.add_parser(
+        "snapshot", help="reduce a run to its content-addressed run.json",
+        epilog="example: python -m repro obs snapshot obs_smoke_run "
+               "--out benchmarks/baselines/obs_reference/run.json",
     )
-    p_arch.add_argument("target",
-                        help="what to ingest: an observed-run dir, a fleet "
-                             "campaign dir, a BENCH_*.json, or a run.json "
-                             "snapshot")
-    p_arch.add_argument("--archive", default="run_archive", metavar="DIR",
-                        help="warehouse directory (default: run_archive)")
-    p_arch.add_argument("--kind", choices=list(RUN_KINDS), default=None,
-                        help="override artifact autodetection")
-    p_arch.add_argument("--name", default=None,
-                        help="snapshot name (default: derived from the "
-                             "artifact)")
-    p_arch.add_argument("--write-snapshot", default=None, metavar="PATH",
-                        help="also write the standalone run.json snapshot "
-                             "here (how the committed reference snapshot "
-                             "is refreshed)")
-    p_arch.add_argument("--json", action="store_true",
-                        help="print the full snapshot JSON")
-    p_arch.set_defaults(fn=_cmd_obs_archive)
+    p_snap.add_argument("target",
+                        help="an observed-run dir, a fleet campaign dir, "
+                             "or a run.json snapshot")
+    p_snap.add_argument("--out", default=None, metavar="PATH",
+                        help="write the snapshot here (how the committed "
+                             "reference snapshot is refreshed); default: "
+                             "print it")
+    p_snap.set_defaults(fn=_cmd_obs_snapshot)
 
     p_diff = sub.add_parser(
         "diff", help="statistical diff of two runs (exit 1 on gated RED)",
@@ -707,40 +637,14 @@ def _obs_warehouse_main(argv: list[str]) -> int:
                "benchmarks/baselines/obs_reference/run.json obs_smoke_run",
     )
     p_diff.add_argument("baseline",
-                        help="baseline run: a path (run dir / run.json / "
-                             "BENCH json), an archived id prefix, or "
-                             "'latest'")
+                        help="baseline run: an observed-run dir, a fleet "
+                             "campaign dir, or a run.json snapshot")
     p_diff.add_argument("current", help="current run (same forms)")
-    p_diff.add_argument("--archive", default="run_archive", metavar="DIR",
-                        help="warehouse used to resolve id references "
-                             "(default: run_archive)")
     p_diff.add_argument("--verbose", action="store_true",
                         help="print clean GREEN rows too")
     p_diff.add_argument("--json", action="store_true",
                         help="print the diff as JSON")
     p_diff.set_defaults(fn=_cmd_obs_diff)
-
-    p_hist = sub.add_parser(
-        "history", help="N-run signal history with EWMA control bands",
-        epilog="example: python -m repro obs history --archive "
-               "run_warehouse --kind obs-run --last 20",
-    )
-    p_hist.add_argument("--archive", default="run_archive", metavar="DIR",
-                        help="warehouse directory (default: run_archive)")
-    p_hist.add_argument("--kind", default=None,
-                        help="only runs of this kind "
-                             "(obs-run/fleet-run/bench)")
-    p_hist.add_argument("--name", default=None,
-                        help="only runs with this snapshot name")
-    p_hist.add_argument("--last", type=int, default=None, metavar="N",
-                        help="only the N most recent runs")
-    p_hist.add_argument("--signals", default=None, metavar="CSV",
-                        help="comma-separated signal columns (supports "
-                             "name@p99 / name@mean); default: the standard "
-                             "protocol set")
-    p_hist.add_argument("--json", action="store_true",
-                        help="print trend points as JSON")
-    p_hist.set_defaults(fn=_cmd_obs_history)
 
     args = parser.parse_args(argv)
     return args.fn(args)
@@ -750,13 +654,11 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     if argv is None:
         argv = sys.argv[1:]
-    # The warehouse verbs nest under `obs` but parse separately, so the
-    # original `obs <run-dir> [--check ...]` surface stays intact (a
-    # run directory named like a verb is still reachable via ./archive).
-    if argv[:1] == ["obs"] and argv[1:2] and argv[1] in (
-        "archive", "diff", "history"
-    ):
-        return _obs_warehouse_main(argv[1:])
+    # The snapshot and diff verbs nest under `obs` but parse separately,
+    # so the original `obs <run-dir> [--check ...]` surface stays intact
+    # (a run directory named like a verb is still reachable as ./snapshot).
+    if argv[:1] == ["obs"] and argv[1:2] and argv[1] in ("snapshot", "diff"):
+        return _obs_verbs_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'Convergence of IPsec in Presence of Resets'",
@@ -848,10 +750,6 @@ def main(argv: list[str] | None = None) -> int:
                          help="track per-task allocation peaks via "
                               "tracemalloc in worker heartbeats (implies "
                               "--stream)")
-    p_fleet.add_argument("--archive", default=None, metavar="DIR",
-                         help="after the campaign, ingest the aggregate "
-                              "into this run warehouse (see "
-                              "`python -m repro obs archive`)")
     p_fleet.set_defaults(fn=_cmd_fleet)
 
     p_top = subparsers.add_parser(
@@ -898,7 +796,9 @@ def main(argv: list[str] | None = None) -> int:
     p_obs = subparsers.add_parser(
         "obs", help="summarize an observed run: health table + Chrome trace",
         epilog="example: python -m repro obs runs/crash --scenario "
-               "gateway_crash --params '{\"n_sas\": 8}' --check",
+               "gateway_crash --params '{\"n_sas\": 8}' --check; "
+               "cross-run verbs: obs snapshot TARGET [--out PATH], "
+               "obs diff BASELINE CURRENT",
     )
     p_obs.add_argument("run_dir",
                        help="run directory (holds metrics.jsonl; created by "

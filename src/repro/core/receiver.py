@@ -30,7 +30,7 @@ from repro.ipsec.replay_window import BitmapReplayWindow, Verdict
 from repro.ipsec.sa import SecurityAssociation
 from repro.sim.engine import Engine
 from repro.sim.process import SimProcess
-from repro.util.validation import check_positive_int
+from repro.util.validation import check_non_negative_int, check_positive_int
 
 #: Listener signature for :meth:`BaseReceiver.add_process_listener`:
 #: ``(packet, verdict)`` after every processed packet.
@@ -299,9 +299,7 @@ class SaveFetchReceiver(BaseReceiver):
     ) -> None:
         super().__init__(engine, name, **base_kwargs)
         self.k = check_positive_int("k", k)
-        if leap_factor < 0:
-            raise ValueError(f"leap_factor must be >= 0, got {leap_factor}")
-        self.leap_factor = int(leap_factor)
+        self.leap_factor = check_non_negative_int("leap_factor", leap_factor)
         self.skip_wake_save = skip_wake_save
         if store is None:
             store = PersistentStore(

@@ -34,7 +34,11 @@ from repro.ipsec.sa import SecurityAssociation
 from repro.net.link import PacketPipe
 from repro.sim.engine import Engine
 from repro.sim.process import SimProcess, Timer
-from repro.util.validation import check_positive, check_positive_int
+from repro.util.validation import (
+    check_non_negative_int,
+    check_positive,
+    check_positive_int,
+)
 
 #: Listener signature for :meth:`BaseSender.add_send_listener`:
 #: ``(sent_total, packet)`` after each fresh transmission.
@@ -331,9 +335,7 @@ class SaveFetchSender(BaseSender):
     ) -> None:
         super().__init__(engine, name, pipe, **base_kwargs)
         self.k = check_positive_int("k", k)
-        if leap_factor < 0:
-            raise ValueError(f"leap_factor must be >= 0, got {leap_factor}")
-        self.leap_factor = int(leap_factor)
+        self.leap_factor = check_non_negative_int("leap_factor", leap_factor)
         self.skip_wake_save = skip_wake_save
         if store is None:
             store = PersistentStore(

@@ -79,7 +79,6 @@ class IkeConfig:
     """Negotiation parameters shared by both peers."""
 
     costs: CostModel = PAPER_COSTS
-    sa_lifetime_seconds: float = 3600.0
     proposal: str = "esp-hmac-sha256"
 
 
@@ -252,8 +251,6 @@ class _IkePeer(SimProcess):
             initiator_name,
             responder_name,
             seed_or_rng=self._rng,
-            now=self.now,
-            lifetime_seconds=self.config.sa_lifetime_seconds,
             generation=self._sa_generation,
             master_secret=self._master_secret,
         )

@@ -14,7 +14,9 @@ sequence counter and the window) live in the protocol endpoints
 (:mod:`repro.core.sender` / :mod:`repro.core.receiver`), because they are
 precisely the state a reset erases; keeping them separate makes the fault
 model explicit.  The peer's network binding is volatile too: the
-receiver-side :class:`repro.netpath.NatGate` keeps it.
+receiver-side :class:`repro.netpath.NatGate` keeps it.  Key lifetimes
+are not modelled: no SA expires by age, and the rekey baselines replace
+SAs when a scenario says so.
 """
 
 from __future__ import annotations
@@ -44,8 +46,6 @@ class SecurityAssociation:
         auth_key: HMAC key for the ICV.
         enc_key: key for the (simulated) cipher.
         auth_alg / enc_alg: algorithm labels.
-        lifetime_seconds: soft lifetime after which rekeying is due.
-        created_at: simulated establishment time.
         generation: how many times this (p, q, direction) SA slot has been
             re-established; the IETF-rekey baseline bumps it.
         mac: the HMAC key schedule of ``auth_key``, built once here so
@@ -60,8 +60,6 @@ class SecurityAssociation:
     enc_key: bytes
     auth_alg: str = AUTH_ALG
     enc_alg: str = ENC_ALG
-    lifetime_seconds: float = 3600.0
-    created_at: float = 0.0
     generation: int = 0
     mac: MacKey = field(init=False, repr=False, compare=False)
 
@@ -86,8 +84,6 @@ def make_sa(
     src: str,
     dst: str,
     seed_or_rng: int | random.Random | None = None,
-    now: float = 0.0,
-    lifetime_seconds: float = 3600.0,
     generation: int = 0,
     master_secret: bytes | None = None,
     spi: int | None = None,
@@ -117,8 +113,6 @@ def make_sa(
         dst=dst,
         auth_key=derive_key(master_secret, f"auth:{src}->{dst}:{generation}"),
         enc_key=derive_key(master_secret, f"enc:{src}->{dst}:{generation}"),
-        lifetime_seconds=lifetime_seconds,
-        created_at=now,
         generation=generation,
     )
 
@@ -127,8 +121,6 @@ def make_sa_pair(
     host_a: str,
     host_b: str,
     seed_or_rng: int | random.Random | None = None,
-    now: float = 0.0,
-    lifetime_seconds: float = 3600.0,
     generation: int = 0,
     master_secret: bytes | None = None,
 ) -> SaPair:
@@ -141,8 +133,6 @@ def make_sa_pair(
             host_a,
             host_b,
             rng,
-            now=now,
-            lifetime_seconds=lifetime_seconds,
             generation=generation,
             master_secret=master_secret,
         ),
@@ -150,8 +140,6 @@ def make_sa_pair(
             host_b,
             host_a,
             rng,
-            now=now,
-            lifetime_seconds=lifetime_seconds,
             generation=generation,
             master_secret=master_secret,
         ),

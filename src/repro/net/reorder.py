@@ -20,7 +20,7 @@ from typing import Any
 
 from repro.net.link import PacketPipe
 from repro.util.rng import make_rng
-from repro.util.validation import check_non_negative, check_probability
+from repro.util.validation import check_non_negative_int, check_probability
 
 
 @dataclass
@@ -60,9 +60,8 @@ class DegreeReorderStage:
         probability: float,
         seed: int | None = None,
     ) -> None:
-        check_non_negative("degree", degree)
         self.downstream = downstream
-        self.degree = int(degree)
+        self.degree = check_non_negative_int("degree", degree)
         self.probability = check_probability("probability", probability)
         self._rng = make_rng(seed)
         self._held: list[_HeldPacket] = []

@@ -30,24 +30,21 @@ v2 — the *streaming* plane (live campaigns, not just post-mortems):
 ``python -m repro obs`` / ``top`` are the CLIs over all of it;
 ``repro.control`` (ROADMAP) is the next consumer.
 
-v3 — the *cross-run* plane (know when any run got worse):
+The *cross-run* plane (did this run get worse than the reference):
 
-* :mod:`repro.obs.archive` — the append-only run warehouse: one
-  content-addressed :class:`RunSnapshot` per observed run / fleet
-  aggregate / bench report, indexed by a salvageable ``runs.jsonl``.
+* :mod:`repro.obs.archive` — :class:`RunSnapshot`, one
+  content-addressed signal table per observed run or fleet campaign
+  (``python -m repro obs snapshot`` writes one).
 * :mod:`repro.obs.compare` — statistical run-to-run diffing:
   bootstrap CIs on exact series, sketch-error-aware quantile bounds
   (one rule for every histogram), per-metric GREEN/YELLOW/RED verdicts
-  through the health quorum.
-* :mod:`repro.obs.trend` — N-run signal trajectories with EWMA control
-  bands and anomaly flags.
+  through the health quorum.  ``python -m repro obs diff`` is the CI
+  gate against the committed reference snapshot.
 """
 
 from repro.obs.archive import (
     RUN_SCHEMA,
-    RunArchive,
     RunSnapshot,
-    snapshot_from_bench,
     snapshot_from_fleet_run,
     snapshot_from_obs_run,
     snapshot_target,
@@ -142,20 +139,12 @@ from repro.obs.stream import (
     read_ledger,
 )
 from repro.obs.top import render_dashboard, run_top, worker_health
-from repro.obs.trend import (
-    DEFAULT_HISTORY_SIGNALS,
-    TrendPoint,
-    compute_trend,
-    render_history_table,
-    signal_value,
-)
 
 __all__ = [
     "CHROME_TRACE_FILE",
     "CampaignStream",
     "CampaignView",
     "DEFAULT_EWMA_ALPHA",
-    "DEFAULT_HISTORY_SIGNALS",
     "DEFAULT_POLICIES",
     "DEFAULT_SAMPLE_INTERVAL",
     "DEFAULT_THRESHOLDS",
@@ -185,7 +174,6 @@ __all__ = [
     "QuantileSketch",
     "RUN_SCHEMA",
     "ResourceProbe",
-    "RunArchive",
     "RunDiff",
     "RunSnapshot",
     "Sampler",
@@ -194,13 +182,11 @@ __all__ = [
     "TRACE_RECORDS_FILE",
     "TRACE_RECORDS_SCHEMA",
     "TaskProfiler",
-    "TrendPoint",
     "WorkerStatus",
     "bootstrap_delta_ci",
     "build_manifest",
     "chrome_trace_events",
     "classify",
-    "compute_trend",
     "default_hub",
     "diff_runs",
     "distribution_bounds",
@@ -220,13 +206,10 @@ __all__ = [
     "render_dashboard",
     "render_diff_table",
     "render_health_table",
-    "render_history_table",
     "render_run_trace",
     "resource_snapshot",
     "run_top",
     "signal_level",
-    "signal_value",
-    "snapshot_from_bench",
     "snapshot_from_fleet_run",
     "snapshot_from_obs_run",
     "snapshot_target",

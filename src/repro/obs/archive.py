@@ -1,35 +1,21 @@
-"""The run warehouse: append-only archive of per-run signal snapshots.
+"""Run snapshots: one content-addressed signal table per run.
 
-Every artifact the repo already produces — an observed run directory
-(``metrics.jsonl`` + ``manifest.json``), a fleet campaign directory
-(``aggregate.json`` + ``campaign_obs.json``), a pytest-benchmark
-``BENCH_*.json`` with :data:`repro.perf.RATE_SCHEMA`-tagged rate reports
-— reduces to one :class:`RunSnapshot` (schema :data:`RUN_SCHEMA`): a
-flat table of *signals* (counters, gauges, serialized
+An observed run directory (``metrics.jsonl`` + ``manifest.json``) or a
+fleet campaign directory (``aggregate.json`` + ``campaign_obs.json``)
+reduces to one :class:`RunSnapshot` (schema :data:`RUN_SCHEMA`): a flat
+table of *signals* (counters, gauges, serialized
 :class:`~repro.obs.hub.QuantileSketch` histograms, capped exact sample
-series) plus unhashed environment metadata (git sha, machine score,
-wall time).  Snapshots are what
-:mod:`repro.obs.compare` diffs and :mod:`repro.obs.trend` charts.
-
-Layout of an archive directory::
-
-    <root>/runs.jsonl            append-only index, one line per ingest
-    <root>/runs/<run_id>/run.json   the full snapshot, content-addressed
+series) plus unhashed metadata (the git sha and the manifest's scenario,
+seed and params).  Snapshots are what :mod:`repro.obs.compare` diffs:
+``python -m repro obs snapshot`` writes one, and the CI gate diffs a
+fresh observed run against the committed reference
+``benchmarks/baselines/obs_reference/run.json``.
 
 **Content addressing.**  ``run_id`` is the SHA-256 of the canonical JSON
 of ``{kind, name, signals}`` — *not* the metadata, so the same
-deterministic simulation archived on two machines (different wall time,
-different git sha, different machine score) hashes to the same id and
-the second ingest dedups to a no-op.  This is also the durability
-story's idempotence half: re-ingesting after any crash converges to the
-same archive.
-
-**Durability.**  ``add`` writes the snapshot file first (tmp +
-``os.replace``) and appends the index line second, so a SIGKILL between
-the two leaves a complete snapshot that the next ingest of the same run
-re-indexes.  A SIGKILL *during* the index append leaves a torn tail
-that :func:`repro.util.jsonl.iter_jsonl_objects` salvages around — the
-same healing walk the result stores ride.
+deterministic simulation snapshotted on two machines (different git
+sha, different wall time) hashes to the same id.  That is what lets a
+committed reference pin the code that produced it.
 
 **Determinism.**  Signal extraction drops machine-dependent names
 (wall time, CPU, RSS, allocation peaks — see :data:`EXCLUDED_SIGNAL_PARTS`)
@@ -43,11 +29,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 from repro.obs.export import (
     MANIFEST_FILE,
@@ -56,22 +40,14 @@ from repro.obs.export import (
     read_metrics_jsonl,
 )
 from repro.obs.hub import QuantileSketch, split_label
-from repro.util.jsonl import iter_jsonl_objects
 
-#: Schema tag for snapshots and index lines.  ``@2``: one distribution
-#: table, every payload a :class:`QuantileSketch`.
+#: Schema tag for snapshots.  ``@2``: one distribution table, every
+#: payload a :class:`QuantileSketch`.
 RUN_SCHEMA = "repro.obs/run@2"
-
-#: Archive file/dir names.
-INDEX_FILE = "runs.jsonl"
-RUNS_DIR = "runs"
-SNAPSHOT_FILE = "run.json"
 
 #: Snapshot kinds (what produced the signals).
 KIND_OBS = "obs-run"
 KIND_FLEET = "fleet-run"
-KIND_BENCH = "bench"
-RUN_KINDS = (KIND_OBS, KIND_FLEET, KIND_BENCH)
 
 #: Exact sample series are kept verbatim up to this many values; longer
 #: series downsample with a fixed stride (deterministic, order-stable).
@@ -109,7 +85,7 @@ def empty_signals() -> dict[str, Any]:
 
 @dataclass
 class RunSnapshot:
-    """One archived run: hashed signal table + unhashed metadata.
+    """One run: hashed signal table + unhashed metadata.
 
     ``signals`` holds four tables keyed by signal name:
 
@@ -177,7 +153,7 @@ class RunSnapshot:
             raise ValueError(
                 f"snapshot content hash mismatch: recorded {recorded[:12]}, "
                 f"recomputed {snapshot.short_id} — the file was edited "
-                "after archiving"
+                "after it was written"
             )
         return snapshot
 
@@ -185,19 +161,11 @@ class RunSnapshot:
 # ----------------------------------------------------------------------
 # Extractors: repo artifacts -> RunSnapshot
 # ----------------------------------------------------------------------
-def _base_meta(wall_time: float | None = None) -> dict[str, Any]:
-    from repro.perf import current_git_sha, machine_score
+def _base_meta() -> dict[str, Any]:
+    from repro.perf import current_git_sha
 
-    meta: dict[str, Any] = {
-        "created": time.time(),
-        "machine_score": round(machine_score(), 3),
-    }
     sha = current_git_sha()
-    if sha:
-        meta["git_sha"] = sha
-    if wall_time is not None:
-        meta["wall_time"] = wall_time
-    return meta
+    return {"git_sha": sha} if sha else {}
 
 
 def _add_scalar(
@@ -220,11 +188,10 @@ def _add_scalar(
         signals["samples"][name] = downsample([float(item) for item in value])
 
 
-def snapshot_from_obs_run(
-    run_dir: str | Path, name: str | None = None
-) -> RunSnapshot:
+def snapshot_from_obs_run(run_dir: str | Path) -> RunSnapshot:
     """Reduce an observed-run directory (``metrics.jsonl`` +
-    ``manifest.json``) to a snapshot.
+    ``manifest.json``) to a snapshot named after the manifest's
+    scenario.
 
     Label fan-in mirrors :meth:`MetricsHub.rollup`: counters sum across
     labels, gauges and EWMAs keep the worst (max) label, histograms
@@ -275,11 +242,11 @@ def snapshot_from_obs_run(
     meta = _base_meta()
     sources = [METRICS_FILE]
     manifest_path = run_dir / MANIFEST_FILE
-    run_name = name or export.get("name") or run_dir.name
+    run_name = export.get("name") or run_dir.name
     if manifest_path.exists():
         sources.append(MANIFEST_FILE)
         manifest = read_manifest(manifest_path)
-        run_name = name or manifest.get("scenario") or run_name
+        run_name = manifest.get("scenario") or run_name
         for key in ("scenario", "seed", "params"):
             if key in manifest:
                 meta[key] = manifest[key]
@@ -303,11 +270,10 @@ _AGGREGATE_COUNTERS = (
 )
 
 
-def snapshot_from_fleet_run(
-    run_dir: str | Path, name: str | None = None
-) -> RunSnapshot:
+def snapshot_from_fleet_run(run_dir: str | Path) -> RunSnapshot:
     """Reduce a fleet campaign directory (``aggregate.json`` and, when
-    the campaign observed tasks, ``campaign_obs.json``) to a snapshot."""
+    the campaign observed tasks, ``campaign_obs.json``) to a snapshot
+    named after the directory."""
     run_dir = Path(run_dir)
     signals = empty_signals()
     meta = _base_meta()
@@ -357,262 +323,27 @@ def snapshot_from_fleet_run(
             "not a fleet campaign directory"
         )
     return RunSnapshot(
-        kind=KIND_FLEET, name=str(name or run_dir.name), signals=signals,
+        kind=KIND_FLEET, name=run_dir.name, signals=signals,
         meta=meta, sources=sources,
     )
 
 
-def snapshot_from_bench(
-    path: str | Path, name: str | None = None
-) -> RunSnapshot:
-    """Reduce a pytest-benchmark JSON file to a snapshot.
+def snapshot_target(target: str | Path) -> RunSnapshot:
+    """Sniff what ``target`` is and reduce it to a snapshot.
 
-    Only entries carrying a :data:`repro.perf.RATE_SCHEMA`-tagged
-    ``extra_info`` (the :meth:`RateReport.as_dict` provenance payload)
-    contribute: the normalized rate is machine-portable, so it is the
-    gauge; the raw rate and wall-clock stats are host noise and stay
-    out of the hashed signal table.
-    """
-    from repro.perf import RATE_SCHEMA
-
-    path = Path(path)
-    data = json.loads(path.read_text(encoding="utf-8"))
-    signals = empty_signals()
-    meta = _base_meta()
-    tagged = 0
-    for entry in data.get("benchmarks", []):
-        extra = entry.get("extra_info") or {}
-        if extra.get("schema") != RATE_SCHEMA:
-            continue
-        tagged += 1
-        bench = str(entry.get("name", extra.get("name", "bench")))
-        if isinstance(extra.get("normalized_rate"), (int, float)):
-            signals["gauges"][f"{bench}/normalized_rate"] = round(
-                float(extra["normalized_rate"]), 3
-            )
-        if isinstance(extra.get("count"), int):
-            signals["counters"][f"{bench}/count"] = extra["count"]
-        if isinstance(extra.get("metric"), str):
-            meta.setdefault("metrics", {})[bench] = extra["metric"]
-        if extra.get("git_sha") and tagged == 1:
-            # The sha captured at bench time is the provenance that
-            # matters, not the checkout archiving the file later.
-            meta["git_sha"] = extra["git_sha"]
-        if isinstance(extra.get("machine_score"), (int, float)):
-            meta["machine_score"] = extra["machine_score"]
-    if not tagged:
-        raise ValueError(
-            f"{path} has no {RATE_SCHEMA}-tagged benchmarks — run the "
-            "bench through the report_rate fixture so archives carry "
-            "provenance"
-        )
-    return RunSnapshot(
-        kind=KIND_BENCH, name=str(name or path.stem), signals=signals,
-        meta=meta, sources=[path.name],
-    )
-
-
-def snapshot_target(
-    target: str | Path, kind: str | None = None, name: str | None = None
-) -> RunSnapshot:
-    """Autodetect what ``target`` is and reduce it to a snapshot.
-
-    A ``run.json`` (or any :data:`RUN_SCHEMA` JSON) loads as-is; a
-    ``benchmarks``-shaped JSON is a bench; a directory with
-    ``metrics.jsonl`` is an observed run; a directory with
-    ``aggregate.json`` / ``campaign_obs.json`` is a fleet campaign.
-    An explicit ``kind`` overrides the sniffing.
+    A :data:`RUN_SCHEMA` JSON file (a written ``run.json``) loads as-is;
+    a directory with ``metrics.jsonl`` is an observed run; any other
+    directory is read as a fleet campaign (``aggregate.json`` /
+    ``campaign_obs.json``).
     """
     target = Path(target)
     if target.is_file():
         data = json.loads(target.read_text(encoding="utf-8"))
         if data.get("schema") == RUN_SCHEMA:
             return RunSnapshot.from_dict(data)
-        if kind in (None, KIND_BENCH) and "benchmarks" in data:
-            return snapshot_from_bench(target, name=name)
-        raise ValueError(
-            f"{target}: not a {RUN_SCHEMA} snapshot or pytest-benchmark JSON"
-        )
+        raise ValueError(f"{target}: not a {RUN_SCHEMA} snapshot")
     if not target.is_dir():
         raise FileNotFoundError(target)
-    if (target / SNAPSHOT_FILE).exists() and kind is None:
-        return RunSnapshot.from_dict(
-            json.loads((target / SNAPSHOT_FILE).read_text(encoding="utf-8"))
-        )
-    if kind == KIND_OBS or (kind is None and (target / METRICS_FILE).exists()):
-        return snapshot_from_obs_run(target, name=name)
-    if kind == KIND_FLEET or kind is None:
-        return snapshot_from_fleet_run(target, name=name)
-    raise ValueError(f"{target}: cannot snapshot as kind {kind!r}")
-
-
-# ----------------------------------------------------------------------
-# The archive
-# ----------------------------------------------------------------------
-class RunArchive:
-    """An append-only warehouse of :class:`RunSnapshot` records.
-
-    See the module docstring for the layout and the durability/ordering
-    contract.  All reads ride the salvage walk, so a half-written
-    archive (crash mid-ingest) stays readable and the next ingest heals
-    it.
-    """
-
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
-
-    @property
-    def index_path(self) -> Path:
-        return self.root / INDEX_FILE
-
-    def snapshot_path(self, run_id: str) -> Path:
-        return self.root / RUNS_DIR / run_id / SNAPSHOT_FILE
-
-    # ------------------------------------------------------------------
-    # Writing
-    # ------------------------------------------------------------------
-    def add(self, snapshot: RunSnapshot) -> bool:
-        """Archive a snapshot; returns True when new content landed.
-
-        Content-hash idempotent: an already-archived ``run_id`` only
-        repairs a missing index line (the crash-between-write-and-append
-        case) and reports ``False``.
-        """
-        run_id = snapshot.run_id
-        path = self.snapshot_path(run_id)
-        created = not path.exists()
-        if created:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".json.tmp")
-            tmp.write_text(
-                json.dumps(snapshot.as_dict(), sort_keys=True, indent=2)
-                + "\n",
-                encoding="utf-8",
-            )
-            os.replace(tmp, path)
-        if run_id not in {entry["run_id"] for entry in self.index()}:
-            self._append_index(snapshot)
-        return created
-
-    def _append_index(self, snapshot: RunSnapshot) -> None:
-        entry = {
-            "schema": RUN_SCHEMA,
-            "run_id": snapshot.run_id,
-            "kind": snapshot.kind,
-            "name": snapshot.name,
-            "created": snapshot.meta.get("created"),
-            "git_sha": snapshot.meta.get("git_sha"),
-            "machine_score": snapshot.meta.get("machine_score"),
-            "sources": list(snapshot.sources),
-            "signals": snapshot.signal_count(),
-        }
-        self.root.mkdir(parents=True, exist_ok=True)
-        with self.index_path.open("a", encoding="utf-8") as handle:
-            handle.write(_canonical(entry) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-
-    def ingest(
-        self,
-        target: str | Path,
-        kind: str | None = None,
-        name: str | None = None,
-    ) -> tuple[RunSnapshot, bool]:
-        """Snapshot ``target`` (see :func:`snapshot_target`) and archive
-        it; returns ``(snapshot, created)``."""
-        snapshot = snapshot_target(target, kind=kind, name=name)
-        return snapshot, self.add(snapshot)
-
-    # ------------------------------------------------------------------
-    # Reading
-    # ------------------------------------------------------------------
-    def index(self) -> list[dict[str, Any]]:
-        """Index entries in ingest order (salvaged, first-wins dedup)."""
-        if not self.index_path.exists():
-            return []
-        seen: set[str] = set()
-        entries: list[dict[str, Any]] = []
-        for data in iter_jsonl_objects(self.index_path):
-            if not isinstance(data, Mapping):
-                continue
-            run_id = data.get("run_id")
-            if not isinstance(run_id, str) or run_id in seen:
-                continue
-            seen.add(run_id)
-            entries.append(dict(data))
-        return entries
-
-    def load(self, run_id: str) -> RunSnapshot | None:
-        path = self.snapshot_path(run_id)
-        if not path.exists():
-            return None
-        return RunSnapshot.from_dict(
-            json.loads(path.read_text(encoding="utf-8"))
-        )
-
-    def snapshots(
-        self, kind: str | None = None, name: str | None = None
-    ) -> Iterator[RunSnapshot]:
-        """Archived snapshots in ingest order, optionally filtered."""
-        for entry in self.index():
-            if kind is not None and entry.get("kind") != kind:
-                continue
-            if name is not None and entry.get("name") != name:
-                continue
-            snapshot = self.load(entry["run_id"])
-            if snapshot is not None:
-                yield snapshot
-
-    def history(
-        self,
-        kind: str | None = None,
-        name: str | None = None,
-        last: int | None = None,
-    ) -> list[RunSnapshot]:
-        """The N most recent snapshots (ingest order) for a filter."""
-        found = list(self.snapshots(kind=kind, name=name))
-        if last is not None and last > 0:
-            found = found[-last:]
-        return found
-
-    def resolve(self, ref: str) -> RunSnapshot:
-        """A snapshot from a flexible reference.
-
-        ``latest`` (most recent ingest), an existing path (snapshotted
-        on the fly — raw run dirs diff without being archived first), a
-        full ``run_id``, or any unique id prefix.
-        """
-        if ref == "latest":
-            entries = self.index()
-            if not entries:
-                raise ValueError(f"archive {self.root} is empty")
-            snapshot = self.load(entries[-1]["run_id"])
-            if snapshot is None:
-                raise ValueError(
-                    f"archive {self.root}: latest snapshot file is missing"
-                )
-            return snapshot
-        path = Path(ref)
-        if path.exists():
-            return snapshot_target(path)
-        matches = [
-            entry["run_id"] for entry in self.index()
-            if entry["run_id"].startswith(ref)
-        ]
-        if len(matches) == 1:
-            snapshot = self.load(matches[0])
-            if snapshot is not None:
-                return snapshot
-            raise ValueError(
-                f"run {matches[0][:12]} is indexed but its snapshot file "
-                "is missing"
-            )
-        if matches:
-            raise ValueError(
-                f"run reference {ref!r} is ambiguous "
-                f"({len(matches)} matches)"
-            )
-        raise ValueError(
-            f"run reference {ref!r} matches nothing in {self.root} "
-            "(not a path, not an archived id, not 'latest')"
-        )
+    if (target / METRICS_FILE).exists():
+        return snapshot_from_obs_run(target)
+    return snapshot_from_fleet_run(target)

@@ -59,7 +59,7 @@ def current_git_sha() -> str | None:
     Prefers ``GITHUB_SHA`` (set on every Actions runner, and correct in
     detached checkouts) over asking git, so provenance works even when
     the ``git`` binary is unavailable.  Stamped into every
-    :class:`RateReport` and every archived run snapshot.
+    :class:`RateReport` and every run snapshot.
     """
     sha = os.environ.get("GITHUB_SHA")
     if sha:
@@ -202,7 +202,7 @@ class RateReport:
     def as_dict(self) -> dict[str, Any]:
         """JSON-safe export, carried into pytest-benchmark ``extra_info``.
 
-        The ``schema`` tag makes archived BENCH_*.json artifacts
+        The ``schema`` tag makes uploaded BENCH_*.json artifacts
         self-describing: a consumer can tell these fields came from this
         reporter (and which revision of it) without guessing from shape.
         """
@@ -322,9 +322,8 @@ def load_capture_scores(path: Path) -> dict[str, float]:
 
     The ``report_rate`` fixture stamps its process's :func:`machine_score`
     into every entry's :data:`RATE_SCHEMA` payload, and the stamped
-    ``normalized_rate`` (what the bench printed and the run archive
-    keeps) is the raw rate over that score.  Entries without a positive
-    stamped score are absent.
+    ``normalized_rate`` (what the bench printed) is the raw rate over
+    that score.  Entries without a positive stamped score are absent.
     """
     scores: dict[str, float] = {}
     for name, info in load_benchmark_provenance(path).items():
@@ -406,21 +405,6 @@ def _load_baseline(path: Path) -> dict[str, Any] | None:
     return baseline
 
 
-def _archive_bench(bench_json: str, archive_dir: str) -> None:
-    """``check --archive DIR``: land the bench report in a run warehouse."""
-    from repro.obs.archive import RunArchive
-
-    try:
-        snapshot, created = RunArchive(archive_dir).ingest(Path(bench_json))
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"warning: could not archive {bench_json}: {exc}",
-              file=sys.stderr)
-        return
-    status = "archived" if created else "already archived"
-    print(f"{status}: {bench_json} -> {archive_dir} "
-          f"[{snapshot.short_id}]")
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     baseline = _load_baseline(Path(args.baseline))
     if baseline is None:
@@ -437,10 +421,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
           "each rate normalized by the machine score it was captured at)")
     for result in results:
         print(result.format())
-    if getattr(args, "archive", None):
-        # Archive before the verdict: a regressed run's evidence is the
-        # run most worth keeping.
-        _archive_bench(args.bench_json, args.archive)
     if missing:
         print(f"error: gated benchmarks missing from {args.bench_json}: "
               f"{', '.join(missing)}", file=sys.stderr)
@@ -501,9 +481,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="checked-in baseline JSON")
     check.add_argument("--tolerance", type=float, default=None,
                        help="override the baseline's allowed drop fraction")
-    check.add_argument("--archive", default=None, metavar="DIR",
-                       help="also ingest the bench report into this run "
-                            "warehouse (see repro.obs.archive)")
     check.set_defaults(func=_cmd_check)
 
     update = sub.add_parser(

@@ -43,6 +43,20 @@ class TestVariants:
         with pytest.raises(TypeError, match="w must be int"):
             build_protocol(protected=False, w=True)
 
+    def test_non_int_leap_factor_and_reorder_degree_rejected(self):
+        # Not truncated: leap 2.5 would run with 2, degree 2.7 with 2.
+        with pytest.raises(TypeError, match="leap_factor must be int"):
+            build_protocol(leap_factor=2.5)
+        with pytest.raises(TypeError, match="degree must be int"):
+            build_protocol(reorder_degree=2.7, reorder_probability=0.5)
+
+    def test_zero_leap_factor_and_reorder_degree_build(self):
+        harness = build_protocol(leap_factor=0)
+        assert harness.sender.leap_factor == 0
+        assert harness.receiver.leap_factor == 0
+        assert build_protocol(reorder_degree=0,
+                              reorder_probability=0.5).reorder_stage is None
+
     def test_adversary_optional(self):
         assert build_protocol().adversary is None
         assert build_protocol(with_adversary=True).adversary is not None

@@ -1,4 +1,4 @@
-"""Tests for repro.obs.archive (the run warehouse)."""
+"""Tests for repro.obs.archive (run snapshots and their extractors)."""
 
 import json
 
@@ -6,21 +6,16 @@ import pytest
 
 from repro.obs.archive import (
     EXCLUDED_SIGNAL_PARTS,
-    KIND_BENCH,
     KIND_FLEET,
     KIND_OBS,
-    RUN_SCHEMA,
     SAMPLE_CAP,
-    RunArchive,
     RunSnapshot,
     downsample,
     signal_is_excluded,
-    snapshot_from_bench,
     snapshot_from_fleet_run,
     snapshot_from_obs_run,
     snapshot_target,
 )
-from repro.perf import RATE_SCHEMA
 
 
 def make_snapshot(name="run", counter=1, kind=KIND_OBS):
@@ -79,9 +74,8 @@ class TestRunSnapshot:
     def test_hash_ignores_meta(self):
         a = make_snapshot()
         b = make_snapshot()
-        b.meta["created"] = 999.0
         b.meta["git_sha"] = "deadbeef"
-        b.meta["machine_score"] = 99.0
+        b.meta["wall_time"] = 99.0
         assert a.run_id == b.run_id
 
     def test_hash_tracks_signals(self):
@@ -224,55 +218,12 @@ class TestFleetExtractor:
             snapshot_from_fleet_run(empty)
 
 
-def bench_json(tmp_path, normalized=1000.0, tagged=True):
-    extra = {
-        "schema": RATE_SCHEMA, "name": "bench_x", "metric": "events/s",
-        "count": 500, "seconds": 0.5, "rate": 1000.0,
-        "machine_score": 1.0, "normalized_rate": normalized,
-        "git_sha": "cafe" * 10,
-    } if tagged else {"note": "untagged"}
-    tmp_path.mkdir(parents=True, exist_ok=True)
-    path = tmp_path / "BENCH_X.json"
-    path.write_text(json.dumps({
-        "benchmarks": [{"name": "bench_x", "stats": {"min": 0.5},
-                        "extra_info": extra}],
-    }))
-    return path
-
-
-class TestBenchExtractor:
-    def test_snapshot_shape(self, tmp_path):
-        snapshot = snapshot_from_bench(bench_json(tmp_path))
-        assert snapshot.kind == KIND_BENCH
-        assert snapshot.signals["gauges"]["bench_x/normalized_rate"] == 1000.0
-        assert snapshot.signals["counters"]["bench_x/count"] == 500
-        assert snapshot.meta["git_sha"] == "cafe" * 10
-        assert snapshot.meta["machine_score"] == 1.0
-
-    def test_untagged_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="tagged"):
-            snapshot_from_bench(bench_json(tmp_path, tagged=False))
-
-    def test_hash_machine_independent(self, tmp_path):
-        a = snapshot_from_bench(bench_json(tmp_path / "a"))
-        b_path = bench_json(tmp_path / "b")
-        data = json.loads(b_path.read_text())
-        data["benchmarks"][0]["extra_info"]["machine_score"] = 7.7
-        data["benchmarks"][0]["extra_info"]["git_sha"] = "beef" * 10
-        b_path.write_text(json.dumps(data))
-        b = snapshot_from_bench(b_path)
-        assert a.run_id == b.run_id  # score and sha live in meta only
-
-
 class TestSnapshotTarget:
     def test_sniffs_obs_dir(self, tmp_path):
         assert snapshot_target(observed_run(tmp_path)).kind == KIND_OBS
 
     def test_sniffs_fleet_dir(self, tmp_path):
         assert snapshot_target(fleet_run(tmp_path)).kind == KIND_FLEET
-
-    def test_sniffs_bench_file(self, tmp_path):
-        assert snapshot_target(bench_json(tmp_path)).kind == KIND_BENCH
 
     def test_loads_written_snapshot(self, tmp_path):
         snapshot = make_snapshot()
@@ -289,51 +240,3 @@ class TestSnapshotTarget:
         path.write_text(json.dumps({"hello": 1}))
         with pytest.raises(ValueError, match="not a"):
             snapshot_target(path)
-
-
-class TestRunArchive:
-    def test_add_and_load(self, tmp_path):
-        archive = RunArchive(tmp_path / "wh")
-        snapshot = make_snapshot()
-        assert archive.add(snapshot) is True
-        loaded = archive.load(snapshot.run_id)
-        assert loaded is not None
-        assert loaded.run_id == snapshot.run_id
-        assert archive.index()[0]["schema"] == RUN_SCHEMA
-
-    def test_readd_dedups(self, tmp_path):
-        archive = RunArchive(tmp_path / "wh")
-        snapshot = make_snapshot()
-        assert archive.add(snapshot) is True
-        assert archive.add(snapshot) is False
-        assert len(archive.index()) == 1
-
-    def test_history_order_and_filters(self, tmp_path):
-        archive = RunArchive(tmp_path / "wh")
-        for counter in (1, 2, 3):
-            archive.add(make_snapshot(counter=counter))
-        archive.add(make_snapshot(name="other", kind=KIND_FLEET))
-        runs = archive.history(kind=KIND_OBS, name="run")
-        assert len(runs) == 3
-        assert [r.signals["counters"]["events"] for r in runs] == [1, 2, 3]
-        assert len(archive.history(last=2)) == 2
-        assert archive.history(kind=KIND_FLEET)[0].name == "other"
-
-    def test_resolve_latest_prefix_and_path(self, tmp_path):
-        archive = RunArchive(tmp_path / "wh")
-        first = make_snapshot(counter=1)
-        second = make_snapshot(counter=2)
-        archive.add(first)
-        archive.add(second)
-        assert archive.resolve("latest").run_id == second.run_id
-        assert archive.resolve(first.run_id[:10]).run_id == first.run_id
-        run_dir = observed_run(tmp_path)
-        assert archive.resolve(str(run_dir)).kind == KIND_OBS
-
-    def test_resolve_errors(self, tmp_path):
-        archive = RunArchive(tmp_path / "wh")
-        with pytest.raises(ValueError, match="empty"):
-            archive.resolve("latest")
-        archive.add(make_snapshot(counter=1))
-        with pytest.raises(ValueError, match="matches nothing"):
-            archive.resolve("zzzz")

@@ -1,11 +1,6 @@
-"""CLI surfaces that feed the run warehouse, plus the extended
-``obs <run-dir> --check`` (progress ledger + flight recorder dumps).
-
-Three entry points land snapshots in the same archive: the warehouse
-verbs themselves (covered in test_regression_gate), ``fleet --archive``
-after a campaign, and ``python -m repro.perf check --archive`` after a
-bench run.  These drive the latter two end-to-end through their real
-argument parsers.
+"""The perf gate's provenance print, plus the extended
+``obs <run-dir> --check`` (progress ledger + flight recorder dumps),
+each driven end-to-end through its real argument parser.
 """
 
 import json
@@ -14,65 +9,11 @@ import pytest
 
 from repro import perf
 from repro.__main__ import main
-from repro.obs.archive import KIND_BENCH, KIND_FLEET, RunArchive
 from repro.obs.flightrec import FLIGHT_SCHEMA
 from repro.obs.stream import PROGRESS_SCHEMA
 
 
-def write_spec(tmp_path):
-    spec = {
-        "name": "cli-archive",
-        "base_seed": 2003,
-        "grids": [{
-            "scenario": "sender_reset",
-            "sessions": 4,
-            "params": {"k": 25, "messages_after_reset": 30,
-                       "reset_after_sends": [40, 60]},
-        }],
-    }
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(spec))
-    return path
-
-
-class TestFleetArchive:
-    def test_campaign_lands_in_warehouse(self, tmp_path, capsys):
-        spec = write_spec(tmp_path)
-        out = tmp_path / "runs"
-        warehouse = tmp_path / "wh"
-        code = main(["fleet", str(spec), "--out", str(out),
-                     "--archive", str(warehouse)])
-        captured = capsys.readouterr().out
-        assert code == 0
-        assert "archived:" in captured
-        entries = RunArchive(warehouse).index()
-        assert len(entries) == 1
-        assert entries[0]["kind"] == KIND_FLEET
-        assert entries[0]["name"] == "cli-archive"
-
-    def test_rerun_dedups_by_content(self, tmp_path, capsys):
-        spec = write_spec(tmp_path)
-        out = tmp_path / "runs"
-        warehouse = tmp_path / "wh"
-        assert main(["fleet", str(spec), "--out", str(out),
-                     "--archive", str(warehouse)]) == 0
-        capsys.readouterr()
-        # Second run resumes from the store, re-aggregates identical
-        # content, and the warehouse recognizes the hash.
-        assert main(["fleet", str(spec), "--out", str(out),
-                     "--archive", str(warehouse)]) == 0
-        assert "already archived" in capsys.readouterr().out
-        assert len(RunArchive(warehouse).index()) == 1
-
-    def test_no_archive_flag_no_warehouse(self, tmp_path, capsys):
-        spec = write_spec(tmp_path)
-        out = tmp_path / "runs"
-        assert main(["fleet", str(spec), "--out", str(out)]) == 0
-        capsys.readouterr()
-        assert not (tmp_path / "run_archive").exists()
-
-
-def write_bench_json(path, score, sha="deadbeef" * 5, seconds=0.001):
+def write_bench_json(path, score, seconds=0.001):
     path.write_text(json.dumps({
         "benchmarks": [{
             "name": "bench_engine_event_rate",
@@ -86,7 +27,7 @@ def write_bench_json(path, score, sha="deadbeef" * 5, seconds=0.001):
                 "rate": 1000 / seconds,
                 "machine_score": score,
                 "normalized_rate": 1000 / seconds / score,
-                "git_sha": sha,
+                "git_sha": "deadbeef" * 5,
             },
         }],
     }))
@@ -101,7 +42,7 @@ def write_baseline(path):
             "bench_engine_event_rate": {
                 "count": 1000,
                 # Far below anything a real host produces, so the gate
-                # itself stays green and the test exercises archiving.
+                # itself stays green and the test reads its print.
                 "normalized_rate": 1e-6,
             },
         },
@@ -110,25 +51,9 @@ def write_baseline(path):
 
 
 class TestPerfCheckArchive:
-    def test_bench_report_lands_in_warehouse(self, tmp_path, capsys):
-        bench = write_bench_json(tmp_path / "BENCH_M3.json",
-                                 score=perf.machine_score())
-        baseline = write_baseline(tmp_path / "baseline.json")
-        warehouse = tmp_path / "wh"
-        code = perf.main(["check", str(bench), "--baseline", str(baseline),
-                          "--archive", str(warehouse)])
-        captured = capsys.readouterr().out
-        assert code == perf.EXIT_OK
-        assert "archived:" in captured
-        entries = RunArchive(warehouse).index()
-        assert len(entries) == 1
-        assert entries[0]["kind"] == KIND_BENCH
-        snapshot = RunArchive(warehouse).load(entries[0]["run_id"])
-        assert snapshot.meta["git_sha"] == "deadbeef" * 5
-
     def test_provenance_mismatch_printed(self, tmp_path, capsys):
         # Captured on a host twice as fast as this one: the gate reads
-        # the file's own normalized rate, the one the archive keeps.
+        # the file's own normalized rate, the one the bench printed.
         score = perf.machine_score() * 2.0
         bench = write_bench_json(tmp_path / "BENCH_M3.json", score=score)
         baseline = write_baseline(tmp_path / "baseline.json")
@@ -139,20 +64,6 @@ class TestPerfCheckArchive:
         rate = stamped["extra_info"]["normalized_rate"]
         assert f"normalized {rate:,.1f} vs baseline" in captured
         assert f"@ score {score:.2f} ok" in captured
-
-    def test_unreadable_target_warns_but_gates(self, tmp_path, capsys):
-        # Archiving is best-effort: a warehouse failure must never turn
-        # a green perf gate red.
-        bench = write_bench_json(tmp_path / "BENCH_M3.json",
-                                 score=perf.machine_score())
-        baseline = write_baseline(tmp_path / "baseline.json")
-        blocked = tmp_path / "blocked"
-        blocked.write_text("a file where the warehouse dir should go")
-        code = perf.main(["check", str(bench), "--baseline", str(baseline),
-                          "--archive", str(blocked)])
-        captured = capsys.readouterr()
-        assert code == perf.EXIT_OK
-        assert "warning: could not archive" in captured.err
 
 
 @pytest.fixture()

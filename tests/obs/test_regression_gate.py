@@ -1,10 +1,10 @@
 """The regression-gate acceptance: a seeded 2x recovery-latency
 regression is caught RED (exit 1) while the self-diff of the same run
-reports zero regressions (exit 0), and every render is byte-identical
-between live ingest and archive replay.
+reports zero regressions (exit 0), and a diff render is byte-identical
+between the live snapshots and the same snapshots written and reloaded.
 
-This is the CI `regression` job in miniature, driven through the real
-CLI surfaces (`obs archive` / `obs diff` / `obs history`).
+This is the CI gate in miniature, driven through the real CLI surfaces
+(`obs snapshot` / `obs diff`).
 """
 
 import copy
@@ -13,16 +13,14 @@ from pathlib import Path
 
 import pytest
 
+from repro import perf
 from repro.__main__ import main
-from repro.obs.archive import (
-    RunArchive,
-    RunSnapshot,
-    snapshot_from_obs_run,
-    snapshot_target,
-)
+from repro.obs.archive import RunSnapshot, snapshot_target
 from repro.obs.compare import diff_runs, render_diff_table
 from repro.obs.health import HealthState
-from repro.obs.trend import render_history_table
+
+REFERENCE = (Path(__file__).resolve().parents[2]
+             / "benchmarks" / "baselines" / "obs_reference" / "run.json")
 
 
 @pytest.fixture(scope="module")
@@ -88,9 +86,8 @@ class TestSeededRegression:
 
 
 class TestCliGate:
-    def test_self_diff_exits_zero(self, observed_run, tmp_path, capsys):
-        code = main(["obs", "diff", str(observed_run), str(observed_run),
-                     "--archive", str(tmp_path / "wh")])
+    def test_self_diff_exits_zero(self, observed_run, capsys):
+        code = main(["obs", "diff", str(observed_run), str(observed_run)])
         out = capsys.readouterr().out
         assert code == 0
         assert "verdict: GREEN (0 regression(s))" in out
@@ -101,20 +98,21 @@ class TestCliGate:
         base = snapshot_target(observed_run)
         regressed = seeded_regression(base)
         # The regressed snapshot is hash-consistent (recomputed), so it
-        # writes/loads as a first-class archived run.
+        # writes/loads as a first-class snapshot.
         reg_path = tmp_path / "regressed.json"
         reg_path.write_text(json.dumps(regressed.as_dict()))
-        code = main(["obs", "diff", str(observed_run), str(reg_path),
-                     "--archive", str(tmp_path / "wh")])
+        code = main(["obs", "diff", str(observed_run), str(reg_path)])
         captured = capsys.readouterr()
         assert code == 1
         assert "verdict: RED" in captured.out
         assert "REGRESSION" in captured.err
-        assert "--write-snapshot" in captured.err  # refresh hint
+        # The refresh hint is the documented regeneration command.
+        assert (f"python -m repro obs snapshot {reg_path} "
+                f"--out {observed_run}") in captured.err
 
-    def test_json_output_parses(self, observed_run, tmp_path, capsys):
+    def test_json_output_parses(self, observed_run, capsys):
         code = main(["obs", "diff", str(observed_run), str(observed_run),
-                     "--archive", str(tmp_path / "wh"), "--json"])
+                     "--json"])
         assert code == 0
         data = json.loads(capsys.readouterr().out)
         assert data["verdict"] == "GREEN"
@@ -122,68 +120,56 @@ class TestCliGate:
 
 
 class TestArchiveCli:
-    def test_archive_then_dedup(self, observed_run, tmp_path, capsys):
-        warehouse = tmp_path / "wh"
-        assert main(["obs", "archive", str(observed_run),
-                     "--archive", str(warehouse)]) == 0
-        first = capsys.readouterr().out
-        assert "archived: obs-run" in first
-        assert main(["obs", "archive", str(observed_run),
-                     "--archive", str(warehouse)]) == 0
-        second = capsys.readouterr().out
-        assert "already archived" in second
-        assert len(RunArchive(warehouse).index()) == 1
-
     def test_write_snapshot_round_trips(self, observed_run, tmp_path,
                                         capsys):
         target = tmp_path / "ref" / "run.json"
-        assert main(["obs", "archive", str(observed_run),
-                     "--archive", str(tmp_path / "wh"),
-                     "--write-snapshot", str(target)]) == 0
+        assert main(["obs", "snapshot", str(observed_run),
+                     "--out", str(target)]) == 0
         loaded = RunSnapshot.from_dict(json.loads(target.read_text()))
         assert loaded.run_id == snapshot_target(observed_run).run_id
+        assert f"[{loaded.short_id}]" in capsys.readouterr().out
 
-    def test_history_renders(self, observed_run, tmp_path, capsys):
-        warehouse = tmp_path / "wh"
-        main(["obs", "archive", str(observed_run),
-              "--archive", str(warehouse)])
+    def test_snapshot_without_out_prints_the_document(self, observed_run,
+                                                      capsys):
+        assert main(["obs", "snapshot", str(observed_run)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["run_id"] == snapshot_target(observed_run).run_id
+        assert printed["name"] == "gateway_crash"
+
+    def test_snapshot_of_missing_target_exits_two(self, tmp_path, capsys):
+        assert main(["obs", "snapshot", str(tmp_path / "gone")]) == 2
+        assert "cannot snapshot" in capsys.readouterr().err
+
+    def test_diff_does_not_calibrate_the_machine(self, observed_run,
+                                                  monkeypatch, capsys):
+        # Snapshot metadata carries no machine score, so a diff never
+        # pays for the calibration.
+        monkeypatch.setattr(perf, "_machine_score", None)
+        assert main(["obs", "diff", str(observed_run),
+                     str(observed_run)]) == 0
         capsys.readouterr()
-        assert main(["obs", "history", "--archive", str(warehouse)]) == 0
-        out = capsys.readouterr().out
-        assert "1 run(s)" in out
-        assert "gateway_crash" in out
+        assert perf._machine_score is None
 
 
 class TestByteIdenticalReplay:
-    def test_diff_render_replays_identically(self, observed_run, tmp_path):
-        warehouse = RunArchive(tmp_path / "wh")
+    def test_diff_render_replays_identically(self, observed_run, tmp_path,
+                                             capsys):
         live = snapshot_target(observed_run)
         regressed = seeded_regression(live)
-        warehouse.add(live)
-        warehouse.add(regressed)
+        live_path = tmp_path / "live.json"
+        assert main(["obs", "snapshot", str(observed_run),
+                     "--out", str(live_path)]) == 0
+        capsys.readouterr()
+        regressed_path = tmp_path / "regressed.json"
+        regressed_path.write_text(json.dumps(regressed.as_dict()))
         live_render = render_diff_table(diff_runs(live, regressed),
                                         verbose=True)
         replayed = render_diff_table(
-            diff_runs(warehouse.load(live.run_id),
-                      warehouse.load(regressed.run_id)),
+            diff_runs(snapshot_target(live_path),
+                      snapshot_target(regressed_path)),
             verbose=True,
         )
         assert replayed == live_render
-
-    def test_history_render_replays_identically(self, observed_run,
-                                                tmp_path):
-        warehouse = RunArchive(tmp_path / "wh")
-        live = snapshot_target(observed_run)
-        regressed = seeded_regression(live)
-        warehouse.add(live)
-        warehouse.add(regressed)
-        live_render = render_history_table([live, regressed])
-        assert render_history_table(warehouse.history()) == live_render
-        assert "!" in live_render or "anomaly" in live_render
-
-
-REFERENCE = (Path(__file__).resolve().parents[2]
-             / "benchmarks" / "baselines" / "obs_reference" / "run.json")
 
 
 class TestCommittedReference:
@@ -199,18 +185,23 @@ class TestCommittedReference:
         diff = diff_runs(snapshot, snapshot)
         assert diff.verdict is HealthState.GREEN
 
-    def test_reference_matches_its_recipe(self, tmp_path):
-        # The DESIGN.md regeneration recipe, in-process.  The CI diff
-        # gates on tolerances, so only the content hash catches a
-        # reference left stale by a change to what a run exports.
+    def test_reference_matches_its_recipe(self, tmp_path, capsys):
+        # The DESIGN.md regeneration recipe, in-process, through the
+        # documented commands.  The CI diff gates on tolerances, so only
+        # the content hash catches a reference left stale by a change to
+        # what a run exports.
         run_dir = tmp_path / "ref-run"
         params = {"n_sas": 8, "crash_after_sends": 100,
                   "messages_after_reset": 100}
         assert main(["obs", str(run_dir), "--scenario", "gateway_crash",
                      "--params", json.dumps(params), "--seed", "2003"]) == 0
+        written = tmp_path / "run.json"
+        assert main(["obs", "snapshot", str(run_dir),
+                     "--out", str(written)]) == 0
+        capsys.readouterr()
         committed = json.loads(REFERENCE.read_text())
-        snapshot = snapshot_from_obs_run(run_dir, name="gateway_crash")
-        assert snapshot.run_id == committed["run_id"], (
+        assert json.loads(written.read_text())["run_id"] \
+            == committed["run_id"], (
             "benchmarks/baselines/obs_reference/run.json is stale: "
             "regenerate it with the DESIGN.md recipe"
         )

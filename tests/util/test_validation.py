@@ -4,6 +4,7 @@ import pytest
 
 from repro.util.validation import (
     check_non_negative,
+    check_non_negative_int,
     check_positive,
     check_positive_int,
     check_probability,
@@ -33,6 +34,21 @@ class TestCheckPositiveInt:
     def test_rejects_non_positive(self, value):
         with pytest.raises(ValueError, match="w must be > 0"):
             check_positive_int("w", value)
+
+
+class TestCheckNonNegativeInt:
+    def test_accepts_zero_and_positive_int(self):
+        assert check_non_negative_int("d", 0) == 0
+        assert check_non_negative_int("d", 3) == 3
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, False, None])
+    def test_rejects_non_int(self, value):
+        with pytest.raises(TypeError, match="d must be int"):
+            check_non_negative_int("d", value)
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError, match="d must be >= 0"):
+            check_non_negative_int("d", -1)
 
 
 class TestCheckNonNegative:
