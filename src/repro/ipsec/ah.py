@@ -9,14 +9,13 @@ confirm the replay logic is agnostic to which encapsulation is in use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.ipsec.crypto import IntegrityError, encode_seq
 from repro.ipsec.sa import SecurityAssociation
 
 
-@dataclass(frozen=True, slots=True)
-class AhPacket:
+class AhPacket(NamedTuple):
     """An authenticated (cleartext) AH packet."""
 
     spi: int

@@ -127,9 +127,11 @@ def encode_seq(seq: int) -> bytes:
     """Encode an unbounded non-negative sequence number for MACing.
 
     Length-prefixed big-endian so that distinct integers never collide as
-    byte strings (the paper's model uses unbounded sequence numbers).
+    byte strings (the paper's model uses unbounded sequence numbers): a
+    4-byte body length, then the ``size``-byte body.  Both parts come out
+    of one ``to_bytes`` call, the length shifted above the body.
     """
     if seq < 0:
         raise ValueError(f"sequence numbers are non-negative, got {seq}")
-    body = seq.to_bytes((seq.bit_length() + 7) // 8 or 1, "big")
-    return len(body).to_bytes(4, "big") + body
+    size = (seq.bit_length() + 7) // 8 or 1
+    return (size << 8 * size | seq).to_bytes(4 + size, "big")

@@ -10,14 +10,13 @@ one: its ICV fails under the new keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.ipsec.crypto import IntegrityError, encode_seq, xor_stream
 from repro.ipsec.sa import SecurityAssociation
 
 
-@dataclass(frozen=True, slots=True)
-class EspPacket:
+class EspPacket(NamedTuple):
     """A sealed ESP packet.
 
     The sequence number rides outside the ciphertext (as in real ESP) so

@@ -22,22 +22,36 @@ packet, then mounts the concrete attacks the paper describes:
 
 Every injection goes through :meth:`Link.inject`, so replays experience the
 same loss and delay as legitimate traffic.
+
+The adversary must keep every packet (any earlier message may be
+replayed), so the record is one list of packets and nothing more.  A
+SAVE/FETCH sender never reuses or lowers a sequence number, so its record
+is already sorted by sequence number and :meth:`replay_range` bisects it;
+a record that is not (the unprotected sender restarting at 1, or packets
+without an ``int`` ``seq``) is scanned instead.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Any, Callable
+from bisect import bisect_left, bisect_right
+from operator import attrgetter
+from typing import Any
 
 from repro.net.link import Link
 from repro.sim.engine import Engine
 from repro.sim.process import SimProcess
 from repro.util.rng import make_rng
-from repro.util.validation import check_non_negative, check_positive
+from repro.util.validation import (
+    check_non_negative,
+    check_non_negative_int,
+    check_positive,
+)
+
+_seq = attrgetter("seq")
 
 
-def _default_seq_of(packet: Any) -> int | None:
-    """Extract a sequence number from common packet shapes."""
+def _int_seq(packet: Any) -> int | None:
+    """A packet's ``seq`` if it is an ``int``, else ``None``."""
     seq = getattr(packet, "seq", None)
     return seq if isinstance(seq, int) else None
 
@@ -49,13 +63,13 @@ class ReplayAdversary(SimProcess):
         engine: the simulation engine.
         link: the link to tap and inject into.
         name: trace name (default ``"adversary"``).
-        seq_of: callable extracting a packet's sequence number (used by the
-            targeted strategies); defaults to reading ``packet.seq``.
         seed: RNG seed for the randomised strategies.
 
     Attributes:
-        recorded: every (time, packet) pair observed on the tapped link,
-            in transmission order.  Replayed copies are not re-recorded.
+        recorded: every packet observed on the tapped link, in
+            transmission order.  Replayed copies are not re-recorded.
+            Read it, do not modify it: :meth:`replay_range` trusts the
+            order checked as each packet was appended.
         injections: number of packets this adversary has inserted.
     """
 
@@ -64,15 +78,17 @@ class ReplayAdversary(SimProcess):
         engine: Engine,
         link: Link,
         name: str = "adversary",
-        seq_of: Callable[[Any], int | None] = _default_seq_of,
         seed: int | None = None,
     ) -> None:
         super().__init__(engine, name)
         self.link = link
-        self.seq_of = seq_of
-        self.recorded: list[tuple[float, Any]] = []
+        self.recorded: list[Any] = []
         self.injections = 0
         self._rng = make_rng(seed)
+        # True while every recorded packet has an ``int`` ``seq`` and the
+        # sequence numbers never decrease; ``_last_seq`` is the latest.
+        self._in_order = True
+        self._last_seq: float = float("-inf")
         link.add_tap(self._observe)
 
     # ------------------------------------------------------------------
@@ -81,19 +97,20 @@ class ReplayAdversary(SimProcess):
     def _observe(self, time: float, packet: Any, injected: bool) -> None:
         if injected:
             return  # do not re-record our own (or another attacker's) insertions
-        self.recorded.append((time, packet))
-
-    @property
-    def recorded_packets(self) -> list[Any]:
-        """All recorded packets, in transmission order."""
-        return [packet for _, packet in self.recorded]
+        self.recorded.append(packet)
+        if self._in_order:
+            seq = getattr(packet, "seq", None)
+            if type(seq) is int and seq >= self._last_seq:
+                self._last_seq = seq
+            else:
+                self._in_order = False
 
     def highest_seq_packet(self) -> Any | None:
         """The recorded packet with the largest sequence number, if any."""
         best = None
         best_seq: int | None = None
-        for _, packet in self.recorded:
-            seq = self.seq_of(packet)
+        for packet in self.recorded:
+            seq = _int_seq(packet)
             if seq is None:
                 continue
             if best_seq is None or seq > best_seq:
@@ -131,14 +148,14 @@ class ReplayAdversary(SimProcess):
 
         This is the receiver-reset attack: after q restarts with ``r = 0``,
         "all these replayed messages will be unsuspectedly accepted by q".
+        ``limit`` replays only the first ``limit`` recorded packets.
 
         Returns:
             The number of injections scheduled.
         """
-        packets = self.recorded_packets
         if limit is not None:
-            packets = packets[:limit]
-        return self._inject_sequence(packets, rate, start_delay)
+            check_non_negative_int("limit", limit)
+        return self._inject_sequence(self.recorded[:limit], rate, start_delay)
 
     def replay_max(self, start_delay: float = 0.0) -> int:
         """Replay the recorded packet with the highest sequence number.
@@ -168,12 +185,22 @@ class ReplayAdversary(SimProcess):
         Gap-targeted attack: aimed at the sequence numbers between the
         fetched checkpoint and the last counter value used before a reset —
         exactly the numbers the ``2K`` leap must render unusable.
+
+        Packets go out in recorded order.  While the record is sorted by
+        sequence number (repeats allowed) the matching packets are one
+        contiguous run, found by bisection; otherwise the whole record is
+        scanned.  Both pick the same packets.
         """
-        packets = [
-            packet
-            for _, packet in self.recorded
-            if (seq := self.seq_of(packet)) is not None and lo <= seq <= hi
-        ]
+        recorded = self.recorded
+        if self._in_order:
+            start = bisect_left(recorded, lo, key=_seq)
+            packets = recorded[start:bisect_right(recorded, hi, start, key=_seq)]
+        else:
+            packets = [
+                packet
+                for packet in recorded
+                if (seq := _int_seq(packet)) is not None and lo <= seq <= hi
+            ]
         return self._inject_sequence(packets, rate, start_delay)
 
     def replay_random(
@@ -183,8 +210,8 @@ class ReplayAdversary(SimProcess):
         start_delay: float = 0.0,
     ) -> int:
         """Replay ``count`` uniformly chosen recorded packets (with repeats)."""
-        check_non_negative("count", count)
+        check_non_negative_int("count", count)
         if not self.recorded or count == 0:
             return 0
-        packets = [self._rng.choice(self.recorded)[1] for _ in range(count)]
+        packets = [self._rng.choice(self.recorded) for _ in range(count)]
         return self._inject_sequence(packets, rate, start_delay)

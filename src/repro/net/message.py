@@ -2,18 +2,19 @@
 
 The anti-replay protocol of Section 2 exchanges messages that carry only a
 sequence number; real IPsec packets (with SPI, ICV, payload) live in
-:mod:`repro.ipsec.esp`.  :class:`Message` is frozen so that an adversary's
-recorded copy is byte-for-byte the original — replaying cannot accidentally
-mutate anything.
+:mod:`repro.ipsec.esp`.  :class:`Message` is an immutable named tuple, so
+an adversary's recorded copy is byte-for-byte the original — replaying
+cannot accidentally mutate anything.  Equality is tuple equality: a
+``Message`` equals the plain tuple of its fields.  A modified copy is
+``message._replace(...)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
+class Message(NamedTuple):
     """An application message ``msg(seq)`` from sender to receiver.
 
     Attributes:

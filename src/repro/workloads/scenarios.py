@@ -626,7 +626,7 @@ def run_reset_notice_scenario(
     # Phase 2: the attack.  Replay the notice, then the whole history.
     notice_packets = [
         packet
-        for _, packet in adversary.recorded
+        for packet in adversary.recorded
         if type(packet).__name__ == "ResetNotice"
     ]
     for notice in notice_packets:

@@ -1,7 +1,5 @@
 """Tests for the delivery auditor."""
 
-from dataclasses import replace
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -130,7 +128,7 @@ class TestUids:
         auditor = DeliveryAuditor()
         packet = fresh(auditor)
         auditor.note_processed(packet, Verdict.ACCEPT_ADVANCE)
-        auditor.note_processed(replace(packet, src="nat:evil"), Verdict.ACCEPT_ADVANCE)
+        auditor.note_processed(packet._replace(src="nat:evil"), Verdict.ACCEPT_ADVANCE)
         assert auditor.report().duplicate_deliveries == 1
         assert auditor.unknown_packets == 0
 
@@ -143,7 +141,7 @@ class TestUids:
             assert (packet.uid, packet.src) == (uid, "nat:a")
             assert open_packet(encap, sa, packet) == (1, b"x")
             unstamped = seal(encap, sa, 1, b"x", 0.0, None, "nat:a")
-            assert replace(packet, uid=None) == unstamped
+            assert packet._replace(uid=None) == unstamped
 
 
 # ----------------------------------------------------------------------

@@ -153,20 +153,26 @@ class TestEnv:
 
 
 class TestReplay:
-    def replay_after_receiver_reset(self, strategy):
+    def replay_after_receiver_reset(self, strategy, recorded_at_wake=None):
         harness = pair(protected=False, with_adversary=True)
         env = FaultEnv.of(harness)
         Reset(side="receiver", after_sends=100, down_time=0.0002).apply(env)
         Replay(on_wake=True, strategy=strategy, rate=1e9).apply(env)
+        if recorded_at_wake is not None:
+            # Listens after the fault's own listener, at the same instant.
+            harness.receiver.add_resume_listener(
+                lambda: recorded_at_wake.append(len(harness.adversary.recorded))
+            )
         harness.sender.start_traffic(count=150)
         harness.run(until=1.0)
         return harness
 
     def test_history_replays_everything_recorded_at_the_strike(self):
-        harness = self.replay_after_receiver_reset("history")
-        wake = harness.receiver.reset_records[0].resume_time
-        recorded_by_wake = sum(1 for t, _ in harness.adversary.recorded if t <= wake)
-        assert harness.adversary.injections == recorded_by_wake
+        recorded_at_wake = []
+        harness = self.replay_after_receiver_reset("history", recorded_at_wake)
+        [recorded] = recorded_at_wake
+        assert recorded > 0
+        assert harness.adversary.injections == recorded
 
     def test_max_replays_one_packet(self):
         assert self.replay_after_receiver_reset("max").adversary.injections == 1

@@ -77,7 +77,7 @@ class TestEspIntegration:
         before = harness_b.auditor.report()
         # Feed A's packets into B's receiver (same SPI space is unlikely;
         # integrity must reject regardless).
-        for _, packet in harness_a.adversary.recorded:
+        for packet in harness_a.adversary.recorded:
             harness_b.receiver.on_receive(packet)
         # Direct path: seal under A, offer to B.
         from repro.ipsec.esp import esp_seal

@@ -168,3 +168,13 @@ class TestEncodeSeq:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             encode_seq(-1)
+
+    @given(st.integers(min_value=0, max_value=2**200))
+    @example(0)
+    @example(255)
+    @example(256)
+    @example(2**200)
+    def test_one_call_form_matches_the_two_step_encoding(self, seq):
+        """The length and the body come out of one ``to_bytes`` call."""
+        body = seq.to_bytes((seq.bit_length() + 7) // 8 or 1, "big")
+        assert encode_seq(seq) == len(body).to_bytes(4, "big") + body

@@ -102,7 +102,7 @@ class TestNatGate:
         harness.run(until=0.001)
         # Replay a recorded (old-binding) packet... but pretend the
         # adversary moved: inject a stale copy re-stamped from nat:evil.
-        _, recorded = harness.adversary.recorded[0]
+        recorded = harness.adversary.recorded[0]
         forged = Message(
             seq=recorded.seq, payload=recorded.payload,
             sent_at=recorded.sent_at, src="nat:evil", uid=recorded.uid,
