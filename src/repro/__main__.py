@@ -681,9 +681,9 @@ def main(argv: list[str] | None = None) -> int:
                        help="result-store directory for --resume "
                             "(default: experiment_runs)")
     p_exp.add_argument("--obs", action="store_true",
-                       help="observe every session: per-task metrics files "
-                            "and per-experiment campaign rollups under "
-                            "<out>/obs/<id>/")
+                       help="observe every session: per-experiment campaign "
+                            "rollups under <out>/obs/<id>/, plus a full "
+                            "metrics file for each failing session")
     p_exp.set_defaults(fn=_cmd_experiments)
 
     p_check = subparsers.add_parser(
@@ -732,8 +732,10 @@ def main(argv: list[str] | None = None) -> int:
                               "(2^B shard files; default: the store's "
                               "existing layout, else 4)")
     p_fleet.add_argument("--obs", action="store_true",
-                         help="observe every session: per-task metrics files "
-                              "and a campaign rollup under <out>/obs/")
+                         help="observe every session: a campaign rollup "
+                              "under <out>/obs/, plus a full metrics file "
+                              "for each failing session (errored, not "
+                              "converged, bound violated or replay accepted)")
     p_fleet.add_argument("--stream", action="store_true",
                          help="append live progress events to "
                               "<out>/progress.jsonl (durable ledger; feeds "

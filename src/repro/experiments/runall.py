@@ -87,8 +87,8 @@ def run_experiment(
     With ``resume_dir`` the task records persist to
     ``<resume_dir>/<id>.jsonl``; re-running after an interrupt skips
     every finished session.  With ``obs_dir`` every task runs observed:
-    per-task metrics files and a campaign rollup land under
-    ``<obs_dir>/<id>/`` (same semantics as ``fleet --obs``).
+    a campaign rollup, plus a metrics file for each failing session,
+    land under ``<obs_dir>/<id>/`` (same semantics as ``fleet --obs``).
     """
     if experiment_id not in EXPERIMENTS:
         raise SystemExit(

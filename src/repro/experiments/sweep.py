@@ -163,9 +163,10 @@ class ExperimentDriver:
             Defaults to an in-memory store — same JSON round-trip, no
             file.
         progress: optional per-record callback, forwarded to the runner.
-        obs_dir: observe every task (forwarded to the runner): per-task
-            metrics files plus a campaign rollup land under this
-            directory — same semantics as ``fleet --obs``.
+        obs_dir: observe every task (forwarded to the runner): a
+            campaign rollup, plus a metrics file for each failing
+            session, land under this directory — same semantics as
+            ``fleet --obs``.
     """
 
     def __init__(

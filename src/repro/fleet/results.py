@@ -136,6 +136,24 @@ class TaskRecord:
         """One canonical JSONL line (sorted keys, no stray whitespace)."""
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
+    @property
+    def failing(self) -> bool:
+        """True for a session someone will open: it errored, did not
+        converge, broke a Section 5 bound or accepted a replay.
+
+        These are the sessions ``CampaignAggregate`` reports as
+        failures, plus the ones that did not converge; an observed
+        campaign keeps a full per-task metrics file for exactly these.
+        """
+        if self.status != STATUS_OK:
+            return True
+        metrics = self.metrics
+        return (
+            not metrics.get("converged", False)
+            or bool(metrics.get("bound_violations"))
+            or metrics.get("replays_accepted", 0) > 0
+        )
+
 
 def salvage_line(line: str) -> tuple[list[TaskRecord], bool]:
     """Recover complete records from a torn store line.

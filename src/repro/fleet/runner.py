@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import contextlib
 import json
+import logging
 import multiprocessing
 import os
 import queue as queue_module
 import signal
+import sys
 import threading
 import time
 import tracemalloc
@@ -52,6 +54,12 @@ from repro.obs.resource import (
 from repro.obs.stream import CampaignStream, ProgressEvent, StreamConfig
 from repro.sim.engine import Engine
 from repro.workloads.scenarios import get_scenario
+
+logger = logging.getLogger(__name__)
+
+#: How long the pooled drain thread waits on an empty event queue
+#: before it checks whether the run was torn down.
+_DRAIN_POLL_S = 0.1
 
 #: Progress callback signature: (completed_in_this_run, remaining_total,
 #: record).  Called once per finished task, in completion order.
@@ -216,11 +224,12 @@ def execute_task(
     With ``obs_dir`` set, the task runs under a fresh ambient
     :class:`~repro.obs.MetricsHub` (same pattern as the event limit:
     installed around the call so engines built inside the scenario
-    helper pick it up), its full metrics land in
-    ``<obs_dir>/<task_id>.metrics.jsonl``, and a label-rolled summary
-    rides the record as ``metrics["obs"]`` so campaign aggregates reach
-    the :class:`~repro.fleet.results.ResultStore` without re-reading the
-    per-task files.
+    helper pick it up), and a label-rolled summary rides an ``ok``
+    record as ``metrics["obs"]``, which is what campaign aggregates
+    fold.  The full hub lands in ``<obs_dir>/<task_id>.metrics.jsonl``
+    only for a :attr:`~repro.fleet.results.TaskRecord.failing` record;
+    an erroring task writes its hub as it stood when the scenario
+    raised.  A failed export is logged and the record still returns.
     """
     started = time.perf_counter()
     previous_limit = Engine.default_hard_event_limit
@@ -228,7 +237,7 @@ def execute_task(
     hub = MetricsHub(task.task_id) if obs_dir is not None else None
     ambient = use_hub(hub) if hub is not None else contextlib.nullcontext()
     # Worker resource probing rides the streaming context only: with
-    # streaming off, observed runs keep their pre-stream metrics files
+    # streaming off, observed runs keep their pre-stream metrics
     # byte-identical (the stream-off parity the acceptance pins).
     usage_before = None
     if hub is not None and _STREAM_WORKER is not None:
@@ -243,11 +252,8 @@ def execute_task(
             if usage_before is not None:
                 ResourceProbe(hub).sample(time.time())
                 publish_task_usage(hub, usage_before, resource_snapshot())
-            write_metrics_jsonl(
-                hub, Path(obs_dir) / f"{task.task_id}.metrics.jsonl"
-            )
             metrics["obs"] = hub.rollup()
-        return TaskRecord(
+        record = TaskRecord(
             task_id=task.task_id,
             scenario=task.scenario,
             params=dict(task.params),
@@ -257,7 +263,7 @@ def execute_task(
             wall_time=time.perf_counter() - started,
         )
     except Exception as exc:  # noqa: BLE001 - one bad task must not kill the fleet
-        return TaskRecord(
+        record = TaskRecord(
             task_id=task.task_id,
             scenario=task.scenario,
             params=dict(task.params),
@@ -268,6 +274,13 @@ def execute_task(
         )
     finally:
         Engine.default_hard_event_limit = previous_limit
+    if hub is not None and record.failing:
+        path = Path(obs_dir) / f"{task.task_id}.metrics.jsonl"
+        try:
+            write_metrics_jsonl(hub, path)
+        except Exception:  # noqa: BLE001 - a lost file must not lose the record
+            logger.warning("%s: metrics export failed", path, exc_info=True)
+    return record
 
 
 def _pool_execute(
@@ -286,6 +299,40 @@ def _pool_execute(
             _STREAM_WORKER, task, max_events, obs_dir
         ).to_dict()
     return execute_task(task, max_events, obs_dir=obs_dir).to_dict()
+
+
+def _interned(value: Any) -> Any:
+    """``value`` rebuilt with every string in it interned.
+
+    A record unpickled from a worker owns fresh copies of its metric
+    names, scenario and status, and a gateway session's per-SA reports
+    and obs rollup repeat dozens of names.  The runner keeps every
+    record it executes (:attr:`FleetOutcome.executed`), so it rebuilds
+    each one on shared strings; a kept record then costs about 40%
+    less memory.
+    """
+    kind = type(value)
+    if kind is str:
+        return sys.intern(value)
+    if kind is dict:
+        return {_interned(key): _interned(item) for key, item in value.items()}
+    if kind is list:
+        return [_interned(item) for item in value]
+    return value
+
+
+def _fold_obs(
+    merged: dict[str, Any] | None, record: TaskRecord
+) -> dict[str, Any] | None:
+    """Fold an ``ok`` record's obs rollup into ``merged`` (None: unobserved).
+
+    ``merge_rollups`` carries its ``tasks`` count and re-reads its own
+    sketches exactly, so folding one record at a time gives the same
+    bytes as one merge over the whole list in the same order.
+    """
+    if merged is None or record.status != STATUS_OK or "obs" not in record.metrics:
+        return merged
+    return merge_rollups((merged, record.metrics["obs"]))
 
 
 @dataclass
@@ -329,12 +376,13 @@ class FleetRunner:
         progress: optional per-record callback (see :data:`ProgressFn`).
         obs_dir: observe every task (default None — no observability,
             exactly the pre-obs fast path).  Tasks run under per-task
-            hubs, full metrics land in
-            ``<obs_dir>/<task_id>.metrics.jsonl``, rollup summaries
-            ride the records, and :meth:`run` aggregates worst-case
-            health across the campaign.  Determinism is preserved: the
-            hub observes, never schedules, so stores stay byte-identical
-            modulo ``wall_time`` whether observed or not.
+            hubs, rollup summaries ride the records, and :meth:`run`
+            folds them into ``<obs_dir>/campaign_obs.json``, worst-case
+            health across the campaign.  Only a failing session (see
+            :attr:`TaskRecord.failing`) also writes its full hub to
+            ``<obs_dir>/<task_id>.metrics.jsonl``.  Determinism is
+            preserved: the hub observes, never schedules, so stores stay
+            byte-identical modulo ``wall_time`` whether observed or not.
         stream: live-telemetry config (default None — streaming off,
             exactly the pre-stream path: no ledger, no queue, no worker
             context).  When set, the run appends schema-versioned
@@ -390,7 +438,7 @@ class FleetRunner:
         # store's line order identical to the serial run.
         with multiprocessing.Pool(processes=self.jobs) as pool:
             for record_data in pool.imap(_pool_execute, payloads, chunksize=1):
-                yield TaskRecord.from_dict(record_data)
+                yield TaskRecord.from_dict(_interned(record_data))
 
     def _serial_streamed(
         self, pending: list[FleetTask]
@@ -426,7 +474,12 @@ class FleetRunner:
         multiprocessing queue passed through the pool initializer; a
         parent drain thread folds them into the ledger under the stream
         lock.  The pool is closed and joined (not terminated) on the
-        happy path so worker feeder threads flush their last events.
+        happy path so worker feeder threads flush their last events;
+        only then does the parent queue a ``None`` sentinel, so no event
+        can land behind it, and the drain thread returns on it.  After a
+        ``terminate()`` no sentinel is sent (a killed worker may hold
+        the queue's write lock): the thread returns on its first empty
+        poll once ``stop`` is set.
         """
         stream, lock = self._stream_state, self._stream_lock
         event_queue: Any = multiprocessing.Queue()
@@ -435,11 +488,13 @@ class FleetRunner:
         def drain() -> None:
             while True:
                 try:
-                    item = event_queue.get(timeout=0.1)
+                    item = event_queue.get(timeout=_DRAIN_POLL_S)
                 except queue_module.Empty:
                     if stop.is_set():
                         return
                     continue
+                if item is None:
+                    return
                 with lock:
                     stream.emit(ProgressEvent.from_dict(item))
 
@@ -452,9 +507,10 @@ class FleetRunner:
         )
         try:
             for record_data in pool.imap(_pool_execute, payloads, chunksize=1):
-                yield TaskRecord.from_dict(record_data)
+                yield TaskRecord.from_dict(_interned(record_data))
             pool.close()
             pool.join()
+            event_queue.put(None)
         except BaseException:
             pool.terminate()
             pool.join()
@@ -462,16 +518,32 @@ class FleetRunner:
         finally:
             stop.set()
             drainer.join(timeout=5.0)
+            # The sentinel's feeder thread exits once it has flushed.
+            event_queue.close()
+            event_queue.join_thread()
 
     def run(self) -> FleetOutcome:
-        """Execute every pending task, appending records as they finish."""
+        """Execute every pending task, appending records as they finish.
+
+        The store is read once: a pass at the start builds the resume
+        set and, when observed, folds every stored ``ok`` record's
+        rollup; each record this call appends is folded as it lands.
+        The fold visits records in the store's read order followed by
+        append order, so ``campaign_obs.json`` matches a fold over a
+        re-read single-file store byte for byte.
+        """
         started = time.perf_counter()
         # A previous run may have been killed mid-append; heal the store
         # (terminate any torn tail line) before reading completed work.
         # Sharded stores rescan only their dirty shards here.
         self.store.heal()
         tasks = self.spec.tasks()
-        done = self.store.completed_ids()
+        done: set[str] = set()
+        campaign_obs = merge_rollups(()) if self.obs_dir is not None else None
+        for record in self.store.records():
+            if record.status == STATUS_OK:
+                done.add(record.task_id)
+                campaign_obs = _fold_obs(campaign_obs, record)
         total = len(tasks)
         pending = [task for task in tasks if task.task_id not in done]
         if self.obs_dir is not None:
@@ -502,6 +574,7 @@ class FleetRunner:
                 # always implies a durable store record, never the
                 # other way around.
                 self.store.append(record)
+                campaign_obs = _fold_obs(campaign_obs, record)
                 if stream is not None:
                     self._emit_finished(stream, record, pending_rollups)
                 outcome.executed.append(record)
@@ -520,8 +593,8 @@ class FleetRunner:
             if stream is not None:
                 stream.close()
                 self._stream_state = None
-        if self.obs_dir is not None:
-            self._write_campaign_rollup()
+        if campaign_obs is not None:
+            self._write_campaign_rollup(campaign_obs)
         outcome.wall_time = time.perf_counter() - started
         return outcome
 
@@ -549,20 +622,14 @@ class FleetRunner:
                 stream.emit_snapshot(time.time(), pending_rollups)
                 pending_rollups.clear()
 
-    def _write_campaign_rollup(self) -> None:
-        """Aggregate every stored task's obs summary into one file.
+    def _write_campaign_rollup(self, merged: dict[str, Any]) -> None:
+        """Write the campaign's folded obs rollup to one file.
 
-        Reads the rollups back from the *store* (not just this call's
-        records), so a resumed campaign aggregates everything — earlier
-        sessions included — and ``campaign_obs.json`` always reflects
-        the store's complete state.
+        ``merged`` covers every stored ``ok`` record (see :meth:`run`),
+        so a resumed campaign aggregates everything — earlier sessions
+        included — and ``campaign_obs.json`` reflects the store's
+        complete state.
         """
-        rollups = [
-            record.metrics["obs"]
-            for record in self.store.records()
-            if record.status == STATUS_OK and "obs" in record.metrics
-        ]
-        merged = merge_rollups(rollups)
         path = self.obs_dir / "campaign_obs.json"
         path.write_text(
             json.dumps(merged, sort_keys=True, indent=2) + "\n",

@@ -123,7 +123,8 @@ class ReplayAdversary(SimProcess):
     def inject_now(self, packet: Any) -> None:
         """Insert one recorded packet into the stream immediately."""
         self.injections += 1
-        self.trace("inject", packet=repr(packet))
+        if self.engine.trace.enabled:
+            self.trace("inject", packet=repr(packet))
         self.link.inject(packet)
 
     def _inject_sequence(self, packets: list[Any], rate: float, start_delay: float) -> int:
@@ -132,7 +133,7 @@ class ReplayAdversary(SimProcess):
         check_non_negative("start_delay", start_delay)
         gap = 1.0 / rate
         for index, packet in enumerate(packets):
-            self.engine.call_later(start_delay + index * gap, self.inject_now, packet)
+            self.engine.post_later(start_delay + index * gap, self.inject_now, packet)
         return len(packets)
 
     # ------------------------------------------------------------------
@@ -170,7 +171,7 @@ class ReplayAdversary(SimProcess):
         packet = self.highest_seq_packet()
         if packet is None:
             return 0
-        self.engine.call_later(start_delay, self.inject_now, packet)
+        self.engine.post_later(start_delay, self.inject_now, packet)
         return 1
 
     def replay_range(

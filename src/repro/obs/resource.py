@@ -8,8 +8,9 @@ peaks from :mod:`tracemalloc` when the stream config opts in.
 Two consumers:
 
 * :class:`ResourceProbe` publishes the snapshot as hub instruments
-  (``worker/cpu_time``, ``worker/rss_bytes``, ...) so per-task metrics
-  files carry the worker's resource curve alongside protocol counters.
+  (``worker/cpu_time``, ``worker/rss_bytes``, ...) so each observed
+  session's rollup, and a failing session's metrics file, carry the
+  worker's resources alongside protocol counters.
 * The raw :func:`resource_snapshot` dict rides worker heartbeat /
   task_finished progress events, which is how the parent's
   :class:`~repro.obs.stream.CampaignView` learns worker CPU and RSS

@@ -81,6 +81,25 @@ class TestDeterminism:
         store_pool, _ = run_spec(spec, tmp_path, "pool", jobs=2)
         assert canonical_lines(store_serial.path) == canonical_lines(store_pool.path)
 
+    def test_pooled_records_share_their_strings(self, tmp_path):
+        spec = example_spec(sessions=8)
+        _, serial = run_spec(spec, tmp_path, "serial", jobs=1)
+        _, pooled = run_spec(spec, tmp_path, "pool", jobs=2)
+        assert [r.metrics for r in pooled.executed] == [
+            r.metrics for r in serial.executed
+        ]
+        first, *rest = pooled.executed
+        names = {name: name for name in first.metrics}
+        for record in rest:
+            assert record.status is first.status
+            # Unpickled alone, each record would own a copy of every name.
+            assert all(names.get(name, name) is name for name in record.metrics)
+        crashes = [r for r in pooled.executed if r.scenario == "gateway_crash"]
+        assert len(crashes) > 1
+        names = {name: name for name in crashes[0].metrics["sa_reports"][0]}
+        report = crashes[-1].metrics["sa_reports"][-1]
+        assert report and all(names[name] is name for name in report)
+
 
 class TestResume:
     def test_completed_tasks_are_not_recomputed(self, tmp_path):

@@ -136,6 +136,43 @@ class TestStrategies:
         assert adversary.replay_random(3) == 0
 
 
+class _ReprCounted(Message):
+    """A message that counts the calls to its ``repr``."""
+
+    __slots__ = ()
+    calls = 0
+
+    def __repr__(self) -> str:
+        type(self).calls += 1
+        return super().__repr__()
+
+
+class TestInjectionTrace:
+    def replay(self, engine):
+        _ReprCounted.calls = 0
+        link, adversary, received = setup(engine)
+        link.send(_ReprCounted(seq=1))
+        engine.run()
+        assert adversary.replay_history() == 1
+        assert adversary.replay_max() == 1
+        adversary.inject_now(adversary.recorded[0])
+        engine.run()
+        assert len(received) == 4
+        return adversary
+
+    def test_untraced_injection_never_builds_the_repr(self):
+        adversary = self.replay(Engine(trace=NULL_TRACE))
+        assert adversary.injections == 3
+        assert _ReprCounted.calls == 0
+
+    def test_traced_injection_records_the_repr(self, engine):
+        adversary = self.replay(engine)
+        records = engine.trace.filter(source="adversary", kind="inject")
+        assert [r.detail["packet"] for r in records] == (
+            [repr(adversary.recorded[0])] * 3
+        )
+
+
 class TestCounts:
     """``limit`` and ``count`` are non-negative ints, or nothing is scheduled."""
 

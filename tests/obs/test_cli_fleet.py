@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro.__main__ import main
-from repro.fleet.results import ResultStore
-from repro.fleet.runner import FleetRunner
+from repro.fleet import runner as runner_module
+from repro.fleet.results import ResultStore, ShardedResultStore
+from repro.fleet.runner import FleetRunner, execute_task
 from repro.fleet.spec import CampaignSpec, ScenarioGrid
 from repro.obs.export import read_metrics_jsonl, validate_trace_events
 from repro.obs.hub import merge_rollups
@@ -80,32 +83,74 @@ class TestObsCli:
             )
 
 
-def observed_campaign(tmp_path, jobs: int = 1):
-    spec = CampaignSpec(
+def crash_spec(repeats=1, **params):
+    return CampaignSpec(
         name="obs-fleet",
         base_seed=2003,
         grids=(ScenarioGrid(
             scenario="gateway_crash",
             params={"n_sas": [2, 4], "crash_after_sends": 60,
-                    "messages_after_reset": 60},
+                    "messages_after_reset": 60, **params},
+            repeats=repeats,
         ),),
     )
+
+
+def observed_campaign(tmp_path, jobs: int = 1, spec=None):
     store = ResultStore(tmp_path / "results.jsonl")
     obs_dir = tmp_path / "obs"
-    outcome = FleetRunner(spec, store, jobs=jobs, obs_dir=obs_dir).run()
+    outcome = FleetRunner(
+        spec or crash_spec(), store, jobs=jobs, obs_dir=obs_dir
+    ).run()
     return outcome, store, obs_dir
 
 
 class TestFleetObs:
     def test_per_task_metrics_files_written(self, tmp_path):
-        outcome, _, obs_dir = observed_campaign(tmp_path)
+        # An under-provisioned k=25 at n_sas > 1 under the serial store
+        # policy breaks the gap bound: every session fails, so every
+        # session keeps its full hub.
+        spec = crash_spec(k=25, store_policy="serial")
+        outcome, _, obs_dir = observed_campaign(tmp_path, spec=spec)
         assert {r.status for r in outcome.executed} == {"ok"}
         for record in outcome.executed:
+            assert record.metrics["bound_violations"]
+            assert record.failing
             path = obs_dir / f"{record.task_id}.metrics.jsonl"
             assert path.exists(), f"missing metrics file for {record.task_id}"
             export = read_metrics_jsonl(path)
             assert export["name"] == record.task_id
-            assert export["labels"]  # per-SA sub-hubs registered
+            n_sas = record.params["n_sas"]
+            assert export["labels"] == [f"sa{i}" for i in range(n_sas)]
+
+    def test_converging_sessions_write_no_metrics_file(self, tmp_path):
+        outcome, _, obs_dir = observed_campaign(tmp_path)
+        assert all(r.metrics["converged"] for r in outcome.executed)
+        assert not any(r.failing for r in outcome.executed)
+        assert list(obs_dir.rglob("*.metrics.jsonl")) == []
+        assert (obs_dir / "campaign_obs.json").exists()
+
+    def test_erroring_task_writes_its_partial_hub(self, tmp_path):
+        task = crash_spec().tasks()[0]
+        # The event budget trips mid-scenario, after the probes exist.
+        record = execute_task(task, max_events=500, obs_dir=tmp_path)
+        assert record.status == "error"
+        assert record.error.startswith("EngineEventLimitError")
+        assert record.failing
+        export = read_metrics_jsonl(tmp_path / f"{task.task_id}.metrics.jsonl")
+        assert export["name"] == task.task_id
+        assert export["labels"] == ["sa0", "sa1"]
+
+    def test_failed_export_still_returns_the_record(self, tmp_path, monkeypatch):
+        def broken(hub, path):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(runner_module, "write_metrics_jsonl", broken)
+        task = crash_spec(k=25, store_policy="serial").tasks()[0]
+        record = execute_task(task, obs_dir=tmp_path)
+        assert record.status == "ok" and record.failing
+        errored = execute_task(task, max_events=500, obs_dir=tmp_path)
+        assert errored.status == "error"
 
     def test_rollup_rides_each_record(self, tmp_path):
         outcome, _, _ = observed_campaign(tmp_path)
@@ -138,16 +183,115 @@ class TestFleetObs:
             "base_seed": 2003,
             "grids": [{
                 "scenario": "gateway_crash",
-                "params": {"n_sas": 2, "crash_after_sends": 60,
+                "params": {"n_sas": 2, "k": [25, 40],
+                           "store_policy": "serial",
+                           "crash_after_sends": 60,
                            "messages_after_reset": 60},
             }],
         }))
         out_dir = tmp_path / "runs"
         assert main(["fleet", str(spec_path), "--out", str(out_dir),
                      "--obs"]) == 0
-        assert (out_dir / "obs" / "campaign_obs.json").exists()
+        campaign = json.loads(
+            (out_dir / "obs" / "campaign_obs.json").read_text()
+        )
+        assert campaign["tasks"] == 2
+        # k=25 breaks the gap bound and keeps its file; k=40 converges.
+        records = {
+            r.params["k"]: r
+            for r in ResultStore(out_dir / "results.jsonl").records()
+        }
+        assert records[25].failing and not records[40].failing
         metrics_files = list((out_dir / "obs").rglob("*.metrics.jsonl"))
-        assert len(metrics_files) == 1
+        assert metrics_files == [
+            out_dir / "obs" / f"{records[25].task_id}.metrics.jsonl"
+        ]
+
+
+def mixed_spec():
+    """Crashes and sender resets: the histogram totals of their rollups
+    are float sums whose last bits depend on the fold order."""
+    return CampaignSpec(
+        name="obs-fleet",
+        base_seed=2003,
+        grids=(
+            crash_spec(repeats=2).grids[0],
+            ScenarioGrid(
+                scenario="sender_reset",
+                params={"k": 25, "reset_after_sends": [40, 50, 60],
+                        "messages_after_reset": 60},
+                sessions=6,
+            ),
+        ),
+    )
+
+
+#: SHA-256 of ``campaign_obs.json`` for :func:`mixed_spec` on a
+#: single-file store, as written by the runner that re-read the whole
+#: store after the run: fresh (serial or pooled), and resumed with the
+#: second half of the tasks stored first.
+FRESH_CAMPAIGN_OBS_SHA256 = (
+    "6f6d6f9e31ddbf39488bb1735431a0d920ae37719f428a660deb19d86fd54ff5"
+)
+RESUMED_CAMPAIGN_OBS_SHA256 = (
+    "a91e0ce33b853cc4e1017b545530cf758884e19ce2f41341161789c98084e317"
+)
+
+
+class CountingStore(ResultStore):
+    """A file store that counts its full reads."""
+
+    reads = 0
+
+    def records(self):
+        self.reads += 1
+        return super().records()
+
+
+class TestCampaignRollupFold:
+    def run(self, root, jobs=1, stored_half=False):
+        spec = mixed_spec()
+        store = CountingStore(root / "results.jsonl")
+        obs_dir = root / "obs"
+        if stored_half:
+            # The second half lands first, so the resume folds the
+            # store out of task order.
+            tasks = spec.tasks()
+            half = SimpleNamespace(
+                tasks=lambda: tasks[len(tasks) // 2:],
+                max_events=spec.max_events,
+            )
+            FleetRunner(half, store, obs_dir=obs_dir).run()
+            store.reads = 0
+        outcome = FleetRunner(spec, store, jobs=jobs, obs_dir=obs_dir).run()
+        assert outcome.total == 10
+        assert outcome.skipped == (5 if stored_half else 0)
+        return store, (obs_dir / "campaign_obs.json").read_bytes()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fresh_campaign_rollup_bytes_pinned(self, tmp_path, jobs):
+        _, data = self.run(tmp_path, jobs=jobs)
+        assert hashlib.sha256(data).hexdigest() == FRESH_CAMPAIGN_OBS_SHA256
+        assert json.loads(data)["tasks"] == 10
+
+    def test_sharded_campaign_rollup_matches_single_file(self, tmp_path):
+        # Records fold in append order, not in shard order, so the store
+        # backend no longer moves the last bits of a histogram total.
+        store = ShardedResultStore(tmp_path / "shards")
+        FleetRunner(mixed_spec(), store, obs_dir=tmp_path / "obs").run()
+        data = (tmp_path / "obs" / "campaign_obs.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == FRESH_CAMPAIGN_OBS_SHA256
+
+    def test_resumed_campaign_rollup_bytes_pinned(self, tmp_path):
+        _, data = self.run(tmp_path, stored_half=True)
+        assert hashlib.sha256(data).hexdigest() == RESUMED_CAMPAIGN_OBS_SHA256
+        assert json.loads(data)["tasks"] == 10
+
+    def test_store_read_once_per_run(self, tmp_path):
+        store, _ = self.run(tmp_path / "fresh")
+        assert store.reads == 1
+        store, _ = self.run(tmp_path / "resumed", stored_half=True)
+        assert store.reads == 1
 
 
 def small_spec_file(tmp_path, sessions=2):

@@ -13,8 +13,11 @@ import os
 import signal
 import subprocess
 import sys
+import threading
+from collections import Counter
 from pathlib import Path
 
+from repro.fleet import runner as runner_module
 from repro.fleet.results import ResultStore, progress_ledger_path
 from repro.fleet.runner import FleetRunner
 from repro.fleet.spec import CampaignSpec, ScenarioGrid
@@ -35,6 +38,21 @@ def small_spec(sessions=6):
             params={"k": 25, "reset_after_sends": [40, 50, 60],
                     "messages_after_reset": 60},
             sessions=sessions,
+        ),),
+    )
+
+
+def observed_spec():
+    """:func:`small_spec` plus one failing session: k=25 at 2 SAs under
+    the serial store policy breaks the gap bound, so an observed run
+    keeps that session's metrics file."""
+    return CampaignSpec(
+        name="stream-e2e",
+        base_seed=2003,
+        grids=small_spec(sessions=2).grids + (ScenarioGrid(
+            scenario="gateway_crash",
+            params={"n_sas": 2, "k": 25, "store_policy": "serial",
+                    "crash_after_sends": 60, "messages_after_reset": 60},
         ),),
     )
 
@@ -85,6 +103,35 @@ class TestStreamedRunner:
         assert view.runs == 2
         assert view.completed == store.completed_ids()
 
+    def test_pooled_ledger_has_one_task_started_per_task(self, tmp_path):
+        runner, store = streamed_runner(tmp_path, jobs=2)
+        runner.run()
+        lines = progress_ledger_path(store).read_text().splitlines()
+        started = Counter(
+            event["task_id"]
+            for event in map(json.loads, lines)
+            if event["kind"] == "task_started"
+        )
+        task_ids = {task.task_id for task in small_spec().tasks()}
+        assert set(started) == task_ids
+        assert set(started.values()) == {1}
+
+    def test_pooled_drain_thread_stops_on_sentinel(self, tmp_path, monkeypatch):
+        # A poll far longer than the run: a drain thread that waited
+        # for a timeout to notice the end would still be alive after
+        # run() gave up joining it.
+        monkeypatch.setattr(runner_module, "_DRAIN_POLL_S", 600.0)
+        before = set(threading.enumerate())
+        runner, _ = streamed_runner(tmp_path, jobs=2)
+        runner.run()
+        lingering = [
+            thread for thread in threading.enumerate()
+            if thread not in before and thread.is_alive()
+        ]
+        # Neither the drain thread nor the parent queue's feeder thread
+        # outlives the run.
+        assert lingering == []
+
     def test_snapshot_events_carry_merged_rollup(self, tmp_path):
         store = ResultStore(tmp_path / "results.jsonl")
         stream = StreamConfig(
@@ -133,27 +180,40 @@ class TestStreamOffParity:
             "results.jsonl",
         ]
 
-    def test_stream_off_metrics_have_no_worker_instruments(self, tmp_path):
+    def run_observed(self, tmp_path, stream):
         store = ResultStore(tmp_path / "results.jsonl")
-        FleetRunner(
-            small_spec(), store, jobs=1, obs_dir=tmp_path / "obs"
-        ).run()
-        metrics_files = list((tmp_path / "obs").rglob("*.metrics.jsonl"))
-        assert metrics_files
-        for path in metrics_files:
-            assert "worker/" not in path.read_text(encoding="utf-8")
-
-    def test_streamed_observed_metrics_gain_worker_instruments(self, tmp_path):
-        store = ResultStore(tmp_path / "results.jsonl")
-        stream = StreamConfig(ledger_path=progress_ledger_path(store))
-        FleetRunner(
-            small_spec(), store, jobs=1, stream=stream,
+        config = (
+            StreamConfig(ledger_path=progress_ledger_path(store))
+            if stream else None
+        )
+        outcome = FleetRunner(
+            observed_spec(), store, jobs=1, stream=config,
             obs_dir=tmp_path / "obs",
         ).run()
+        failing = [r for r in outcome.executed if r.failing]
+        assert len(failing) == 1
         metrics_files = list((tmp_path / "obs").rglob("*.metrics.jsonl"))
-        assert metrics_files
-        for path in metrics_files:
-            assert "worker/task_cpu" in path.read_text(encoding="utf-8")
+        assert metrics_files == [
+            tmp_path / "obs" / f"{failing[0].task_id}.metrics.jsonl"
+        ]
+        return outcome.executed, metrics_files[0].read_text(encoding="utf-8")
+
+    # A rollup folds the ``worker/`` label away, as it folds ``saN/``.
+    WORKER_GAUGES = {"cpu_time", "rss_bytes", "task_cpu", "task_rss_growth"}
+
+    def test_stream_off_metrics_have_no_worker_instruments(self, tmp_path):
+        records, failing_file = self.run_observed(tmp_path, stream=False)
+        for record in records:
+            gauges = record.metrics["obs"]["worst_gauges"]
+            assert not self.WORKER_GAUGES & set(gauges)
+        assert "worker/" not in failing_file
+
+    def test_streamed_observed_metrics_gain_worker_instruments(self, tmp_path):
+        records, failing_file = self.run_observed(tmp_path, stream=True)
+        for record in records:
+            gauges = record.metrics["obs"]["worst_gauges"]
+            assert self.WORKER_GAUGES <= set(gauges)
+        assert "worker/task_cpu" in failing_file
 
 
 KILL_DRIVER = """\
