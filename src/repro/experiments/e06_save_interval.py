@@ -29,12 +29,7 @@ from repro.experiments.common import ExperimentResult
 from repro.experiments.sweep import ExperimentDriver, SweepPoint, SweepSpec, TaskCall
 from repro.ipsec.costs import CostModel, PAPER_COSTS
 
-# Re-exported for direct use (tests pin individual policy comparisons).
-from repro.workloads.scenarios import PolicyComparison, compare_policies
-
 __all__ = [
-    "PolicyComparison",
-    "compare_policies",
     "policy_sweep",
     "run",
     "run_policy_table",

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.core.protocol import ProtocolHarness
 from repro.netpath.profile import PathPhase
-from repro.util.validation import check_non_negative, check_positive
+from repro.util.validation import check_non_negative, check_positive, check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.gateway.core import Gateway
@@ -110,8 +110,12 @@ class Fault:
             )
         if not 0.0 <= self.fraction < 1.0:
             raise ValueError(f"fraction must be in [0, 1), got {self.fraction}")
-        # A field name means the same in every kind that has it.
-        for name in ("after_sends", "during_save", "cycles", "interval", "rate"):
+        # A field name means the same in every kind that has it.  A count
+        # refuses a float or a bool instead of truncating it.
+        for name in ("after_sends", "during_save", "cycles", "messages"):
+            if (value := getattr(self, name, None)) is not None:
+                check_positive_int(name, value)
+        for name in ("interval", "rate"):
             if (value := getattr(self, name, None)) is not None:
                 check_positive(name, value)
         for name in ("at", "down_time", "stagger", "up_time"):

@@ -7,9 +7,15 @@ metrics dict.  Harness-backed scenarios return the flattened
 scenario-specific extras (reset-record details, adversary and path
 counters, ...); the rest (rekey cost, DPD probing, SAVE-policy
 comparison, gateways, ...) return their own metrics.  Faults and
-replays are armed through :mod:`repro.faults`.  The experiment sweeps
-in :mod:`repro.experiments` reduce these over parameter grids; tests
-pin individual cases.
+replays are armed through :mod:`repro.faults`.  Most stories are a
+topology, a traffic budget and a fault list handed to one runner,
+:func:`_run_story`, which sizes the stream by one rule
+(:func:`_sends`) and runs the engine until its queue is empty.  Only
+scenarios whose periodic timers never drain (``dpd``,
+``prolonged_reset``, ``save_policy``) or whose phases are timed
+(``reset_notice``) run to a horizon.  The experiment sweeps in
+:mod:`repro.experiments` reduce these over parameter grids; tests pin
+individual cases.
 
 All scenarios are deterministic given their arguments.  The module-level
 :data:`SCENARIOS` registry maps stable names to the ``run_*`` callables so
@@ -20,7 +26,6 @@ reference every scenario by string.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.core.audit import DeliveryAuditor
@@ -58,6 +63,7 @@ from repro.sim.engine import Engine
 from repro.sim.process import Timer
 from repro.sim.trace import NULL_TRACE
 from repro.util.rng import derive_seed
+from repro.util.validation import check_non_negative_int
 from repro.workloads.traffic import BurstyTraffic
 
 
@@ -112,11 +118,92 @@ def _receiver_reset_extras(harness: ProtocolHarness) -> dict[str, Any]:
     }
 
 
-def _run_to_completion(harness: ProtocolHarness, horizon: float) -> None:
-    harness.engine.run(until=horizon)
-    if harness.reorder_stage is not None:
-        harness.reorder_stage.flush()
-        harness.engine.run(until=horizon)
+# ----------------------------------------------------------------------
+# The fault-story runner: a topology, a traffic budget and a fault list
+# ----------------------------------------------------------------------
+def _gateway_recovery_slack(gateway: Gateway) -> float:
+    """Extra quiet time the shared store's recovery queueing can add.
+
+    Bounded by every SA paying one policy-priced FETCH plus one
+    synchronous SAVE, serialized.  Zero for one SA, so the N=1 gateway
+    crash keeps exactly the single-pair scenario's schedule (the
+    golden-parity guarantee).
+    """
+    store = gateway.store
+    return (len(gateway.sas) - 1) * (store.fetch_cost + store.save_cost)
+
+
+def _sends(
+    target: ProtocolHarness | Gateway,
+    faults: list[Fault],
+    attempts: int,
+    k: int,
+    costs: CostModel,
+) -> int:
+    """How many sends stream ``attempts`` messages through ``faults``.
+
+    The sender's clock keeps ticking while the sender is down or
+    recovering, and a tick there is suppressed, not sent.  So each
+    sender-side outage adds the ticks it can swallow:
+
+    * a sender or both-sides :class:`Reset`: ``2 * (down_time + stagger)``;
+    * a :class:`GatewayCrash`: ``2 * down_time + r``;
+    * a :class:`RollingRestart`: ``(n_sas - 1) * stagger + 2 * down_time + r``;
+
+    where ``r`` is :func:`_gateway_recovery_slack` and a gateway kind's
+    ``down_time=None`` is ``2 * t_save``, as the fault reads it.  With
+    any outage the stream is ``attempts + int(outage / t_send) + 10 * k``.
+
+    Every other kind adds nothing: the sender keeps its clock through a
+    receiver reset, a flap, a regime shift, a NAT rebinding, a replay or
+    churn.  So exactly the messages lost to a receiver's downtime stay
+    lost (they are "never arrived", outside claim (ii)'s scope), and a
+    story with no traffic after its fault is quiet when its replay
+    lands: the Section 3 attack conditions.
+    """
+    outages = []
+    for fault in faults:
+        if isinstance(fault, Reset) and fault.side != "receiver":
+            outages.append(2 * (fault.down_time + fault.stagger))
+        elif isinstance(fault, (GatewayCrash, RollingRestart)):
+            down = 2 * costs.t_save if fault.down_time is None else fault.down_time
+            outage = 2 * down
+            if isinstance(fault, RollingRestart):
+                outage = (len(target.sas) - 1) * fault.stagger + outage
+            outages.append(outage + _gateway_recovery_slack(target))
+    if not outages:
+        return attempts
+    return attempts + int(sum(outages) / costs.t_send) + 10 * k
+
+
+def _run_story(
+    target: ProtocolHarness | Gateway,
+    faults: list[Fault],
+    attempts: int,
+    k: int,
+    costs: CostModel,
+) -> None:
+    """Arm ``faults`` on a pair or a gateway in list order, stream
+    :func:`_sends` messages, and run the engine until its queue is empty.
+
+    Every such story drains, so no horizon can end a run mid-recovery;
+    one that never drains trips the engine's ``hard_event_limit`` (a
+    fleet task's event budget) instead of reporting a result.  A reorder
+    stage's held packets are flushed once the queue is empty, then drain.
+    """
+    env = FaultEnv.of(target)
+    for fault in faults:
+        fault.apply(env)
+    sends = _sends(target, faults, attempts, k, costs)
+    if isinstance(target, Gateway):
+        target.start_traffic(count=sends)
+    else:
+        target.sender.start_traffic(count=sends)
+    target.engine.run()
+    stage = getattr(target, "reorder_stage", None)
+    if stage is not None:
+        stage.flush()
+        target.engine.run()
 
 
 def run_sender_reset_scenario(
@@ -142,6 +229,7 @@ def run_sender_reset_scenario(
     single-phase profile reproduces the default link byte-for-byte (the
     netpath golden-parity guarantee).
     """
+    check_non_negative_int("messages_after_reset", messages_after_reset)
     harness = build_protocol(
         trace=NULL_TRACE,
         protected=protected,
@@ -156,15 +244,11 @@ def run_sender_reset_scenario(
     )
     if down_time is None:
         down_time = 2 * costs.t_save
-    Reset(after_sends=reset_after_sends, down_time=down_time).apply(
-        FaultEnv.of(harness)
+    _run_story(
+        harness,
+        [Reset(after_sends=reset_after_sends, down_time=down_time)],
+        reset_after_sends + messages_after_reset, k, costs,
     )
-    total_attempts = reset_after_sends + messages_after_reset
-    # Generous attempt budget: attempts during down/recovery are suppressed.
-    slack = int(2 * down_time / costs.t_send) + 10 * k
-    harness.sender.start_traffic(count=total_attempts + slack)
-    horizon = (total_attempts + slack + 10) * costs.t_send + 10 * costs.t_save
-    _run_to_completion(harness, horizon)
     return _scored(harness, _sender_reset_extras(harness))
 
 
@@ -187,6 +271,7 @@ def run_receiver_reset_scenario(
     wholesale by the unprotected receiver, rejected entirely by the
     SAVE/FETCH one.
     """
+    check_non_negative_int("messages_after_reset", messages_after_reset)
     harness = build_protocol(
         trace=NULL_TRACE,
         protected=protected,
@@ -200,25 +285,16 @@ def run_receiver_reset_scenario(
     )
     if down_time is None:
         down_time = 2 * costs.t_save
-    env = FaultEnv.of(harness)
-    Reset(
+    faults: list[Fault] = [Reset(
         side="receiver", after_sends=reset_after_receives, down_time=down_time
-    ).apply(env)
+    )]
     # Fire the replay as soon as the receiver is back up (its window is
     # at its most vulnerable then).
     if replay_history_after:
-        Replay(on_wake=True, rate=1.0 / costs.t_recv).apply(env)
-
-    # The sender is never suppressed by a *receiver* reset, so no slack:
-    # exactly the messages lost to the downtime stay lost (they are
-    # "never arrived", outside claim (ii)'s scope), and with
-    # ``messages_after_reset=0`` the channel is quiet when the replay
-    # lands — the Section 3 attack conditions.
-    total_attempts = reset_after_receives + messages_after_reset
-    harness.sender.start_traffic(count=total_attempts)
-    horizon = (total_attempts + 10) * costs.t_send + down_time + 10 * costs.t_save
-    replay_budget = (total_attempts + 10) * costs.t_recv
-    _run_to_completion(harness, horizon + replay_budget)
+        faults.append(Replay(on_wake=True, rate=1.0 / costs.t_recv))
+    _run_story(
+        harness, faults, reset_after_receives + messages_after_reset, k, costs
+    )
     return _scored(harness, _receiver_reset_extras(harness))
 
 
@@ -241,6 +317,7 @@ def run_dual_reset_scenario(
     attack that permanently desynchronises the unprotected pair by
     shifting q's right edge above p's restarted counter.
     """
+    check_non_negative_int("messages_after_reset", messages_after_reset)
     harness = build_protocol(
         trace=NULL_TRACE,
         protected=protected,
@@ -253,19 +330,15 @@ def run_dual_reset_scenario(
     )
     if down_time is None:
         down_time = 2 * costs.t_save
-    env = FaultEnv.of(harness)
-    Reset(
+    faults: list[Fault] = [Reset(
         side="both", after_sends=reset_after_sends, down_time=down_time,
         stagger=stagger,
-    ).apply(env)
+    )]
     if window_jump_attack:
-        Replay(on_wake=True, strategy="max").apply(env)
-
-    total_attempts = reset_after_sends + messages_after_reset
-    slack = int(2 * (down_time + stagger) / costs.t_send) + 10 * k
-    harness.sender.start_traffic(count=total_attempts + slack)
-    horizon = (total_attempts + slack + 10) * costs.t_send + 10 * costs.t_save + stagger
-    _run_to_completion(harness, horizon)
+        faults.append(Replay(on_wake=True, strategy="max"))
+    _run_story(
+        harness, faults, reset_after_sends + messages_after_reset, k, costs
+    )
     return _scored(harness)
 
 
@@ -287,6 +360,7 @@ def run_loss_reset_scenario(
     loss"); the report still carries the raw gap / discard / replay
     counts, which is what loss-robustness campaigns aggregate.
     """
+    check_non_negative_int("messages_after_reset", messages_after_reset)
     harness = build_protocol(
         trace=NULL_TRACE,
         protected=protected,
@@ -300,14 +374,11 @@ def run_loss_reset_scenario(
     )
     if down_time is None:
         down_time = 2 * costs.t_save
-    Reset(after_sends=reset_after_sends, down_time=down_time).apply(
-        FaultEnv.of(harness)
+    _run_story(
+        harness,
+        [Reset(after_sends=reset_after_sends, down_time=down_time)],
+        reset_after_sends + messages_after_reset, k, costs,
     )
-    total_attempts = reset_after_sends + messages_after_reset
-    slack = int(2 * down_time / costs.t_send) + 10 * k
-    harness.sender.start_traffic(count=total_attempts + slack)
-    horizon = (total_attempts + slack + 10) * costs.t_send + 10 * costs.t_save
-    _run_to_completion(harness, horizon)
     return _scored(harness, check_bounds=False)
 
 
@@ -330,6 +401,7 @@ def run_reorder_scenario(
     ``degree >= w`` falls off the window's left edge and is discarded
     despite being fresh (the reference-[2] observation E10 sweeps).
     """
+    check_non_negative_int("messages", messages)
     harness = build_protocol(
         trace=NULL_TRACE,
         protected=protected,
@@ -339,12 +411,8 @@ def run_reorder_scenario(
         reorder_degree=degree,
         reorder_probability=probability,
     )
-    harness.sender.start_traffic(count=messages)
-    horizon = (messages + 10) * costs.t_send + 1.0
-    harness.run(until=horizon)
+    _run_story(harness, [], messages, k=0, costs=costs)  # no fault, no slack
     assert harness.reorder_stage is not None
-    harness.reorder_stage.flush()
-    harness.run(until=horizon + 1.0)
     return _scored(
         harness, {"reordered": harness.reorder_stage.held_total},
         check_bounds=False,
@@ -432,11 +500,8 @@ def run_staggered_reset_scenario(
     # SAVE drain first and push the window past the vulnerable range
     # before any replay can land — the hole only opens when the channel
     # is quiet at wake-up, as it is on a lightly loaded SA.
-    interval = 4 * down
-    attempts = 2 * k_p + k_p // 2
-    harness.sender.start_traffic(count=attempts, interval=interval)
-    horizon = (attempts + 5) * interval + 4 * down
-    harness.run(until=horizon)
+    harness.sender.start_traffic(count=2 * k_p + k_p // 2, interval=4 * down)
+    harness.run()
     report = harness.score(check_bounds=False)
     return {
         "replays_accepted": report.replays_accepted,
@@ -555,9 +620,10 @@ def run_recovery_ablation_scenario(
 
         harness.sender.add_resume_listener(strike_after_first_wake)
 
-    messages = 20 * k
-    harness.sender.start_traffic(count=messages)
-    harness.run(until=(messages + 10) * costs.t_send + 10 * (down + costs.t_save))
+    # Exactly 20 * k attempts, suppressed ones included: the stream rule
+    # would add slack for these sender resets and move the E11 cells.
+    harness.sender.start_traffic(count=20 * k)
+    harness.run()
     report = harness.score(check_bounds=False)
     reuse = sum(
         1
@@ -764,32 +830,20 @@ class _TimerSaveSender(SaveFetchSender):
         self.store.begin_save(self.s)
 
 
-@dataclass
-class PolicyComparison:
-    """Outcome of the count-vs-time policy comparison."""
-
-    k: int
-    messages_sent: int
-    count_based_saves: int
-    time_based_saves: int
-    time_based_wasteful: int
-
-    @property
-    def waste_fraction(self) -> float:
-        """Share of timer-policy saves that were wasteful."""
-        if not self.time_based_saves:
-            return 0.0
-        return self.time_based_wasteful / self.time_based_saves
-
-
-def compare_policies(
+def run_save_policy_scenario(
     k: int = 25,
     bursts: int = 40,
     burst_len: int = 50,
     idle_time: float | None = None,
     costs: CostModel = PAPER_COSTS,
-) -> PolicyComparison:
-    """Drive both policies with identical bursty traffic; count saves."""
+    seed: int = 0,
+) -> dict[str, Any]:
+    """Drive both SAVE policies with identical bursty traffic; count saves.
+
+    ``waste_fraction`` is the share of timer-policy saves that were
+    wasteful.  The ``seed`` argument is accepted for registry
+    uniformity; both policy runs are fully deterministic without it.
+    """
     if idle_time is None:
         idle_time = 20 * k * costs.t_send  # idle dwarfs the burst
     total = bursts * burst_len
@@ -820,39 +874,15 @@ def compare_policies(
 
     count_sender = run_one(use_timer=False)
     timer_sender = run_one(use_timer=True)
-    assert isinstance(timer_sender, _TimerSaveSender)
-    return PolicyComparison(
-        k=k,
-        messages_sent=count_sender.sent_total,
-        count_based_saves=count_sender.store.saves_started,
-        time_based_saves=timer_sender.store.saves_started,
-        time_based_wasteful=timer_sender.wasteful_saves,
-    )
-
-
-def run_save_policy_scenario(
-    k: int = 25,
-    bursts: int = 40,
-    burst_len: int = 50,
-    idle_time: float | None = None,
-    costs: CostModel = PAPER_COSTS,
-    seed: int = 0,
-) -> dict[str, Any]:
-    """Fleet-callable wrapper around :func:`compare_policies`.
-
-    The ``seed`` argument is accepted for registry uniformity; both
-    policy runs are fully deterministic without it.
-    """
-    comparison = compare_policies(
-        k=k, bursts=bursts, burst_len=burst_len, idle_time=idle_time, costs=costs
-    )
+    time_based_saves = timer_sender.store.saves_started
+    wasteful = timer_sender.wasteful_saves
     return {
-        "k": comparison.k,
-        "messages_sent": comparison.messages_sent,
-        "count_based_saves": comparison.count_based_saves,
-        "time_based_saves": comparison.time_based_saves,
-        "time_based_wasteful": comparison.time_based_wasteful,
-        "waste_fraction": comparison.waste_fraction,
+        "k": k,
+        "messages_sent": count_sender.sent_total,
+        "count_based_saves": count_sender.store.saves_started,
+        "time_based_saves": time_based_saves,
+        "time_based_wasteful": wasteful,
+        "waste_fraction": wasteful / time_based_saves if time_based_saves else 0.0,
     }
 
 
@@ -912,10 +942,9 @@ def run_loss_hole_scenario(
     Replay(on_wake=True, strategy="exposed", rate=1e9).apply(env)
     Replay(on_wake=True, strategy="max").apply(env)
 
-    interval = 4 * down  # low-rate traffic: the vulnerable regime (E8)
-    attempts = 16 * k
-    harness.sender.start_traffic(count=attempts, interval=interval)
-    harness.run(until=(attempts + 5) * interval + 4 * down)
+    # Low-rate traffic: the vulnerable regime (E8).
+    harness.sender.start_traffic(count=16 * k, interval=4 * down)
+    harness.run()
     return {
         "vulnerable_window": state["fired"],
         "replays_accepted": harness.score(check_bounds=False).replays_accepted,
@@ -925,34 +954,16 @@ def run_loss_hole_scenario(
 # ----------------------------------------------------------------------
 # Gateway scenarios (E15): correlated resets over a shared store
 # ----------------------------------------------------------------------
-def _sized_by(
-    fault: Fault, costs: CostModel, sends: int, **defaults: Any
-) -> list[Any]:
-    """Size a gateway scenario from the fault that will actually run, so
-    an override with a long outage or a late trigger cannot end the run
-    mid-recovery: the send count by which the fault has fired (never
-    fewer than ``sends``), then each named default replaced by the
-    fault's own value where it sets one."""
+def _trigger_sends(fault: Fault, costs: CostModel, sends: int) -> int:
+    """The sends by which a gateway fault has fired: its own
+    ``after_sends``, or for a time trigger at least ``sends`` and one
+    past its instant, so the stream still runs when a late override
+    fires."""
     if fault.after_sends is not None:
-        sends = fault.after_sends
-    elif fault.at is not None:
-        sends = max(sends, int(fault.at / costs.t_send) + 1)
-    return [sends] + [
-        default if getattr(fault, name, None) is None else getattr(fault, name)
-        for name, default in defaults.items()
-    ]
-
-
-def _gateway_recovery_slack(gateway: Gateway, extra_sas: int = 0) -> float:
-    """Extra quiet time the shared store's recovery queueing can add.
-
-    Bounded by every SA paying one policy-priced FETCH plus one
-    synchronous SAVE, serialized.  Zero for one SA, so the N=1 gateway
-    crash keeps exactly the single-pair scenario's schedule (the
-    golden-parity guarantee).
-    """
-    n_sas = len(gateway.sas) + extra_sas
-    return (n_sas - 1) * (gateway.store.fetch_cost + gateway.store.save_cost)
+        return fault.after_sends
+    if fault.at is not None:
+        return max(sends, int(fault.at / costs.t_send) + 1)
+    return sends
 
 
 def run_gateway_crash_scenario(
@@ -974,9 +985,9 @@ def run_gateway_crash_scenario(
     """One gateway crash: every SA resets at one instant, recovery storms.
 
     The per-SA story is exactly :func:`run_sender_reset_scenario` (same
-    trigger, traffic budget and horizon — with ``n_sas=1`` the flattened
-    per-SA report is bit-identical); the gateway story is what N adds:
-    the shared store serializes the wake-up FETCH storm, so the
+    trigger, stream-sizing rule and run to drain — with ``n_sas=1`` the
+    flattened per-SA report is bit-identical); the gateway story is what
+    N adds: the shared store serializes the wake-up FETCH storm, so the
     ``recovery_spreads`` metric grows with N and shrinks under the
     batched/write-ahead policies.
 
@@ -985,15 +996,17 @@ def run_gateway_crash_scenario(
     to the shared device; pin ``k=25`` at ``n_sas > 1`` under the serial
     policy to watch the under-provisioned store break the 2K gap bound.
     ``fault`` overrides the built-in :class:`~repro.faults.GatewayCrash`
-    (e.g. an absolute-time trigger from a JSON campaign spec).  ``path``
-    attaches a :class:`~repro.netpath.PathProfile` to every SA's link;
-    ``store_load_factor`` turns on the shared store's load-dependent
-    SAVE duration (see :class:`~repro.gateway.SharedStore`).
+    (e.g. an absolute-time trigger from a JSON campaign spec); it
+    carries its own ``down_time``, so giving both is a ``ValueError``.
+    ``path`` attaches a :class:`~repro.netpath.PathProfile` to every
+    SA's link; ``store_load_factor`` turns on the shared store's
+    load-dependent SAVE duration (see :class:`~repro.gateway.SharedStore`).
     """
+    if fault is not None and down_time is not None:
+        raise ValueError("gateway_crash: the fault override carries its own down_time")
+    check_non_negative_int("messages_after_reset", messages_after_reset)
     if k is None:
         k = safe_save_interval(n_sas, costs, store_policy)
-    if down_time is None:
-        down_time = 2 * costs.t_save
     gateway = Gateway(
         n_sas=n_sas,
         side=side,
@@ -1008,20 +1021,8 @@ def run_gateway_crash_scenario(
     )
     if fault is None:
         fault = GatewayCrash(after_sends=crash_after_sends, down_time=down_time)
-    crash_after_sends, down_time = _sized_by(
-        fault, costs, crash_after_sends, down_time=down_time
-    )
-    fault.apply(FaultEnv.of(gateway))
-    total_attempts = crash_after_sends + messages_after_reset
-    recovery_slack = _gateway_recovery_slack(gateway)
-    slack = int((2 * down_time + recovery_slack) / costs.t_send) + 10 * k
-    gateway.start_traffic(count=total_attempts + slack)
-    horizon = (
-        (total_attempts + slack + 10) * costs.t_send
-        + 10 * costs.t_save
-        + recovery_slack
-    )
-    gateway.run(until=horizon)
+    attempts = _trigger_sends(fault, costs, crash_after_sends) + messages_after_reset
+    _run_story(gateway, [fault], attempts, k, costs)
     return gateway.score().metrics()
 
 
@@ -1046,14 +1047,17 @@ def run_rolling_restart_scenario(
     storm of other recoveries — the operator's alternative to a cold
     crash, and measurably gentler on the recovery spread.  ``k=None``
     applies the gateway sizing rule (see
-    :func:`repro.gateway.safe_save_interval`).
+    :func:`repro.gateway.safe_save_interval`).  A ``fault`` override
+    carries its own ``down_time`` and ``stagger``; giving either beside
+    it is a ``ValueError``.
     """
+    if fault is not None and (down_time is not None or stagger is not None):
+        raise ValueError(
+            "rolling_restart: the fault override carries its own down_time and stagger"
+        )
+    check_non_negative_int("messages_after_reset", messages_after_reset)
     if k is None:
         k = safe_save_interval(n_sas, costs, store_policy)
-    if down_time is None:
-        down_time = 2 * costs.t_save
-    if stagger is None:
-        stagger = 2 * down_time
     gateway = Gateway(
         n_sas=n_sas,
         side=side,
@@ -1065,20 +1069,15 @@ def run_rolling_restart_scenario(
         seed=seed,
     )
     if fault is None:
+        if down_time is None:
+            down_time = 2 * costs.t_save
+        if stagger is None:
+            stagger = 2 * down_time
         fault = RollingRestart(
             after_sends=restart_after_sends, stagger=stagger, down_time=down_time
         )
-    restart_after_sends, down_time, stagger = _sized_by(
-        fault, costs, restart_after_sends, down_time=down_time, stagger=stagger
-    )
-    fault.apply(FaultEnv.of(gateway))
-    total_attempts = restart_after_sends + messages_after_reset
-    wave = (n_sas - 1) * stagger + 2 * down_time
-    slack = int((wave + _gateway_recovery_slack(gateway)) / costs.t_send)
-    slack += 10 * k
-    gateway.start_traffic(count=total_attempts + slack)
-    horizon = (total_attempts + slack + 10) * costs.t_send + 10 * costs.t_save + wave
-    gateway.run(until=horizon)
+    attempts = _trigger_sends(fault, costs, restart_after_sends) + messages_after_reset
+    _run_story(gateway, [fault], attempts, k, costs)
     return gateway.score().metrics()
 
 
@@ -1101,8 +1100,12 @@ def run_sa_churn_scenario(
     (retired ones included) must converge with zero replays while
     creation/teardown reshuffles the shared store's save schedule.
     ``k=None`` sizes for the peak live SA count (initial plus one
-    mid-churn overlap).
+    mid-churn overlap).  A ``fault`` override carries its own
+    ``interval``; giving ``churn_interval`` beside it is a ``ValueError``.
     """
+    if fault is not None and churn_interval is not None:
+        raise ValueError("sa_churn: the fault override carries its own interval")
+    check_non_negative_int("messages", messages)
     if k is None:
         k = safe_save_interval(n_sas + 1, costs, store_policy)
     gateway = Gateway(
@@ -1115,32 +1118,18 @@ def run_sa_churn_scenario(
         store_policy=store_policy,
         seed=seed,
     )
-    stream_time = messages * costs.t_send
-    if churn_interval is None:
-        # All cycles land inside the middle half of the initial streams.
-        churn_interval = stream_time / (2 * max(1, churn_cycles))
-    churn_start = stream_time / 4
     if fault is None:
+        stream_time = messages * costs.t_send
+        if churn_interval is None:
+            # All cycles land inside the middle half of the initial streams.
+            churn_interval = stream_time / (2 * max(1, churn_cycles))
         fault = SAChurn(
-            at=churn_start,
+            at=stream_time / 4,
             interval=churn_interval,
             cycles=churn_cycles,
             messages=messages,
         )
-    _, churn_start, churn_interval, churn_cycles, new_sa_messages = _sized_by(
-        fault, costs, 0, at=churn_start, interval=churn_interval,
-        cycles=churn_cycles, messages=messages,
-    )
-    fault.apply(FaultEnv.of(gateway))
-    gateway.start_traffic(count=messages)
-    horizon = (
-        churn_start
-        + churn_cycles * churn_interval
-        + (max(messages, new_sa_messages) + 10) * costs.t_send
-        + 10 * costs.t_save
-        + _gateway_recovery_slack(gateway, extra_sas=churn_cycles)
-    )
-    gateway.run(until=horizon)
+    _run_story(gateway, [fault], messages, k, costs)
     return gateway.score().metrics()
 
 
@@ -1163,22 +1152,19 @@ def _netpath_extras(harness: ProtocolHarness, gate: NatGate | None = None) -> di
 
 
 def _schedule_reset(
-    env: FaultEnv,
-    reset_schedule: str,
-    during_at: float,
-    after_at: float,
-    down_time: float,
-) -> None:
-    """Arm the E16 reset-schedule axis: no sender reset, one *during*
-    the path impairment, or one safely *after* it settles."""
+    reset_schedule: str, during_at: float, after_at: float, down_time: float
+) -> list[Fault]:
+    """The E16 reset-schedule axis as a fault list: no sender reset, one
+    *during* the path impairment, or one safely *after* it settles."""
     if reset_schedule not in ("none", "during", "after"):
         raise ValueError(
             f"unknown reset_schedule {reset_schedule!r}; "
             "expected 'none', 'during' or 'after'"
         )
-    if reset_schedule != "none":
-        at = during_at if reset_schedule == "during" else after_at
-        Reset(at=at, down_time=down_time).apply(env)
+    if reset_schedule == "none":
+        return []
+    at = during_at if reset_schedule == "during" else after_at
+    return [Reset(at=at, down_time=down_time)]
 
 
 def run_nat_rebinding_scenario(
@@ -1212,6 +1198,7 @@ def run_nat_rebinding_scenario(
     landing at the rebinding instant (``"during"``) or well after the
     binding settled (``"after"``).
     """
+    check_non_negative_int("messages_after_rebind", messages_after_rebind)
     harness = build_protocol(
         trace=NULL_TRACE,
         protected=protected,
@@ -1226,27 +1213,25 @@ def run_nat_rebinding_scenario(
     )
     gate = NatGate(harness.receiver, policy=policy, initial_binding="nat:a")
     harness.link.sink = gate.on_receive
-    env = FaultEnv.of(harness)
-    NatRebinding(after_sends=rebind_after_sends, new_address="nat:b").apply(env)
+    faults: list[Fault] = [
+        NatRebinding(after_sends=rebind_after_sends, new_address="nat:b")
+    ]
     if replay_old_binding:
         # Strike right after the first new-binding packet: the receiver
         # has just (maybe) rebound and the recorded history is entirely
         # old-binding traffic.
-        Replay(
+        faults.append(Replay(
             after_sends=rebind_after_sends + 1, rate=1.0 / costs.t_recv
-        ).apply(env)
-
-    down_time = 2 * costs.t_save
-    rebind_at = rebind_after_sends * costs.t_send
-    settle_at = (rebind_after_sends + messages_after_rebind // 2) * costs.t_send
-    _schedule_reset(env, reset_schedule, rebind_at, settle_at, down_time)
-
-    total_attempts = rebind_after_sends + messages_after_rebind
-    slack = 0 if reset_schedule == "none" else int(2 * down_time / costs.t_send) + 10 * k
-    harness.sender.start_traffic(count=total_attempts + slack)
-    horizon = (total_attempts + slack + 10) * costs.t_send + 10 * costs.t_save
-    replay_budget = (total_attempts + 10) * costs.t_recv if replay_old_binding else 0.0
-    _run_to_completion(harness, horizon + replay_budget)
+        ))
+    faults += _schedule_reset(
+        reset_schedule,
+        during_at=rebind_after_sends * costs.t_send,
+        after_at=(rebind_after_sends + messages_after_rebind // 2) * costs.t_send,
+        down_time=2 * costs.t_save,
+    )
+    _run_story(
+        harness, faults, rebind_after_sends + messages_after_rebind, k, costs
+    )
     return _scored(harness, _netpath_extras(harness, gate))
 
 
@@ -1274,6 +1259,7 @@ def run_path_flap_scenario(
     still dark and the first post-leap messages may fall into the next
     window.
     """
+    check_non_negative_int("messages", messages)
     if down_time is None:
         down_time = 2 * costs.t_save
     if up_time is None:
@@ -1288,30 +1274,18 @@ def run_path_flap_scenario(
         seed=seed,
         path=path,
     )
-    env = FaultEnv.of(harness)
     flap_at = (flap_after_sends + 0.5) * costs.t_send
-    PathFlap(
+    faults: list[Fault] = [PathFlap(
         at=flap_at, down_time=down_time, up_time=up_time, cycles=cycles
-    ).apply(env)
+    )]
     flap_ends_at = flap_at + (cycles - 1) * (down_time + up_time) + down_time
-    _schedule_reset(
-        env,
+    faults += _schedule_reset(
         reset_schedule,
         during_at=flap_at + down_time / 2,  # inside the first window
         after_at=flap_ends_at + 2 * costs.t_save,
         down_time=2 * costs.t_save,
     )
-
-    slack = 0
-    if reset_schedule != "none":
-        slack = int(4 * costs.t_save / costs.t_send) + 10 * k
-    harness.sender.start_traffic(count=messages + slack)
-    horizon = (
-        (messages + slack + 10) * costs.t_send
-        + cycles * (down_time + up_time)
-        + 10 * costs.t_save
-    )
-    _run_to_completion(harness, horizon)
+    _run_story(harness, faults, messages, k, costs)
     return _scored(harness, _netpath_extras(harness), check_bounds=False)
 
 
@@ -1342,6 +1316,7 @@ def run_mobile_handover_scenario(
     the addresses moved.  ``reset_schedule="during"`` lands a sender
     reset inside the handover gap: recovery and rebinding interleave.
     """
+    check_non_negative_int("messages_after_handover", messages_after_handover)
     if outage is None:
         outage = 2 * costs.t_save
     harness = build_protocol(
@@ -1363,38 +1338,33 @@ def run_mobile_handover_scenario(
         loss=BernoulliLoss(degraded_loss) if degraded_loss > 0 else None,
     )
 
-    env = FaultEnv.of(harness)
-    for fault in (
+    faults: list[Fault] = [
         PathFlap(after_sends=handover_after_sends, down_time=outage),
         RegimeShift(after_sends=handover_after_sends, phase=visited),
         NatRebinding(after_sends=handover_after_sends, new_address="nat:visited"),
-    ):
-        fault.apply(env)
+    ]
     if replay_old_binding:
         # Right after the first visited-network packet leaves.
-        Replay(
+        faults.append(Replay(
             after_sends=handover_after_sends + 1, rate=1.0 / costs.t_recv
-        ).apply(env)
-
+        ))
     handover_at = handover_after_sends * costs.t_send
-    _schedule_reset(
-        env,
+    faults += _schedule_reset(
         reset_schedule,
         during_at=handover_at + outage / 2,
         after_at=handover_at + outage + (messages_after_handover // 2) * costs.t_send,
         down_time=2 * costs.t_save,
     )
+    env = FaultEnv.of(harness)
+    for fault in faults:
+        fault.apply(env)
 
+    # Its own stream count: unlike a path flap, the handover gap is
+    # paid for in sends even with no reset.
     total_attempts = handover_after_sends + messages_after_handover
     slack = int(2 * outage / costs.t_send) + (10 * k if reset_schedule != "none" else 0)
     harness.sender.start_traffic(count=total_attempts + slack)
-    horizon = (
-        (total_attempts + slack + 10) * (costs.t_send + degraded_delay)
-        + outage
-        + 10 * costs.t_save
-    )
-    replay_budget = (total_attempts + 10) * costs.t_recv if replay_old_binding else 0.0
-    _run_to_completion(harness, horizon + replay_budget)
+    harness.run()
     return _scored(harness, _netpath_extras(harness, gate), check_bounds=False)
 
 

@@ -25,6 +25,7 @@ from repro.experiments import (
     e15_gateway_convergence,
 )
 from repro.experiments.common import ExperimentResult, render_table
+from repro.workloads.scenarios import run_save_policy_scenario
 
 
 class TestCommon:
@@ -132,9 +133,9 @@ class TestE06:
         assert above["overhead_fraction"] < below["overhead_fraction"]
 
     def test_policy_comparison_waste(self):
-        comparison = e06_save_interval.compare_policies(k=25, bursts=10)
-        assert comparison.time_based_saves > comparison.count_based_saves
-        assert comparison.waste_fraction > 0.5
+        comparison = run_save_policy_scenario(k=25, bursts=10)
+        assert comparison["time_based_saves"] > comparison["count_based_saves"]
+        assert comparison["waste_fraction"] > 0.5
 
 
 class TestE07:

@@ -97,6 +97,25 @@ class TestTrigger:
         with pytest.raises(ValueError, match="rate"):
             Replay(at=0.0, rate=0.0)
 
+    @pytest.mark.parametrize("cls, kwargs, error, match", [
+        (GatewayCrash, {"during_save": 2.5}, TypeError, "during_save"),
+        (Reset, {"after_sends": 500.5}, TypeError, "after_sends"),
+        (Reset, {"after_sends": True}, TypeError, "after_sends"),
+        (PathFlap, {"at": 0.0, "down_time": 0.001, "up_time": 0.001,
+                    "cycles": 2.5}, TypeError, "cycles"),
+        (SAChurn, {"at": 0.0, "cycles": 2.0}, TypeError, "cycles"),
+        (SAChurn, {"at": 0.0, "messages": -5}, ValueError, "messages"),
+        (SAChurn, {"at": 0.0, "messages": 0}, ValueError, "messages"),
+        (SAChurn, {"at": 0.0, "messages": 50.0}, TypeError, "messages"),
+    ])
+    def test_counts_refuse_floats_bools_and_negatives(
+        self, cls, kwargs, error, match
+    ):
+        # A truncated or negative count would run a different story (or
+        # none) and still report converged, so it fails at spec load.
+        with pytest.raises(error, match=match):
+            cls(**kwargs)
+
     def test_on_wake_fires_on_the_first_recovery_only(self):
         harness = pair()
         env = FaultEnv.of(harness)

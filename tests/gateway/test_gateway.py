@@ -141,8 +141,9 @@ class TestGatewayCrash:
         from repro.workloads.scenarios import run_gateway_crash_scenario
 
         # The override's 50ms outage dwarfs the scenario default
-        # (2 * t_save = 200us); the budget/horizon must follow the fault
-        # or the run ends mid-outage with convergence untested.
+        # (2 * t_save = 200us); the stream must be sized by the fault's
+        # outage, or the outage swallows every tick after the crash and
+        # convergence goes untested.
         metrics = run_gateway_crash_scenario(
             n_sas=2,
             crash_after_sends=60,

@@ -1,9 +1,9 @@
 """Acceptance pins for the gateway subsystem.
 
 1. **Golden parity** — a ``gateway_crash`` with one SA is exactly the
-   single-pair ``sender_reset`` scenario: same trigger, traffic budget
-   and horizon, and (serial policy, uncontended) the shared store's
-   timing is bit-identical to a private ``PersistentStore``.  Every
+   single-pair ``sender_reset`` scenario: same trigger, stream-sizing
+   rule and run to drain, and (serial policy, uncontended) the shared
+   store's timing is bit-identical to a private ``PersistentStore``.  Every
    field of the flattened per-SA ``ConvergenceReport`` must equal the
    single pair's.
 

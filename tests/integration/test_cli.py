@@ -140,6 +140,7 @@ class TestCli:
     @pytest.mark.parametrize("fault", [
         {"__gatewayfault__": {"kind": "crash", "at": 0.0008}},  # retired tag
         {"__fault__": {"kind": "crash"}},  # no trigger
+        {"__fault__": {"kind": "crash", "during_save": 2.5}},  # float count
     ])
     def test_fleet_rejects_a_bad_fault_before_any_task_runs(
         self, tmp_path, capsys, fault
