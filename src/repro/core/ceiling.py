@@ -114,7 +114,7 @@ class CeilingSender(BaseSender):
             # reservation is in flight so the stall is bounded).
             self.stalls += 1
             self._reserve_if_needed()
-            self.sends_suppressed += 1
+            self._sends_suppressed += 1
             self.trace("stall", s=self.s, ceiling=self.committed_ceiling)
             return False
         return super().send_one()
@@ -147,7 +147,7 @@ class CeilingSender(BaseSender):
 
         fetch_delay = self.store.fetch_delay()
         if fetch_delay > 0:
-            self.call_later(fetch_delay, resume)
+            self.call_later(fetch_delay, self._recovery_step(resume))
         else:
             resume()
 

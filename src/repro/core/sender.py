@@ -33,6 +33,7 @@ from repro.ipsec.costs import CostModel, PAPER_COSTS
 from repro.ipsec.sa import SecurityAssociation
 from repro.net.link import PacketPipe
 from repro.sim.engine import Engine
+from repro.sim.events import Event
 from repro.sim.process import SimProcess, Timer
 from repro.util.validation import (
     check_non_negative_int,
@@ -43,6 +44,11 @@ from repro.util.validation import (
 #: Listener signature for :meth:`BaseSender.add_send_listener`:
 #: ``(sent_total, packet)`` after each fresh transmission.
 SendListener = Callable[[int, Any], None]
+
+#: How a recovery step was queued: the ``(time, sequence)`` of each
+#: queueing since its root (a reset, or an explicit wake), and whether
+#: that root ran between engine runs.
+Recovery = tuple[tuple[tuple[float, int], ...], bool]
 
 
 @dataclass
@@ -138,13 +144,27 @@ class BaseSender(SimProcess):
         self.is_up = True
         # Statistics and instrumentation.
         self.sent_total = 0
-        self.sends_suppressed = 0
+        self._sends_suppressed = 0
         self.last_sent_seq = 0
         self.reset_records: list[SenderResetRecord] = []
         self._send_listeners: list[SendListener] = []
         self._resume_listeners: list[Callable[[], None]] = []
+        # The traffic clock: its timer and the attempts left (None: no
+        # bound).  While an outage pauses it: the first and the next
+        # uncounted instant of its grid, the first sequence number queued
+        # after that first instant's tick, the stream's stop instant, and
+        # the entry that ends the stream there.
         self._traffic_timer: Timer | None = None
         self._traffic_remaining: int | None = None
+        self._traffic_first = 0.0
+        self._traffic_next: float | None = None
+        self._traffic_after = 0
+        self._traffic_stop_at: float | None = None
+        self._traffic_end: Event | None = None
+        # How the running recovery step was queued: the (time, sequence)
+        # of each queueing since the reset or an explicit wake, and
+        # whether that root ran between engine runs.
+        self._recovery: Recovery = ((), False)
 
     # ------------------------------------------------------------------
     # Sending
@@ -163,18 +183,28 @@ class BaseSender(SimProcess):
         self._resume_listeners.append(listener)
 
     def _notify_resumed(self) -> None:
+        self._resume_traffic()
         for listener in self._resume_listeners:
             listener()
+
+    @property
+    def sends_suppressed(self) -> int:
+        """Attempts made while the send action was disabled, including
+        those a paused traffic clock has skipped up to now."""
+        self._settle_traffic()
+        return self._sends_suppressed
 
     def send_one(self) -> bool:
         """Attempt to send the next message; returns whether it was sent.
 
-        A suppressed attempt (host down, or ``wait`` set during post-wake
-        recovery) is counted but has no protocol effect — the paper's
-        guard simply keeps the action disabled.
+        This is the one per-attempt entry point.  A suppressed attempt
+        (host down, or ``wait`` set during post-wake recovery) is counted
+        but has no protocol effect — the paper's guard simply keeps the
+        action disabled.  The sender's own clock does not call it while
+        an outage pauses the clock: it counts those attempts at resume.
         """
         if not self.can_send:
-            self.sends_suppressed += 1
+            self._sends_suppressed += 1
             return False
         self._transmit()
         return True
@@ -210,6 +240,13 @@ class BaseSender(SimProcess):
         Defaults to the cost model's ``t_send`` (the paper's maximum send
         rate).  ``count`` bounds the number of *attempts* (suppressed
         attempts count — the stream is clocked, not work-conserving).
+
+        The clock's instants form a fixed grid: ``now + interval``, then
+        one ``interval`` more each, by repeated float addition.  While
+        the host is down or ``wait`` holds, the clock is paused: nothing
+        is queued, the grid is kept, and the attempts it skips are
+        counted as suppressed in one step at resume.  Only the engine's
+        event count differs from ticking through the outage.
         """
         if interval is None:
             interval = self.costs.t_send
@@ -218,13 +255,21 @@ class BaseSender(SimProcess):
         self._traffic_remaining = count
         self._traffic_timer = Timer(self.engine, interval, self._traffic_tick)
         self._traffic_timer.start(first_delay=interval)
+        if not self.is_up or self.wait:
+            self._pause_traffic()
 
     def stop_traffic(self) -> None:
         """Stop the clocked traffic stream."""
         if self._traffic_timer is not None:
+            self._settle_traffic()
             self._traffic_timer.stop()
             self._traffic_timer = None
+        if self._traffic_end is not None:
+            self._traffic_end.cancel()
+            self._traffic_end = None
         self._traffic_remaining = None
+        self._traffic_next = None
+        self._traffic_stop_at = None
 
     def _traffic_tick(self) -> None:
         if self._traffic_remaining is not None:
@@ -233,6 +278,120 @@ class BaseSender(SimProcess):
                 return
             self._traffic_remaining -= 1
         self.send_one()
+
+    def _pause_traffic(self) -> None:
+        """Stop the clock for an outage, keeping its grid.
+
+        A count-bounded stream gets one entry at its stop instant, which
+        is fixed when the stream starts: if the outage outlasts the
+        stream, the stream still ends there, with every attempt counted.
+        """
+        timer = self._traffic_timer
+        if timer is None or self._traffic_next is not None:
+            return  # no stream, or already paused
+        at, sequence = timer.pause()
+        self._traffic_first = self._traffic_next = at
+        # Inside the clock's own tick, the next tick would be queued when
+        # the tick returns: after everything the reset has queued.
+        self._traffic_after = (
+            self.engine.scheduled if sequence is None else sequence + 1
+        )
+        remaining = self._traffic_remaining
+        if remaining is None:
+            return
+        stop_at = self._traffic_stop_at
+        if stop_at is None:
+            # Computed once a stream, the way the ticks would reach it.
+            stop_at = at
+            interval = timer.interval
+            for _ in range(remaining):
+                stop_at += interval
+            self._traffic_stop_at = stop_at
+        self._traffic_end = self.engine.call_at(stop_at, self.stop_traffic)
+
+    def _settle_traffic(self, resuming: bool = False) -> None:
+        """Count the attempts a paused clock has skipped so far.
+
+        Instants before ``now`` are past.  One at ``now`` is past if the
+        per-tick clock's tick there would already have fired: see
+        :meth:`_tick_first`, which orders it against the recovery step
+        running now when ``resuming``, and against an unknown caller
+        otherwise.
+        """
+        at = self._traffic_next
+        if at is None:
+            return
+        now = self.engine.now
+        remaining = self._traffic_remaining
+        interval = self._traffic_timer.interval  # type: ignore[union-attr]
+        skipped = 0
+        # ``remaining`` is None for an unbounded stream: never reached.
+        while skipped != remaining and at <= now:
+            if at == now and not self._tick_first(
+                self._recovery if resuming else ((), not self.engine.running)
+            ):
+                break
+            skipped += 1
+            at += interval
+        if skipped:
+            self._sends_suppressed += skipped
+            self._traffic_next = at
+            if remaining is not None:
+                self._traffic_remaining = remaining - skipped
+
+    def _tick_first(self, recovery: Recovery) -> bool:
+        """Whether the per-tick clock's tick due now would have fired
+        before the event that ``recovery`` says is running now.
+
+        That tick would have been queued by the tick one instant before
+        (or, for the first instant of the pause, before the sequence
+        number ``_traffic_after``).  So it fires first if it was queued
+        first: compare the step's queueing with the previous instant and,
+        on a tie there, the step that queued it with that instant's tick,
+        and so on back to the root.  A root that ran between runs comes
+        after every event of its instant; any other comes before.
+        """
+        steps, late = recovery
+        if not steps:
+            return late
+        now = self.engine.now
+        interval = self._traffic_timer.interval  # type: ignore[union-attr]
+        grid = [self._traffic_first]
+        while grid[-1] < now:
+            grid.append(grid[-1] + interval)
+        j = len(grid) - 1
+        for queued_at, sequence in reversed(steps):
+            if j == 0:
+                return sequence >= self._traffic_after
+            if queued_at != grid[j - 1]:
+                return queued_at > grid[j - 1]
+            j -= 1
+        return late
+
+    def _resume_traffic(self) -> None:
+        """Restart a paused clock at the next instant of its grid, once
+        the host is up and ``wait`` is clear (a late commit from an
+        aborted recovery can clear ``wait`` while the host is down)."""
+        if self._traffic_next is None or not self.is_up or self.wait:
+            return
+        self._settle_traffic(resuming=True)
+        if self._traffic_end is not None:
+            self._traffic_end.cancel()
+            self._traffic_end = None
+        at, self._traffic_next = self._traffic_next, None
+        self._traffic_timer.start_at(at)  # type: ignore[union-attr]
+
+    def _recovery_step(self, callback: Callable[[], None]) -> Callable[[], None]:
+        """Wrap ``callback`` as a recovery step about to be queued: when
+        it runs, it records how it was queued, for the resume's order."""
+        steps, late = self._recovery
+        recovery = (steps + ((self.now, self.engine.scheduled),), late)
+
+        def step() -> None:
+            self._recovery = recovery
+            callback()
+
+        return step
 
     def send_burst(self, n: int) -> int:
         """Send ``n`` messages back-to-back at the current instant.
@@ -265,18 +424,26 @@ class BaseSender(SimProcess):
         self.is_up = False
         self.wait = True  # paper: second action sets wait := true
         self._on_crash(record)
+        self._recovery = ((), not self.engine.running)
         if down_for is not None:
-            self.call_later(down_for, self.wake)
+            self.call_later(down_for, self._recovery_step(self._wake))
+        self._pause_traffic()
         return record
 
     def wake(self) -> None:
         """The host comes back up; run the recovery action."""
+        if not self.is_up:
+            self._recovery = ((), not self.engine.running)
+            self._wake()
+
+    def _wake(self) -> None:
         if self.is_up:
             return
         self.is_up = True
         record = self.reset_records[-1]
         record.wake_time = self.now
         self.trace("wake")
+        self._resume_traffic()
         self._on_wake(record)
 
     def _save_in_flight(self) -> bool:
@@ -378,16 +545,18 @@ class SaveFetchSender(BaseSender):
 
         if self.skip_wake_save:
             # Ablation: use the leaped number without persisting it first.
-            self.call_later(self.store.fetch_delay(), resume)
+            self.call_later(self.store.fetch_delay(), self._recovery_step(resume))
             return
 
         def after_fetch() -> None:
             # "it will wait for the SAVE to finish before it sends the
             # next message" — resume only on commit.
-            self.store.begin_save(leaped, on_commit=resume, synchronous=True)
+            self.store.begin_save(
+                leaped, on_commit=self._recovery_step(resume), synchronous=True
+            )
 
         fetch_delay = self.store.fetch_delay()
         if fetch_delay > 0:
-            self.call_later(fetch_delay, after_fetch)
+            self.call_later(fetch_delay, self._recovery_step(after_fetch))
         else:
             after_fetch()

@@ -193,6 +193,10 @@ class ResultStore:
         #: malformed lines seen by the last :meth:`records` call (a value
         #: above 1 suggests external tampering, not a crash artefact).
         self.corrupt_lines = 0
+        # Whether the file is known to end on a whole line: the first
+        # append (or heal) reads the tail, and each completed append
+        # keeps it so; a write that fails makes it unknown again.
+        self._ends_whole = False
 
     def __len__(self) -> int:
         return sum(1 for _ in self.records())
@@ -213,14 +217,17 @@ class ResultStore:
         If a previous run died mid-write, the file ends without a
         newline; terminate that partial line first so the new record
         does not glue onto it (the partial line then reads as one
-        corrupt line and its task reruns).
+        corrupt line and its task reruns).  The tail is read once per
+        store: the store is the file's single writer.
         """
-        heal = self._ends_mid_line()
+        heal = not self._ends_whole and self._ends_mid_line()
+        self._ends_whole = False  # unknown until this write completes
         with self.path.open("a", encoding="utf-8") as handle:
             if heal:
                 handle.write("\n")
             handle.write(record.to_json() + "\n")
             handle.flush()
+        self._ends_whole = True
 
     def heal(self) -> bool:
         """Terminate a dangling partial line left by a crash, if any.
@@ -230,9 +237,11 @@ class ResultStore:
         the file was dirty.
         """
         if not self._ends_mid_line():
+            self._ends_whole = True
             return False
         with self.path.open("a", encoding="utf-8") as handle:
             handle.write("\n")
+        self._ends_whole = True
         logger.warning("%s: healed a dangling partial line", self.path)
         return True
 

@@ -18,6 +18,12 @@ Lifecycle rules, chosen so a sampler can never wedge a run:
 * Sampling only reads component state.  The protocol outcome of a
   sampled run is identical to an unsampled one — only
   ``events_processed`` differs (the ticks themselves).
+* A sender's traffic clock queues nothing while an outage pauses it
+  (:meth:`~repro.core.sender.BaseSender.start_traffic`); a
+  count-bounded stream keeps one entry at its stop instant instead.  So
+  ``events_processed`` counts no suppressed attempt, and an outage with
+  an unbounded stream and no pending wake leaves the queue empty, which
+  ends the sampling there.
 """
 
 from __future__ import annotations

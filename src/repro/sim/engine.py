@@ -265,6 +265,17 @@ class Engine:
         return self._events_processed
 
     @property
+    def scheduled(self) -> int:
+        """Events scheduled so far: the sequence number the next one takes,
+        which orders it after every one already queued at its instant."""
+        return self._queue._seq
+
+    @property
+    def running(self) -> bool:
+        """Whether a :meth:`run` is in progress (a callback is firing)."""
+        return self._running
+
+    @property
     def pending_events(self) -> int:
         """Number of live (non-cancelled) events still queued."""
         return len(self._queue)

@@ -170,6 +170,28 @@ class EventQueue:
         self._live += 1
         heappush(self._heap, (time, priority, sequence, None, callback, args))
 
+    def requeue(self, event: Event, time: float) -> Event:
+        """Schedule a *fired* ``event`` again at ``time``: no allocation.
+
+        A fired event has left the heap (``_queue is None``), so it can
+        take a new entry.  It gets a fresh sequence number here, so it
+        orders exactly as a new :meth:`push` made at this point would.
+        An event cancelled while queued is refused: its dead entry may
+        still sit in the heap, and reviving it would fire it twice.
+        """
+        if event._queue is not None:
+            raise ValueError("only a fired event can be re-queued")
+        sequence = self._seq
+        self._seq = sequence + 1
+        event.time = time
+        event.sequence = sequence
+        event.cancelled = False
+        event._queue = self
+        self._live += 1
+        heappush(self._heap, (time, event.priority, sequence, event,
+                              event.callback, event.args))
+        return event
+
     def _compact(self) -> None:
         """Rebuild the heap from its live entries, in place (keys are
         immutable, so the pop order is unchanged; the callers own the

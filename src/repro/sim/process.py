@@ -56,6 +56,12 @@ class Timer:
     may be restarted after being stopped; :meth:`reset` restarts the
     current period (useful for inactivity timers such as dead-peer
     detection).
+
+    A tick re-arms by re-queuing the :class:`~repro.sim.events.Event`
+    that just fired (:meth:`~repro.sim.events.EventQueue.requeue`), so a
+    running timer allocates nothing per tick and its pending tick stays
+    cancellable.  :meth:`pause` and :meth:`start_at` let an owner stop
+    the clock and later resume it on the same grid of instants.
     """
 
     def __init__(
@@ -68,6 +74,7 @@ class Timer:
         self.engine = engine
         self.interval = interval
         self.callback = callback
+        self._queue = engine._queue
         self._event: Event | None = None
         self._stopped = True
 
@@ -82,6 +89,22 @@ class Timer:
         self._stopped = False
         delay = self.interval if first_delay is None else first_delay
         self._event = self.engine.call_later(delay, self._tick)
+
+    def start_at(self, time: float) -> None:
+        """Arm the timer with its first tick at the absolute instant ``time``."""
+        self.stop()
+        self._stopped = False
+        self._event = self.engine.call_at(time, self._tick)
+
+    def pause(self) -> tuple[float, int | None]:
+        """Stop, and return when the next tick was due and the sequence
+        number its event had, or ``None`` inside the timer's own callback,
+        where the re-arm (at ``now + interval``) was not queued yet."""
+        event = self._event
+        self.stop()
+        if event is None:
+            return self.engine.now + self.interval, None
+        return event.time, event.sequence
 
     def stop(self) -> None:
         """Disarm the timer (safe to call when not running, or from inside
@@ -112,9 +135,13 @@ class Timer:
         self._event = self.engine.call_later(self.interval, self._tick)
 
     def _tick(self) -> None:
+        # The event firing now is the armed one; it has left the heap.
+        event = self._event
         self._event = None
         self.callback()
         # The callback may have stopped or restarted the timer; only
         # re-arm if it did neither.
         if not self._stopped and self._event is None:
-            self._event = self.engine.call_later(self.interval, self._tick)
+            self._event = self._queue.requeue(
+                event, self.engine.now + self.interval
+            )

@@ -63,7 +63,7 @@ from repro.sim.engine import Engine
 from repro.sim.process import Timer
 from repro.sim.trace import NULL_TRACE
 from repro.util.rng import derive_seed
-from repro.util.validation import check_non_negative_int
+from repro.util.validation import check_non_negative_int, check_positive_int
 from repro.workloads.traffic import BurstyTraffic
 
 
@@ -142,9 +142,10 @@ def _sends(
 ) -> int:
     """How many sends stream ``attempts`` messages through ``faults``.
 
-    The sender's clock keeps ticking while the sender is down or
-    recovering, and a tick there is suppressed, not sent.  So each
-    sender-side outage adds the ticks it can swallow:
+    The sender's clock keeps its grid while the sender is down or
+    recovering, and an attempt there is suppressed, not sent (the clock
+    skips it and counts it at resume).  So each sender-side outage adds
+    the attempts it can swallow:
 
     * a sender or both-sides :class:`Reset`: ``2 * (down_time + stagger)``;
     * a :class:`GatewayCrash`: ``2 * down_time + r``;
@@ -400,8 +401,13 @@ def run_reorder_scenario(
     ``degree`` positions late; ``degree < w`` must be delivered, while
     ``degree >= w`` falls off the window's left edge and is discarded
     despite being fresh (the reference-[2] observation E10 sweeps).
+    A story with no reorder stage is refused: ``degree`` must be a
+    positive ``int`` and ``probability`` in (0, 1].
     """
     check_non_negative_int("messages", messages)
+    check_positive_int("degree", degree)
+    if not 0.0 < probability <= 1.0:
+        raise ValueError(f"probability must be in (0, 1], got {probability!r}")
     harness = build_protocol(
         trace=NULL_TRACE,
         protected=protected,
@@ -412,9 +418,9 @@ def run_reorder_scenario(
         reorder_probability=probability,
     )
     _run_story(harness, [], messages, k=0, costs=costs)  # no fault, no slack
-    assert harness.reorder_stage is not None
+    stage = harness.reorder_stage  # built: degree and probability are > 0
     return _scored(
-        harness, {"reordered": harness.reorder_stage.held_total},
+        harness, {"reordered": stage.held_total},  # type: ignore[union-attr]
         check_bounds=False,
     )
 

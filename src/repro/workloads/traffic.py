@@ -8,9 +8,12 @@ variability so experiments can confirm the message-count policy behaves
 well where a time-based policy would not (E6's wasteful-SAVE comparison).
 
 The generator owns the *pacing* only; the actual transmission is the
-sender's :meth:`~repro.core.sender.BaseSender.send_one`, so suppressed
-sends (host down / recovering) are counted as attempts and behave as
-they do under the sender's own clock.
+sender's :meth:`~repro.core.sender.BaseSender.send_one`, so an attempt
+while the host is down or recovering is counted as suppressed, as under
+the sender's own clock.  Unlike that clock, which fires nothing through
+an outage and counts the attempts it skipped at resume, this generator
+makes every attempt as an event: its gaps vary, so it has no fixed grid
+to resume on.
 """
 
 from __future__ import annotations

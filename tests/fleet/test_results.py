@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.fleet.results import (
@@ -135,6 +137,56 @@ class TestTornLineSalvage:
         assert store.heal() is False  # idempotent
         assert [r.task_id for r in store.records()] == ["a"]
         assert store.corrupt_lines == 1
+
+
+class TestAppendOpens:
+    """The store is its file's single writer, so it reads the tail once
+    (first append, or heal) and then tracks it: one open per append."""
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        calls = []
+        real_open = Path.open
+
+        def counting_open(path, *args, **kwargs):
+            calls.append(args[0] if args else kwargs.get("mode", "r"))
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counting_open)
+        return calls
+
+    def test_one_open_per_append_after_the_first(self, tmp_path, opened):
+        store = ResultStore(tmp_path / "r.jsonl")
+        store.append(make_record("a"))
+        assert opened == ["rb", "a"]  # the tail check, then the append
+        for index in range(10):
+            store.append(make_record(f"t{index}"))
+        assert opened == ["rb"] + ["a"] * 11
+
+    def test_heal_reads_the_tail_so_appends_do_not(self, tmp_path, opened):
+        store = ResultStore(tmp_path / "r.jsonl")
+        store.path.write_text(make_record("a").to_json()[:30])
+        del opened[:]
+        assert store.heal() is True
+        store.append(make_record("b"))
+        assert opened == ["rb", "a", "a"]
+        assert [r.task_id for r in store.records()] == ["b"]
+
+    def test_a_failed_write_makes_the_tail_unknown(self, tmp_path, opened):
+        store = ResultStore(tmp_path / "r.jsonl")
+        store.append(make_record("a"))
+
+        class Unwritable(TaskRecord):
+            def to_json(self) -> str:
+                raise OSError("disk full")
+
+        with pytest.raises(OSError):
+            store.append(Unwritable(**make_record("x").to_dict()))
+        # The file may now end anywhere: the next append reads the tail.
+        del opened[:]
+        store.append(make_record("b"))
+        assert opened == ["rb", "a"]
+        assert [r.task_id for r in store.records()] == ["a", "b"]
 
 
 class TestShardIndex:

@@ -231,10 +231,10 @@ def mixed_spec():
 #: store after the run: fresh (serial or pooled), and resumed with the
 #: second half of the tasks stored first.
 FRESH_CAMPAIGN_OBS_SHA256 = (
-    "6f6d6f9e31ddbf39488bb1735431a0d920ae37719f428a660deb19d86fd54ff5"
+    "d5f12fd14464af0f4d328b30c75f06287f17d749b7d1dbe08d7380b56b360fcb"
 )
 RESUMED_CAMPAIGN_OBS_SHA256 = (
-    "a91e0ce33b853cc4e1017b545530cf758884e19ce2f41341161789c98084e317"
+    "58a2cddf7685e70bdc1150a88f55c1d4b3b254ed273e2f2a210e98b296cb228e"
 )
 
 

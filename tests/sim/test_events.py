@@ -262,3 +262,43 @@ class TestRandomizedOrderingContract:
             if not event.cancelled
         ]
         assert fired == expected
+
+
+class TestRequeue:
+    def test_requeue_of_a_fired_event_reuses_it(self):
+        queue = EventQueue()
+        fired = []
+        event = queue.push(1.0, fired.append, ("x",))
+        popped = queue.pop()
+        assert popped is event and event._queue is None
+        assert queue.requeue(event, 2.0) is event
+        assert (event.time, event.sequence, event.cancelled) == (2.0, 1, False)
+        assert (len(queue), queue._dead) == (1, 0)
+        queue.pop().fire()
+        assert fired == ["x"] and not queue
+
+    def test_requeue_resets_a_flag_set_inside_the_callback(self):
+        queue = EventQueue()
+        event = queue.push(1.0, lambda: None)
+        queue.pop()
+        event.cancel()  # a fired event: only the flag moves
+        assert (len(queue), queue._dead) == (0, 0)
+        queue.requeue(event, 2.0)
+        assert not event.cancelled and len(queue) == 1
+
+    def test_a_cancelled_queued_event_is_never_requeued(self):
+        queue = EventQueue()
+        event = queue.push(1.0, lambda: None)
+        event.cancel()
+        assert (len(queue), queue._dead) == (0, 1)
+        with pytest.raises(ValueError, match="fired"):
+            queue.requeue(event, 2.0)
+        assert (len(queue), queue._dead) == (0, 1)
+        assert queue.pop_next() is None  # the dead entry never fires
+
+    def test_a_pending_event_is_never_requeued(self):
+        queue = EventQueue()
+        event = queue.push(1.0, lambda: None)
+        with pytest.raises(ValueError):
+            queue.requeue(event, 2.0)
+        assert len(queue) == 1

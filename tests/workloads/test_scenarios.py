@@ -315,6 +315,18 @@ class TestScenarioInputs:
         with pytest.raises(error, match=name):
             get_scenario(scenario)(**{name: value})
 
+    @pytest.mark.parametrize("value, error", [
+        (0, ValueError), (-1, ValueError), (2.5, TypeError), (True, TypeError),
+    ])
+    def test_reorder_refuses_a_degree_that_builds_no_stage(self, value, error):
+        with pytest.raises(error, match="degree"):
+            get_scenario("reorder")(degree=value)
+
+    @pytest.mark.parametrize("value", [0.0, -0.1, 1.5])
+    def test_reorder_refuses_a_probability_outside_0_1(self, value):
+        with pytest.raises(ValueError, match="probability"):
+            get_scenario("reorder")(probability=value)
+
     @pytest.mark.parametrize("scenario, kwargs", [
         ("gateway_crash", {"down_time": 0.05, "fault": GatewayCrash(at=0.0008)}),
         ("rolling_restart", {"down_time": 0.001, "fault": RollingRestart(at=0.001)}),
