@@ -5,6 +5,8 @@ Modules:
 * :mod:`~repro.core.persistent` — the persistent-memory model behind SAVE
   and FETCH: commit latency, crash-abort semantics, background vs
   synchronous saves.
+* :mod:`~repro.core.endpoint` — the reset/wake lifecycle ``p`` and ``q``
+  share, with Section 4's wake written once for both.
 * :mod:`~repro.core.sender` — process ``p``: the unprotected Section 2
   sender and the Section 4 SAVE/FETCH sender.
 * :mod:`~repro.core.receiver` — process ``q``: unprotected and SAVE/FETCH

@@ -44,16 +44,34 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.core.endpoint import Endpoint
 from repro.core.persistent import PersistentStore
 from repro.core.receiver import BaseReceiver, ReceiverResetRecord
-from repro.core.sender import BaseSender, SenderResetRecord
-from repro.ipsec.replay_window import BitmapReplayWindow, Verdict
+from repro.core.sender import BaseSender
+from repro.ipsec.replay_window import Verdict
 from repro.net.link import PacketPipe
 from repro.sim.engine import Engine
 from repro.util.validation import check_positive_int
 
 
-class CeilingSender(BaseSender):
+class CeilingWake(Endpoint):
+    """The ceiling's wake, written once for ``p`` and ``q``.
+
+    After the FETCH delay, FETCH the committed ceiling and resume there:
+    every number already used (sent, or delivered) is strictly below it,
+    so no leap and no wake SAVE is needed.
+    """
+
+    def _on_wake(self, record: Any) -> None:
+        def resume() -> None:
+            fetched = self.store.fetch()  # type: ignore[union-attr]
+            record.fetched = fetched
+            self._resume(fetched, fetched)
+
+        self._after_fetch(resume)
+
+
+class CeilingSender(CeilingWake, BaseSender):
     """Sender that persists a sequence-number ceiling *before* using it.
 
     Args:
@@ -62,13 +80,12 @@ class CeilingSender(BaseSender):
             cost model's ``min_save_interval()`` (the paper's sizing
             rule, unchanged): each save must grant at least as many
             numbers as are consumed while it commits.
-        headroom: start reserving the next chunk when at most this many
-            numbers remain under the committed ceiling.  Defaults to the
-            cost model's ``min_save_interval()`` — one save latency of
-            line-rate sending — so the next chunk lands before the
-            current one is exhausted.  Too-small headroom only *stalls*
-            (counted, never unsafe).
         **base_kwargs: forwarded to :class:`BaseSender`.
+
+    The next chunk is reserved once at most ``headroom`` numbers remain
+    under the committed ceiling: the cost model's ``min_save_interval()``,
+    one save latency of line-rate sending, so the next chunk lands before
+    the current one is exhausted.
     """
 
     def __init__(
@@ -78,25 +95,14 @@ class CeilingSender(BaseSender):
         pipe: PacketPipe,
         k: int,
         store: PersistentStore | None = None,
-        headroom: int | None = None,
         **base_kwargs: Any,
     ) -> None:
         super().__init__(engine, name, pipe, **base_kwargs)
         self.k = check_positive_int("k", k)
-        if headroom is None:
-            headroom = self.costs.min_save_interval()
-        self.headroom = max(1, int(headroom))
-        if store is None:
-            store = PersistentStore(
-                engine,
-                f"disk:{name}",
-                t_save=self.costs.t_save,
-                t_fetch=self.costs.t_fetch,
-                # The SA-establishment write: the first chunk is reserved
-                # before the first message is ever sent.
-                initial_value=1 + self.k,
-            )
-        self.store = store
+        self.headroom = self.costs.min_save_interval()
+        # The SA-establishment write: the first chunk is reserved before
+        # the first message is ever sent.
+        self._attach_store(store, initial_value=1 + self.k)
         self.stalls = 0
 
     @property
@@ -127,32 +133,8 @@ class CeilingSender(BaseSender):
         if remaining <= self.headroom and not self.store.save_in_flight:
             self.store.begin_save(self.committed_ceiling + self.k)
 
-    def _save_in_flight(self) -> bool:
-        return self.store.save_in_flight
 
-    def _on_crash(self, record: SenderResetRecord) -> None:
-        self.store.crash()
-
-    def _on_wake(self, record: SenderResetRecord) -> None:
-        def resume() -> None:
-            fetched = self.store.fetch()
-            record.fetched = fetched
-            # Every used sequence number is < fetched; no leap needed.
-            self.s = fetched
-            self.wait = False
-            record.resumed_seq = self.s
-            record.resume_time = self.now
-            self.trace("resume", s=self.s, fetched=fetched)
-            self._notify_resumed()
-
-        fetch_delay = self.store.fetch_delay()
-        if fetch_delay > 0:
-            self.call_later(fetch_delay, self._recovery_step(resume))
-        else:
-            resume()
-
-
-class CeilingReceiver(BaseReceiver):
+class CeilingReceiver(CeilingWake, BaseReceiver):
     """Receiver that persists a delivery ceiling *before* crossing it.
 
     A message whose sequence number is at or above the committed ceiling
@@ -172,15 +154,7 @@ class CeilingReceiver(BaseReceiver):
     ) -> None:
         super().__init__(engine, name, **base_kwargs)
         self.k = check_positive_int("k", k)
-        if store is None:
-            store = PersistentStore(
-                engine,
-                f"disk:{name}",
-                t_save=self.costs.t_save,
-                t_fetch=self.costs.t_fetch,
-                initial_value=self.k,  # first chunk reserved at SA setup
-            )
-        self.store = store
+        self._attach_store(store, initial_value=self.k)  # first chunk, at SA setup
         self.buffered_for_ceiling = 0
         self._ceiling_buffer: list[Any] = []
         self._raise_in_flight = False
@@ -237,29 +211,9 @@ class CeilingReceiver(BaseReceiver):
         ):
             self.store.begin_save(self.committed_ceiling + self.k)
 
-    def _save_in_flight(self) -> bool:
-        return self.store.save_in_flight
-
-    def _on_crash(self, record: ReceiverResetRecord) -> None:
-        self.store.crash()
+    def _go_down(self, save_in_flight: bool) -> ReceiverResetRecord:
+        record = super()._go_down(save_in_flight)
+        # The raise in flight aborts with the store's SAVEs.
         self._ceiling_buffer.clear()
         self._raise_in_flight = False
-
-    def _on_wake(self, record: ReceiverResetRecord) -> None:
-        def resume() -> None:
-            fetched = self.store.fetch()
-            record.fetched = fetched
-            self.window = BitmapReplayWindow(self.window.w)
-            self.window.resume(fetched)  # r := ceiling, all marked seen
-            self.wait = False
-            record.resumed_right_edge = fetched
-            record.resume_time = self.now
-            self.trace("resume", r=fetched)
-            self._drain_wake_buffer()
-            self._notify_resumed()
-
-        fetch_delay = self.store.fetch_delay()
-        if fetch_delay > 0:
-            self.call_later(fetch_delay, resume)
-        else:
-            resume()
+        return record

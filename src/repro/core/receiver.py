@@ -24,13 +24,12 @@ from typing import Any, Callable
 
 from repro.core.audit import DeliveryAuditor
 from repro.core.encap import IntegrityError, open_packet
+from repro.core.endpoint import Endpoint, SaveFetchWake
 from repro.core.persistent import PersistentStore
 from repro.ipsec.costs import CostModel, PAPER_COSTS
 from repro.ipsec.replay_window import BitmapReplayWindow, Verdict
 from repro.ipsec.sa import SecurityAssociation
 from repro.sim.engine import Engine
-from repro.sim.process import SimProcess
-from repro.util.validation import check_non_negative_int, check_positive_int
 
 #: Listener signature for :meth:`BaseReceiver.add_process_listener`:
 #: ``(packet, verdict)`` after every processed packet.
@@ -77,8 +76,12 @@ class ReceiverResetRecord:
         return self.right_edge_at_reset - self.fetched
 
 
-class BaseReceiver(SimProcess):
-    """Common receiver machinery: decapsulation, window, fault hooks.
+class BaseReceiver(Endpoint):
+    """Common receiver machinery: decapsulation and the window.
+
+    The reset/wake lifecycle is :class:`~repro.core.endpoint.Endpoint`'s;
+    a receiver resumes with a new window flooded up to ``r`` and then
+    adjudicates what it buffered during recovery.
 
     Args:
         engine: simulation engine.
@@ -103,26 +106,20 @@ class BaseReceiver(SimProcess):
         encap: str = "plain",
         on_deliver: Callable[[int, bytes], None] | None = None,
     ) -> None:
-        super().__init__(engine, name)
+        super().__init__(engine, name, costs)
         self.window = BitmapReplayWindow(w)
-        self.costs = costs
         self.auditor = auditor
         self.sa = sa
         self.encap = encap
         self.on_deliver = on_deliver
-        # Host/fault state.
-        self.is_up = True
-        self.wait = False
         # Statistics.
         self.delivered_total = 0
         self._verdict_counts = [0] * len(Verdict)  # by Verdict.index
         self.integrity_failures = 0
         self.dropped_while_down = 0
-        self.reset_records: list[ReceiverResetRecord] = []
         # Woken reset records whose first delivery has not happened yet.
         self._awaiting_delivery: list[ReceiverResetRecord] = []
         self._process_listeners: list[ProcessListener] = []
-        self._resume_listeners: list[Callable[[], None]] = []
         self._wake_buffer: list[Any] = []
 
     # ------------------------------------------------------------------
@@ -141,14 +138,6 @@ class BaseReceiver(SimProcess):
     def add_process_listener(self, listener: ProcessListener) -> None:
         """Register a callback invoked after every processed packet."""
         self._process_listeners.append(listener)
-
-    def add_resume_listener(self, listener: Callable[[], None]) -> None:
-        """Register a callback invoked when post-reset recovery completes."""
-        self._resume_listeners.append(listener)
-
-    def _notify_resumed(self) -> None:
-        for listener in self._resume_listeners:
-            listener()
 
     def on_receive(self, packet: Any) -> None:
         """Link sink: handle one arriving packet."""
@@ -204,54 +193,34 @@ class BaseReceiver(SimProcess):
         """Hook for subclasses (the SAVE check of Section 4)."""
 
     # ------------------------------------------------------------------
-    # Faults
+    # Reset, wake and resume (the lifecycle is Endpoint's)
     # ------------------------------------------------------------------
-    def reset(self, down_for: float | None = 0.0) -> ReceiverResetRecord:
-        """A reset hits the host: the window and counters are lost.
-
-        Args:
-            down_for: down time before waking (``None`` = wait for an
-                explicit :meth:`wake`).
-        """
+    def _go_down(self, save_in_flight: bool) -> ReceiverResetRecord:
         record = ReceiverResetRecord(
             reset_time=self.now,
             right_edge_at_reset=self.window.right_edge,
-            save_in_flight=self._save_in_flight(),
+            save_in_flight=save_in_flight,
             fetched=None,
         )
-        self.reset_records.append(record)
         self.trace("reset", right_edge=record.right_edge_at_reset)
-        self.is_up = False
-        self.wait = True
         self._wake_buffer.clear()  # volatile; lost with the host
-        self._on_crash(record)
-        if down_for is not None:
-            self.call_later(down_for, self.wake)
         return record
 
-    def wake(self) -> None:
-        """The host comes back up; run the recovery action."""
-        if self.is_up:
-            return
-        self.is_up = True
-        record = self.reset_records[-1]
-        record.wake_time = self.now
-        self._awaiting_delivery.append(record)
-        self.trace("wake")
-        self._on_wake(record)
+    def _wake(self) -> None:
+        # From its wake on, a record waits for the first delivery.
+        self._awaiting_delivery.append(self.reset_records[-1])
+        super()._wake()
 
-    def _save_in_flight(self) -> bool:
-        """Whether a background SAVE is executing (subclass)."""
-        return False
-
-    def _on_crash(self, record: ReceiverResetRecord) -> None:
-        """Subclass hook: abort in-flight persistent operations."""
-
-    def _on_wake(self, record: ReceiverResetRecord) -> None:
-        """Subclass hook: the paper's third action."""
-        raise NotImplementedError
-
-    def _drain_wake_buffer(self) -> None:
+    def _resume_at(
+        self, record: ReceiverResetRecord, edge: int, fetched: int | None
+    ) -> None:
+        # "every sequence number up to r should be assumed to be already
+        # received": a new window, all of it marked seen.  Then what was
+        # buffered during the recovery is adjudicated.
+        self.window = BitmapReplayWindow(self.window.w)
+        self.window.resume(edge)
+        record.resumed_right_edge = edge
+        self.trace("resume", r=edge, fetched=fetched)
         buffered, self._wake_buffer = self._wake_buffer, []
         for packet in buffered:
             self._process(packet)
@@ -266,16 +235,10 @@ class UnprotectedReceiver(BaseReceiver):
     """
 
     def _on_wake(self, record: ReceiverResetRecord) -> None:
-        self.window = BitmapReplayWindow(self.window.w)
-        record.resumed_right_edge = self.window.right_edge
-        record.resume_time = self.now
-        self.wait = False
-        self.trace("resume", r=self.window.right_edge)
-        self._drain_wake_buffer()
-        self._notify_resumed()
+        self._resume(0)
 
 
-class SaveFetchReceiver(BaseReceiver):
+class SaveFetchReceiver(SaveFetchWake, BaseReceiver):
     """The Section 4 receiver with SAVE and FETCH.
 
     Args:
@@ -298,60 +261,12 @@ class SaveFetchReceiver(BaseReceiver):
         **base_kwargs: Any,
     ) -> None:
         super().__init__(engine, name, **base_kwargs)
-        self.k = check_positive_int("k", k)
-        self.leap_factor = check_non_negative_int("leap_factor", leap_factor)
-        self.skip_wake_save = skip_wake_save
-        if store is None:
-            store = PersistentStore(
-                engine,
-                f"disk:{name}",
-                t_save=self.costs.t_save,
-                t_fetch=self.costs.t_fetch,
-                initial_value=0,
-            )
-        self.store = store
-        self.lst = 0  # last stored sequence number, initially 0 (paper)
+        self._configure(k, store, leap_factor, skip_wake_save, lst=0)
 
     # -- Section 4, first action: background SAVE every Kq advance ------
+    # (the reset and wake actions are Endpoint's and SaveFetchWake's)
     def _after_process(self, verdict: Verdict) -> None:
         r = self.window.right_edge
         if r >= self.k + self.lst:
             self.lst = r
             self.store.begin_save(r)  # "& SAVE(r)" — in the background
-
-    def _save_in_flight(self) -> bool:
-        return self.store.save_in_flight
-
-    # -- Section 4, second action: reset --------------------------------
-    def _on_crash(self, record: ReceiverResetRecord) -> None:
-        self.store.crash()
-
-    # -- Section 4, third action: wake-up recovery ----------------------
-    def _on_wake(self, record: ReceiverResetRecord) -> None:
-        fetched = self.store.fetch()
-        record.fetched = fetched
-        leaped = fetched + self.leap_factor * self.k
-
-        def resume() -> None:
-            self.window = BitmapReplayWindow(self.window.w)
-            self.window.resume(leaped)  # r := fetched + 2Kq, wdw all true
-            self.lst = leaped
-            self.wait = False
-            record.resumed_right_edge = leaped
-            record.resume_time = self.now
-            self.trace("resume", r=leaped, fetched=fetched)
-            self._drain_wake_buffer()
-            self._notify_resumed()
-
-        if self.skip_wake_save:
-            self.call_later(self.store.fetch_delay(), resume)
-            return
-
-        def after_fetch() -> None:
-            self.store.begin_save(leaped, on_commit=resume, synchronous=True)
-
-        fetch_delay = self.store.fetch_delay()
-        if fetch_delay > 0:
-            self.call_later(fetch_delay, after_fetch)
-        else:
-            after_fetch()

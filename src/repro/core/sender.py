@@ -28,27 +28,19 @@ from typing import Any, Callable
 
 from repro.core.audit import DeliveryAuditor
 from repro.core.encap import seal
+from repro.core.endpoint import Endpoint, Recovery, SaveFetchWake
 from repro.core.persistent import PersistentStore
 from repro.ipsec.costs import CostModel, PAPER_COSTS
 from repro.ipsec.sa import SecurityAssociation
 from repro.net.link import PacketPipe
 from repro.sim.engine import Engine
 from repro.sim.events import Event
-from repro.sim.process import SimProcess, Timer
-from repro.util.validation import (
-    check_non_negative_int,
-    check_positive,
-    check_positive_int,
-)
+from repro.sim.process import Timer
+from repro.util.validation import check_positive
 
 #: Listener signature for :meth:`BaseSender.add_send_listener`:
 #: ``(sent_total, packet)`` after each fresh transmission.
 SendListener = Callable[[int, Any], None]
-
-#: How a recovery step was queued: the ``(time, sequence)`` of each
-#: queueing since its root (a reset, or an explicit wake), and whether
-#: that root ran between engine runs.
-Recovery = tuple[tuple[tuple[float, int], ...], bool]
 
 
 @dataclass
@@ -97,8 +89,11 @@ class SenderResetRecord:
         return self.resumed_seq - (self.last_used_seq + 1)
 
 
-class BaseSender(SimProcess):
-    """Common sender machinery: transmission, traffic clocking, fault hooks.
+class BaseSender(Endpoint):
+    """Common sender machinery: transmission and traffic clocking.
+
+    The reset/wake lifecycle is :class:`~repro.core.endpoint.Endpoint`'s;
+    a sender resumes at ``s`` and restarts its traffic clock.
 
     Args:
         engine: simulation engine.
@@ -109,7 +104,6 @@ class BaseSender(SimProcess):
         auditor: optional :class:`DeliveryAuditor` to register sends with.
         sa: security association for ESP/AH encapsulation.
         encap: ``"plain"`` (default), ``"esp"`` or ``"ah"``.
-        payload: application payload placed in every message.
         address: the sender's current network binding, stamped on every
             fresh packet's ``src`` (default ``None`` — the paper's
             address-less model).  A NAT rebinding
@@ -126,29 +120,21 @@ class BaseSender(SimProcess):
         auditor: DeliveryAuditor | None = None,
         sa: SecurityAssociation | None = None,
         encap: str = "plain",
-        payload: bytes = b"",
         address: str | None = None,
     ) -> None:
-        super().__init__(engine, name)
+        super().__init__(engine, name, costs)
         self.pipe = pipe
-        self.costs = costs
         self.auditor = auditor
         self.sa = sa
         self.encap = encap
-        self.payload = payload
         self.address = address
         # Volatile protocol state (erased by a reset).
         self.s = 1  # next sequence number to be sent, initially 1 (paper)
-        self.wait = False
-        # Host/fault state.
-        self.is_up = True
         # Statistics and instrumentation.
         self.sent_total = 0
         self._sends_suppressed = 0
         self.last_sent_seq = 0
-        self.reset_records: list[SenderResetRecord] = []
         self._send_listeners: list[SendListener] = []
-        self._resume_listeners: list[Callable[[], None]] = []
         # The traffic clock: its timer and the attempts left (None: no
         # bound).  While an outage pauses it: the first and the next
         # uncounted instant of its grid, the first sequence number queued
@@ -161,10 +147,6 @@ class BaseSender(SimProcess):
         self._traffic_after = 0
         self._traffic_stop_at: float | None = None
         self._traffic_end: Event | None = None
-        # How the running recovery step was queued: the (time, sequence)
-        # of each queueing since the reset or an explicit wake, and
-        # whether that root ran between engine runs.
-        self._recovery: Recovery = ((), False)
 
     # ------------------------------------------------------------------
     # Sending
@@ -177,15 +159,6 @@ class BaseSender(SimProcess):
     def add_send_listener(self, listener: SendListener) -> None:
         """Register a callback invoked after every fresh transmission."""
         self._send_listeners.append(listener)
-
-    def add_resume_listener(self, listener: Callable[[], None]) -> None:
-        """Register a callback invoked when post-reset recovery completes."""
-        self._resume_listeners.append(listener)
-
-    def _notify_resumed(self) -> None:
-        self._resume_traffic()
-        for listener in self._resume_listeners:
-            listener()
 
     @property
     def sends_suppressed(self) -> int:
@@ -213,7 +186,7 @@ class BaseSender(SimProcess):
         engine = self.engine
         auditor = self.auditor
         packet = seal(
-            self.encap, self.sa, self.s, self.payload, engine.now,
+            self.encap, self.sa, self.s, b"", engine.now,
             None if auditor is None else auditor.register_send(), self.address,
         )
         if engine.trace.enabled:
@@ -369,10 +342,8 @@ class BaseSender(SimProcess):
         return late
 
     def _resume_traffic(self) -> None:
-        """Restart a paused clock at the next instant of its grid, once
-        the host is up and ``wait`` is clear (a late commit from an
-        aborted recovery can clear ``wait`` while the host is down)."""
-        if self._traffic_next is None or not self.is_up or self.wait:
+        """Restart a paused clock at the next instant of its grid."""
+        if self._traffic_next is None:
             return
         self._settle_traffic(resuming=True)
         if self._traffic_end is not None:
@@ -380,18 +351,6 @@ class BaseSender(SimProcess):
             self._traffic_end = None
         at, self._traffic_next = self._traffic_next, None
         self._traffic_timer.start_at(at)  # type: ignore[union-attr]
-
-    def _recovery_step(self, callback: Callable[[], None]) -> Callable[[], None]:
-        """Wrap ``callback`` as a recovery step about to be queued: when
-        it runs, it records how it was queued, for the resume's order."""
-        steps, late = self._recovery
-        recovery = (steps + ((self.now, self.engine.scheduled),), late)
-
-        def step() -> None:
-            self._recovery = recovery
-            callback()
-
-        return step
 
     def send_burst(self, n: int) -> int:
         """Send ``n`` messages back-to-back at the current instant.
@@ -401,61 +360,25 @@ class BaseSender(SimProcess):
         return sum(1 for _ in range(n) if self.send_one())
 
     # ------------------------------------------------------------------
-    # Faults
+    # Reset and resume (the lifecycle is Endpoint's)
     # ------------------------------------------------------------------
-    def reset(self, down_for: float | None = 0.0) -> SenderResetRecord:
-        """A reset hits the host: volatile state is lost.
-
-        Args:
-            down_for: how long the host stays down before waking.  ``None``
-                means "stay down until :meth:`wake` is called explicitly".
-
-        Returns:
-            The (still-incomplete) :class:`SenderResetRecord` for this cycle.
-        """
+    def _go_down(self, save_in_flight: bool) -> SenderResetRecord:
         record = SenderResetRecord(
             reset_time=self.now,
             last_used_seq=self.s - 1,
-            save_in_flight=self._save_in_flight(),
+            save_in_flight=save_in_flight,
             fetched=None,
         )
-        self.reset_records.append(record)
         self.trace("reset", last_used_seq=record.last_used_seq)
-        self.is_up = False
-        self.wait = True  # paper: second action sets wait := true
-        self._on_crash(record)
-        self._recovery = ((), not self.engine.running)
-        if down_for is not None:
-            self.call_later(down_for, self._recovery_step(self._wake))
         self._pause_traffic()
         return record
 
-    def wake(self) -> None:
-        """The host comes back up; run the recovery action."""
-        if not self.is_up:
-            self._recovery = ((), not self.engine.running)
-            self._wake()
-
-    def _wake(self) -> None:
-        if self.is_up:
-            return
-        self.is_up = True
-        record = self.reset_records[-1]
-        record.wake_time = self.now
-        self.trace("wake")
+    def _resume_at(
+        self, record: SenderResetRecord, seq: int, fetched: int | None
+    ) -> None:
+        self.s = record.resumed_seq = seq
+        self.trace("resume", s=seq, fetched=fetched)
         self._resume_traffic()
-        self._on_wake(record)
-
-    def _save_in_flight(self) -> bool:
-        """Whether a background SAVE is currently executing (subclass)."""
-        return False
-
-    def _on_crash(self, record: SenderResetRecord) -> None:
-        """Subclass hook: abort in-flight persistent operations."""
-
-    def _on_wake(self, record: SenderResetRecord) -> None:
-        """Subclass hook: the paper's third action."""
-        raise NotImplementedError
 
 
 class UnprotectedSender(BaseSender):
@@ -466,15 +389,10 @@ class UnprotectedSender(BaseSender):
     """
 
     def _on_wake(self, record: SenderResetRecord) -> None:
-        self.s = 1
-        record.resumed_seq = self.s
-        record.resume_time = self.now
-        self.wait = False
-        self.trace("resume", s=self.s)
-        self._notify_resumed()
+        self._resume(1)
 
 
-class SaveFetchSender(BaseSender):
+class SaveFetchSender(SaveFetchWake, BaseSender):
     """The Section 4 sender with SAVE and FETCH.
 
     Args:
@@ -501,62 +419,11 @@ class SaveFetchSender(BaseSender):
         **base_kwargs: Any,
     ) -> None:
         super().__init__(engine, name, pipe, **base_kwargs)
-        self.k = check_positive_int("k", k)
-        self.leap_factor = check_non_negative_int("leap_factor", leap_factor)
-        self.skip_wake_save = skip_wake_save
-        if store is None:
-            store = PersistentStore(
-                engine,
-                f"disk:{name}",
-                t_save=self.costs.t_save,
-                t_fetch=self.costs.t_fetch,
-                initial_value=1,
-            )
-        self.store = store
-        self.lst = 1  # last stored sequence number, initially 1 (paper)
+        self._configure(k, store, leap_factor, skip_wake_save, lst=1)
 
     # -- Section 4, first action: background SAVE every Kp messages -----
+    # (the reset and wake actions are Endpoint's and SaveFetchWake's)
     def _after_send(self) -> None:
         if self.s >= self.k + self.lst:
             self.lst = self.s
             self.store.begin_save(self.s)  # "& SAVE(s)" — in the background
-
-    def _save_in_flight(self) -> bool:
-        return self.store.save_in_flight
-
-    # -- Section 4, second action: reset --------------------------------
-    def _on_crash(self, record: SenderResetRecord) -> None:
-        self.store.crash()
-
-    # -- Section 4, third action: wake-up recovery ----------------------
-    def _on_wake(self, record: SenderResetRecord) -> None:
-        fetched = self.store.fetch()
-        record.fetched = fetched
-        leaped = fetched + self.leap_factor * self.k
-
-        def resume() -> None:
-            self.s = leaped
-            self.lst = leaped
-            self.wait = False
-            record.resumed_seq = self.s
-            record.resume_time = self.now
-            self.trace("resume", s=self.s, fetched=fetched)
-            self._notify_resumed()
-
-        if self.skip_wake_save:
-            # Ablation: use the leaped number without persisting it first.
-            self.call_later(self.store.fetch_delay(), self._recovery_step(resume))
-            return
-
-        def after_fetch() -> None:
-            # "it will wait for the SAVE to finish before it sends the
-            # next message" — resume only on commit.
-            self.store.begin_save(
-                leaped, on_commit=self._recovery_step(resume), synchronous=True
-            )
-
-        fetch_delay = self.store.fetch_delay()
-        if fetch_delay > 0:
-            self.call_later(fetch_delay, self._recovery_step(after_fetch))
-        else:
-            after_fetch()

@@ -34,7 +34,11 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.core.protocol import ProtocolHarness
 from repro.netpath.profile import PathPhase
-from repro.util.validation import check_non_negative, check_positive, check_positive_int
+from repro.util.validation import (
+    check_finite_non_negative,
+    check_positive,
+    check_positive_int,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.gateway.core import Gateway
@@ -118,9 +122,10 @@ class Fault:
         for name in ("interval", "rate"):
             if (value := getattr(self, name, None)) is not None:
                 check_positive(name, value)
-        for name in ("at", "down_time", "stagger", "up_time"):
+        # A time refuses infinity too: it would fail mid-run, not here.
+        for name in ("at", "down_time", "stagger", "up_time", "interval"):
             if (value := getattr(self, name, None)) is not None:
-                check_non_negative(name, value)
+                check_finite_non_negative(name, value)
 
     def action(self, env: FaultEnv) -> Action:
         """Look up what the fault touches in ``env``; return what it does."""

@@ -29,9 +29,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
 from repro.core.convergence import score_run
+from repro.core.endpoint import Endpoint
 from repro.core.protocol import ProtocolHarness, build_protocol
-from repro.core.receiver import BaseReceiver
-from repro.core.sender import BaseSender
 from repro.gateway.report import GatewayReport, SAOutcome
 from repro.gateway.store import SharedStore, safe_save_interval
 from repro.ipsec.costs import CostModel, PAPER_COSTS
@@ -41,7 +40,7 @@ from repro.obs.sampler import DEFAULT_SAMPLE_INTERVAL, Sampler
 from repro.sim.engine import Engine
 from repro.sim.trace import NULL_TRACE, TraceRecorder
 from repro.util.rng import derive_seed
-from repro.util.validation import check_positive_int
+from repro.util.validation import check_finite_non_negative, check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.netpath.profile import PathProfile
@@ -66,14 +65,14 @@ class SAUnit:
         return self.torn_down_at is None
 
     @property
-    def gateway_end(self) -> BaseSender | BaseReceiver:
+    def gateway_end(self) -> Endpoint:
         """The endpoint living on the gateway host (shares its faults)."""
         if self.side == "sender":
             return self.harness.sender
         return self.harness.receiver
 
     @property
-    def remote_end(self) -> BaseSender | BaseReceiver:
+    def remote_end(self) -> Endpoint:
         """The peer endpoint on the far host (private store, own faults)."""
         if self.side == "sender":
             return self.harness.receiver
@@ -286,7 +285,9 @@ class Gateway:
         loses its volatile state at this instant, then the store queue
         dies.  (Endpoint resets run first so each reset record observes
         its own save-in-flight state, exactly as a private-store reset
-        does.)"""
+        does.)  A bad ``down_for`` is refused before anything happens."""
+        if down_for is not None:
+            check_finite_non_negative("down_for", down_for)
         self.crash_times.append(self.engine.now)
         for unit in self.live_sas():
             unit.gateway_end.reset(down_for=down_for)

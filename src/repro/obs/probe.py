@@ -11,7 +11,8 @@ the ROADMAP's ``repro.control`` adaptive controller consumes:
   device queueing the sizing rule provisions for).
 * ``recovery_latency`` — reset-to-resume duration per completed reset,
   as a :class:`~repro.obs.hub.QuantileSketch` histogram plus a time
-  series.
+  series.  ``resets`` also counts a reset whose recovery a later reset
+  interrupted, which has no latency.
 * ``path_transitions`` / ``blackholed`` — netpath regime activity.
 
 Probes are **pull-based**: they touch nothing on the per-packet hot
@@ -142,11 +143,14 @@ class HealthProbe:
             cursor = self._reset_cursors.get(id(endpoint), 0)
             while cursor < len(records):
                 record = records[cursor]
-                if record.resume_time is None:
+                if record.resume_time is not None:
+                    latency = record.resume_time - record.reset_time
+                    self.recovery_latency.observe(latency)
+                    self.recovery_series.sample(record.resume_time, latency)
+                elif cursor + 1 == len(records):
                     break  # still recovering; revisit next sample
-                latency = record.resume_time - record.reset_time
-                self.recovery_latency.observe(latency)
-                self.recovery_series.sample(record.resume_time, latency)
+                # A record a later reset superseded never resumes: it is
+                # a finished reset with no recovery latency.
                 self.resets.inc()
                 cursor += 1
             self._reset_cursors[id(endpoint)] = cursor

@@ -7,6 +7,8 @@ silently producing wrong simulation results.
 
 from __future__ import annotations
 
+_INF = float("inf")
+
 
 def check_positive(name: str, value: float) -> float:
     """Require ``value > 0``; return it."""
@@ -33,6 +35,13 @@ def check_non_negative(name: str, value: float) -> float:
     """Require ``value >= 0``; return it."""
     if not value >= 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
+    return value
+
+
+def check_finite_non_negative(name: str, value: float) -> float:
+    """Require a finite ``value >= 0`` (NaN and infinity fail); return it."""
+    if not 0 <= value < _INF:
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
     return value
 
 

@@ -118,14 +118,15 @@ def test_first_delivery_time_is_the_first_delivery_after_the_wake(
     # The oracle: deliveries and wakes in the order they happened.
     log = []
     receiver.on_deliver = lambda seq, payload: log.append(("deliver", engine.now))
-    wake = receiver.wake
+    # Both the timed wake and an explicit wake() run ``_wake``.
+    wake = receiver._wake
 
     def logged_wake():
         if not receiver.is_up:
             log.append(("wake", receiver.reset_records[-1]))
         wake()
 
-    receiver.wake = logged_wake
+    receiver._wake = logged_wake
     for side, slot, down in resets:
         if side == "q@count":
             Reset(side="receiver", after_sends=slot + 1, down_time=down).apply(

@@ -52,6 +52,9 @@ EVERY_KIND = [
 ]
 
 
+INF = float("inf")
+
+
 def pair(**kwargs):
     return build_protocol(trace=NULL_TRACE, **kwargs)
 
@@ -78,6 +81,10 @@ class TestTrigger:
         ({"at": 0.0, "down_time": -1.0}, "down_time"),
         ({"at": 0.0, "side": "middle"}, "side"),
         ({"at": 0.0, "stagger": 0.001}, "side='both'"),
+        # Loaded, an infinite time would fail mid-run with the host down.
+        ({"after_sends": 10, "down_time": INF}, "down_time"),
+        ({"at": INF}, "at"),
+        ({"at": 0.0, "side": "both", "stagger": INF}, "stagger"),
     ])
     def test_reset_fields_validated_at_construction(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
@@ -90,6 +97,15 @@ class TestTrigger:
             RollingRestart(at=0.0, stagger=-1.0)
         with pytest.raises(ValueError, match="interval"):
             SAChurn(at=0.0, interval=0.0)
+        for cls, kwargs, match in [
+            (GatewayCrash, {"down_time": INF}, "down_time"),
+            (RollingRestart, {"stagger": INF}, "stagger"),
+            (SAChurn, {"interval": INF}, "interval"),
+            (PathFlap, {"down_time": INF}, "down_time"),
+            (PathFlap, {"down_time": 0.001, "up_time": INF, "cycles": 2}, "up_time"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                cls(at=0.0, **kwargs)
         with pytest.raises(ValueError, match="cycles"):
             SAChurn(at=0.0, cycles=0)
         with pytest.raises(ValueError, match="strategy"):

@@ -130,6 +130,20 @@ class TestGatewayCrash:
         assert metrics["sender_resets"] == 0
         assert max(metrics["recovery_spreads"]) > 0
 
+    @pytest.mark.parametrize("down_for", [-1.0, float("nan"), float("inf")])
+    def test_bad_down_for_is_refused_before_anything_happens(self, down_for):
+        gateway = Gateway(n_sas=3, k=50)
+        gateway.start_traffic(count=100)
+        gateway.run(until=30 * T_SEND)
+        with pytest.raises(ValueError, match="down_for"):
+            gateway.crash(down_for=down_for)
+        assert gateway.crash_times == []
+        assert gateway.store.crashes == 0
+        for unit in gateway.sas:
+            assert unit.gateway_end.is_up and not unit.gateway_end.reset_records
+        gateway.run()
+        assert all(unit.harness.sender.sent_total == 100 for unit in gateway.sas)
+
     def test_at_time_trigger(self):
         gateway = Gateway(n_sas=2, k=50)
         GatewayCrash(at=0.001, down_time=2 * T_SAVE).apply(FaultEnv.of(gateway))

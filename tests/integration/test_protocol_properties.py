@@ -4,14 +4,17 @@ The strongest end-to-end statement this reproduction makes: for *any*
 schedule of sender/receiver resets (spaced beyond the recovery time, on a
 lossless in-order channel, with a properly sized K), the SAVE/FETCH pair
 never reuses a sequence number, never accepts a replay, and every gap
-stays within 2K.
+stays within 2K.  Back-to-back resets on one side, each landing anywhere
+in the previous recovery, keep the same guarantee.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.protocol import build_protocol
-from repro.ipsec.costs import CostModel
+from repro.ipsec.costs import PAPER_COSTS, CostModel
+from repro.sim.trace import NULL_TRACE
 
 COSTS = CostModel(t_save=100e-6, t_send=4e-6, t_fetch=0.0)
 # Recovery takes down_time + t_save; keep schedules clear of overlap.
@@ -63,3 +66,64 @@ def test_ceiling_variant_same_guarantee(faults, seed):
     assert report.replays_accepted == 0
     assert len(delivered) == harness.receiver.delivered_total
     assert len(delivered) == len(set(delivered))
+
+
+#: Where a reset lands in the previous reset's recovery: while the host
+#: is down, during its FETCH, during its wake SAVE, or after it ends.
+PHASES = ("down", "fetch", "save", "after")
+
+
+@st.composite
+def back_to_back(draw):
+    """1-4 resets of one side: ``(side, [(time, down_for), ...])``."""
+    t_send, t_save, t_fetch = (PAPER_COSTS.t_send, PAPER_COSTS.t_save,
+                               PAPER_COSTS.t_fetch)
+    at = draw(st.integers(min_value=50, max_value=2000)) * t_send
+    resets = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        if resets:
+            down = resets[-1][1]
+            start, length = {
+                "down": (0.0, down),
+                "fetch": (down, t_fetch),
+                "save": (down + t_fetch, t_save),
+                "after": (down + t_fetch + t_save, 10 * t_save),
+            }[draw(st.sampled_from(PHASES))]
+            at += start + draw(st.integers(min_value=0, max_value=9)) / 10 * length
+        resets.append((at, draw(st.integers(min_value=0, max_value=4)) * t_save / 2))
+    return draw(st.sampled_from(["p", "q"])), resets
+
+
+@pytest.mark.parametrize("variant", ["savefetch", "ceiling"])
+@given(schedule=back_to_back())
+@settings(max_examples=40, deadline=None)
+def test_back_to_back_resets_keep_the_guarantee(variant, schedule):
+    side, resets = schedule
+    k = PAPER_COSTS.min_save_interval()
+    harness = build_protocol(variant=variant, k_p=k, k_q=k, costs=PAPER_COSTS,
+                             seed=1, with_adversary=True, trace=NULL_TRACE)
+    sender, adversary = harness.sender, harness.adversary
+    target = sender if side == "p" else harness.receiver
+    for at, down_for in resets:
+        harness.engine.call_at(at, target.reset, down_for)
+
+    def replay_recent() -> None:
+        last = sender.last_sent_seq
+        adversary.replay_range(max(1, last - 300), last)
+
+    target.add_resume_listener(replay_recent)
+    sent = []
+    sender.add_send_listener(lambda total, packet: sent.append(packet.seq))
+    sender.start_traffic(count=6_000)
+    harness.run()
+
+    assert harness.score(check_bounds=False).replays_accepted == 0
+    assert len(sent) == len(set(sent))
+    assert all(record.lost_seqnums is None or record.lost_seqnums >= 0
+               for record in sender.reset_records)
+    records = target.reset_records
+    assert len(records) == len(resets)
+    for record, later in zip(records, records[1:]):
+        assert record.resume_time is None or record.resume_time <= later.reset_time
+    assert records[-1].resume_time is not None
+    assert harness.engine.pending_events == 0

@@ -77,6 +77,25 @@ class TestProbeSignals:
         assert histogram.minimum >= 2e-4
         assert len(hub.series("recovery_latency").samples) == 1
 
+    def test_an_interrupted_recovery_is_a_reset_without_a_latency(self):
+        hub, harness = observed_harness()
+        receiver = harness.receiver
+        fetch = receiver.store.t_fetch
+        harness.sender.start_traffic(count=300)
+        harness.engine.call_later(4e-4, receiver.reset, 0.0)
+        # Halfway through the post-wake FETCH: that recovery never ends,
+        # and the probe must not wait on it.
+        harness.engine.call_later(4e-4 + fetch / 2, receiver.reset, 2e-4)
+        harness.run(until=1.0)
+        first, second = receiver.reset_records
+        assert first.resume_time is None
+        assert hub.counter("resets").value == 2
+        latency = second.resume_time - second.reset_time
+        assert hub.histogram("recovery_latency").count == 1
+        assert hub.series("recovery_latency").samples == [
+            (second.resume_time, latency)
+        ]
+
     def test_save_queue_depth_sampled(self):
         hub, harness = observed_harness()
         harness.sender.start_traffic(count=300)
