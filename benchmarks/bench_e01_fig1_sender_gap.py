@@ -9,7 +9,7 @@ from repro.experiments import e01_sender_gap
 
 def bench_fig1_sender_gap(run_experiment):
     result = run_experiment(
-        e01_sender_gap.run, k=50, offsets=list(range(0, 50, 2))
+        e01_sender_gap.sweep(k=50, offsets=list(range(0, 50, 2)))
     )
     assert all(row["within_bound"] for row in result.rows)
     assert all(row["replays_accepted"] == 0 for row in result.rows)

@@ -9,7 +9,7 @@ from repro.experiments import e02_receiver_gap
 
 def bench_fig2_receiver_gap(run_experiment):
     result = run_experiment(
-        e02_receiver_gap.run, k=50, offsets=list(range(0, 50, 2))
+        e02_receiver_gap.sweep(k=50, offsets=list(range(0, 50, 2)))
     )
     assert all(row["within_bound"] for row in result.rows)
     assert all(row["replays_accepted"] == 0 for row in result.rows)

@@ -11,7 +11,7 @@ from repro.experiments import e05_unbounded
 
 def bench_unprotected_unbounded(run_experiment):
     result = run_experiment(
-        e05_unbounded.run, traffic_volumes=[100, 250, 500, 1000, 2500]
+        e05_unbounded.sweep(traffic_volumes=[100, 250, 500, 1000, 2500])
     )
     unprot = result.column("unprot_replays_accepted")
     volumes = result.column("x_pre_reset")

@@ -11,7 +11,7 @@ from repro.experiments import e06_save_interval
 
 def bench_save_interval_sizing(run_experiment):
     result = run_experiment(
-        e06_save_interval.run, ks=[5, 10, 15, 20, 25, 50, 100, 200]
+        e06_save_interval.sweep(ks=[5, 10, 15, 20, 25, 50, 100, 200])
     )
     rows = {row["k"]: row for row in result.rows}
     assert rows[5]["max_concurrent_saves"] > 1  # rule violated: overlap
@@ -21,7 +21,7 @@ def bench_save_interval_sizing(run_experiment):
 
 
 def bench_save_policy_comparison(run_experiment):
-    result = run_experiment(e06_save_interval.run_policy_table, ks=[25, 50, 100])
+    result = run_experiment(e06_save_interval.policy_sweep(ks=[25, 50, 100]))
     for row in result.rows:
         assert row["time_saves"] > row["count_saves"]
         assert row["waste_fraction"] > 0.5

@@ -11,7 +11,7 @@ from repro.experiments import e07_rekey_cost
 
 def bench_rekey_vs_savefetch(run_experiment):
     result = run_experiment(
-        e07_rekey_cost.run, sa_counts=[1, 4, 16, 64], rtts=[0.001, 0.010, 0.050]
+        e07_rekey_cost.sweep(sa_counts=[1, 4, 16, 64], rtts=[0.001, 0.010, 0.050])
     )
     assert all(row["speedup"] > 100 for row in result.rows)
     # Linear in SA count at fixed RTT.

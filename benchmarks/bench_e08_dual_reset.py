@@ -11,7 +11,7 @@ from repro.experiments import e08_dual_reset
 
 
 def bench_dual_reset(run_experiment):
-    result = run_experiment(e08_dual_reset.run, k=25)
+    result = run_experiment(e08_dual_reset.sweep(k=25))
     rows = {(row["case"], row["protocol"]): row for row in result.rows}
     assert rows[("simultaneous", "save/fetch")]["converged"]
     assert not rows[("simultaneous", "unprotected")]["converged"]

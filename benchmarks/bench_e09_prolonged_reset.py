@@ -9,11 +9,10 @@ from repro.experiments import e09_prolonged_reset
 
 
 def bench_prolonged_reset(run_experiment):
-    result = run_experiment(
-        e09_prolonged_reset.run,
+    result = run_experiment(e09_prolonged_reset.sweep(
         outages=[0.05, 0.2, 0.5, 2.0],
         keep_alive_timeout=1.0,
-    )
+    ))
     assert all(row["detected"] for row in result.rows)
     assert all(row["replays_accepted"] == 0 for row in result.rows)
     within = [row for row in result.rows if row["outage_s"] < 1.0]

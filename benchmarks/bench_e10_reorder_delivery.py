@@ -10,12 +10,11 @@ from repro.experiments import e10_reorder
 
 
 def bench_reorder_delivery(run_experiment):
-    result = run_experiment(
-        e10_reorder.run,
+    result = run_experiment(e10_reorder.sweep(
         window_sizes=[32, 64],
         degrees=[1, 8, 31, 32, 33, 63, 64, 65, 128],
         messages=2000,
-    )
+    ))
     for row in result.rows:
         if row["degree"] < row["w"]:
             assert row["fresh_discarded"] == 0, row

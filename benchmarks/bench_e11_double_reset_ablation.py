@@ -10,7 +10,7 @@ from repro.experiments import e11_double_reset
 
 
 def bench_double_reset_ablation(run_experiment):
-    result = run_experiment(e11_double_reset.run, k=25)
+    result = run_experiment(e11_double_reset.sweep(k=25))
     by_variant: dict[str, list] = {}
     for row in result.rows:
         by_variant.setdefault(row["variant"], []).append(row)

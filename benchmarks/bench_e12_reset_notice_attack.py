@@ -10,7 +10,7 @@ from repro.experiments import e12_reset_notice
 
 def bench_reset_notice_attack(run_experiment):
     result = run_experiment(
-        e12_reset_notice.run, pre_reset_messages=500, post_reset_messages=200
+        e12_reset_notice.sweep(pre_reset_messages=500, post_reset_messages=200)
     )
     strawman, savefetch = result.rows
     assert strawman["genuine_recovery_ok"]

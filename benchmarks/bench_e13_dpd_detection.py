@@ -5,7 +5,7 @@ from repro.experiments import e13_dpd
 
 
 def bench_dpd_detection(run_experiment):
-    result = run_experiment(e13_dpd.run, cadences=[0.1, 0.5, 2.0])
+    result = run_experiment(e13_dpd.sweep(cadences=[0.1, 0.5, 2.0]))
     assert all(row["detected"] for row in result.rows)
     heartbeat = [r for r in result.rows if r["mechanism"] == "heartbeat"]
     detections = [row["detection_s"] for row in heartbeat]

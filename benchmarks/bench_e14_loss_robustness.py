@@ -8,7 +8,7 @@ from repro.experiments import e14_loss_robustness
 
 def bench_loss_robustness(run_experiment):
     result = run_experiment(
-        e14_loss_robustness.run, burst_levels=[0.0, 0.01, 0.03], seeds=6
+        e14_loss_robustness.sweep(burst_levels=[0.0, 0.01, 0.03], seeds=6)
     )
     rows = {row["burst_g2b"]: row for row in result.rows}
     assert rows[0.0]["vulnerable_windows"] == 0

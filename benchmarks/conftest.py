@@ -1,20 +1,22 @@
 """Shared benchmark plumbing.
 
-Every benchmark runs its experiment through :func:`run_experiment`, which
-executes exactly once per benchmark round, prints the paper-style table
-after the run, and hands the :class:`ExperimentResult` back so the bench
-can assert the reproduced shape.  Use ``pytest benchmarks/
---benchmark-only -s`` to see the rendered tables.
+Every experiment benchmark hands its sweep to :func:`run_experiment`,
+which runs it through :class:`ExperimentDriver` exactly once per
+benchmark round, prints the paper-style table after the run, and hands
+the :class:`ExperimentResult` back so the bench can assert the
+reproduced shape.  Use ``pytest benchmarks/ --benchmark-only -s`` to see
+the rendered tables.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Callable
 
 import pytest
 
 from repro import perf
 from repro.experiments.common import ExperimentResult
+from repro.experiments.sweep import ExperimentDriver, SweepSpec
 from repro.perf import RateReport
 
 
@@ -46,13 +48,14 @@ def pytest_collection_modifyitems(
 
 
 @pytest.fixture
-def run_experiment(benchmark) -> Callable[..., ExperimentResult]:
-    """Run ``fn(**kwargs)`` once under the benchmark timer, print the
-    resulting table, and return the result."""
+def run_experiment(benchmark) -> Callable[[SweepSpec], ExperimentResult]:
+    """Run a sweep once through :class:`ExperimentDriver` under the
+    benchmark timer, print the resulting table, and return the result."""
 
-    def runner(fn: Callable[..., ExperimentResult], **kwargs: Any) -> ExperimentResult:
+    def runner(spec: SweepSpec) -> ExperimentResult:
         result = benchmark.pedantic(
-            lambda: fn(**kwargs), rounds=1, iterations=1, warmup_rounds=0
+            lambda: ExperimentDriver(spec).run(),
+            rounds=1, iterations=1, warmup_rounds=0,
         )
         print()
         print(result.render())

@@ -3,8 +3,10 @@
 Commands:
 
 * ``experiments [ids...]`` — run experiments (default: all) and print the
-  paper-style tables (the ``EXPERIMENTS`` registry in
-  ``repro.experiments.runall``).  ``--only eNN`` selects experiments
+  paper-style tables: each one's full-size sweep (the ``EXPERIMENTS``
+  registry in ``repro.experiments.runall``) handed to
+  ``ExperimentDriver``, the one way an experiment runs, tests and
+  benchmarks included.  ``--only eNN`` selects experiments
   (repeatable; equivalent to the positional ids), ``--jobs N`` runs each
   sweep through a fleet worker pool, and ``--resume`` persists per-task
   records under ``--out`` so an interrupted suite picks up where it
@@ -20,11 +22,12 @@ Commands:
   run a deterministic subsample of a huge campaign; re-running the same
   spec resumes, whatever the backend).  ``--stream`` appends live
   progress events to ``<out>/progress.jsonl`` (plus per-worker crash
-  flight recorders); ``--watch`` implies it and renders the refreshing
-  ``top`` dashboard instead of the line printer; ``--profile-slow``
-  cProfile-dumps tasks slower than the running 95th percentile;
-  ``--trace-malloc`` adds per-task allocation peaks to worker
-  heartbeats.  ``fleet --sample`` with no spec prints an example spec.
+  flight recorders, dumped beside it); ``--watch`` implies it and
+  renders the refreshing ``top`` dashboard instead of the line
+  printer; ``--profile-slow`` cProfile-dumps tasks slower than the
+  running 95th percentile; ``--trace-malloc`` adds per-task allocation
+  peaks to worker heartbeats.  ``fleet --sample`` with no spec prints
+  an example spec.
 * ``top <run-dir>`` — terminal dashboard over a campaign's progress
   ledger: throughput, ETA, per-worker GREEN/YELLOW/RED health, worst
   outliers.  Follows a live ledger until the campaign finishes

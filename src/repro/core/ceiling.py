@@ -57,18 +57,19 @@ from repro.util.validation import check_positive_int
 class CeilingWake(Endpoint):
     """The ceiling's wake, written once for ``p`` and ``q``.
 
-    After the FETCH delay, FETCH the committed ceiling and resume there:
-    every number already used (sent, or delivered) is strictly below it,
-    so no leap and no wake SAVE is needed.
+    FETCH the committed ceiling, wait out the FETCH delay, and resume
+    there: every number already used (sent, or delivered) is strictly
+    below it, so no leap and no wake SAVE is needed.  The FETCH is
+    issued at the wake, as :class:`~repro.core.endpoint.SaveFetchWake`
+    issues its own: on a shared store the delay is this FETCH's slot on
+    the device.  Nothing commits while ``wait`` holds, so the value read
+    at the wake is the value at the resume.
     """
 
     def _on_wake(self, record: Any) -> None:
-        def resume() -> None:
-            fetched = self.store.fetch()  # type: ignore[union-attr]
-            record.fetched = fetched
-            self._resume(fetched, fetched)
-
-        self._after_fetch(resume)
+        fetched = self.store.fetch()  # type: ignore[union-attr]
+        record.fetched = fetched
+        self._after_fetch(lambda: self._resume(fetched, fetched))
 
 
 class CeilingSender(CeilingWake, BaseSender):
@@ -197,8 +198,7 @@ class CeilingReceiver(CeilingWake, BaseReceiver):
         def on_commit() -> None:
             self._raise_in_flight = False
             buffered, self._ceiling_buffer = self._ceiling_buffer, []
-            for packet in buffered:
-                self._process(packet)
+            self._drain(buffered)
 
         self.store.begin_save(highest, on_commit=on_commit)
 

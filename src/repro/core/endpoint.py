@@ -136,13 +136,19 @@ class Endpoint(SimProcess):
 
     def _resume(self, at: int, fetched: int | None = None) -> None:
         """The recovery's last step: ``wait := false``, resuming at ``at``
-        (``fetched``: what the recovery read from the store, if it did)."""
+        (``fetched``: what the recovery read from the store, if it did).
+
+        The resume listeners run only if no reset struck during
+        :meth:`_resume_at` (a receiver's drain runs process listeners):
+        such a reset ended this recovery, and the host is down.
+        """
         self.wait = False
         record = self.reset_records[-1]
         record.resume_time = self.now
         self._resume_at(record, at, fetched)
-        for listener in self._resume_listeners:
-            listener()
+        if self.reset_records[-1] is record:
+            for listener in self._resume_listeners:
+                listener()
 
     # ------------------------------------------------------------------
     # The recovery's steps

@@ -35,7 +35,7 @@ from repro.net.loss import LossModel, NoLoss
 from repro.net.reorder import DegreeReorderStage
 from repro.obs.hub import MetricsHub, default_hub
 from repro.obs.probe import HealthProbe
-from repro.obs.sampler import DEFAULT_SAMPLE_INTERVAL, Sampler
+from repro.obs.sampler import Sampler
 from repro.sim.engine import Engine
 from repro.sim.trace import TraceRecorder
 
@@ -97,7 +97,6 @@ def build_protocol(
     path: "PathProfile | None" = None,
     sender_address: str | None = None,
     hub: MetricsHub | None = None,
-    sample_interval: float = DEFAULT_SAMPLE_INTERVAL,
 ) -> ProtocolHarness:
     """Build a ready-to-run p -> q anti-replay simulation.
 
@@ -158,8 +157,6 @@ def build_protocol(
             disabled hub attaches no probe and no sampler, so the built
             simulation is object-for-object what it was before this
             parameter existed.
-        sample_interval: the probe sampling period when the hub is
-            enabled (simulated seconds).
 
     Returns:
         A :class:`ProtocolHarness` with every component exposed.
@@ -300,7 +297,7 @@ def build_protocol(
         if own_engine:
             # A shared engine belongs to a multiplexing driver (the
             # gateway), which runs one sampler for all of its pairs.
-            sampler = Sampler(engine, hub, interval=sample_interval)
+            sampler = Sampler(engine, hub)
             sampler.register(probe)
             sampler.start()
 

@@ -222,7 +222,16 @@ class BaseReceiver(Endpoint):
         record.resumed_right_edge = edge
         self.trace("resume", r=edge, fetched=fetched)
         buffered, self._wake_buffer = self._wake_buffer, []
+        self._drain(buffered)
+
+    def _drain(self, buffered: list[Any]) -> None:
+        """Process held packets in order.  A reset that strikes during the
+        drain (from a process listener) loses the rest with the host, as
+        :meth:`_go_down` loses a buffer it finds undrained."""
+        resets = len(self.reset_records)
         for packet in buffered:
+            if len(self.reset_records) != resets:
+                return
             self._process(packet)
 
 

@@ -2,15 +2,15 @@
 
 Every module declares its experiment as a fleet-executed sweep: a
 ``sweep(...) -> SweepSpec`` factory (named parameter axes, scenario
-references into ``workloads.SCENARIOS``, and a per-row reducer) plus a
-``run(...) -> ExperimentResult`` convenience wrapper that drives the
-sweep through :class:`~repro.experiments.sweep.ExperimentDriver` —
-serial, parallel (``jobs=N``), or resumable (file-backed store).  The
-full-size specs are registered in
-:data:`repro.experiments.runall.EXPERIMENTS`; benchmarks under
-``benchmarks/`` run the same specs with timing.  The experiment <->
-paper-artifact mapping lives in ``DESIGN.md``; measured-vs-paper results
-are recorded in ``EXPERIMENTS.md``.
+references into ``workloads.SCENARIOS``, and a per-row reducer).  One
+way runs it: hand the spec to
+:class:`~repro.experiments.sweep.ExperimentDriver` —
+``ExperimentDriver(e03_sender_loss.sweep(ks=[10, 40])).run()`` — serial,
+parallel (``jobs=N``), or resumable (file-backed store).  The full-size
+specs are registered in :data:`repro.experiments.runall.EXPERIMENTS`;
+benchmarks under ``benchmarks/`` run smaller specs the same way, with
+timing.  The experiment <-> paper-artifact mapping lives in
+``DESIGN.md``.
 
 ==========  ==========================================================
 module      paper artifact

@@ -19,8 +19,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.bounds import gap_bound
-from repro.experiments.common import ExperimentResult
-from repro.experiments.sweep import ExperimentDriver, SweepPoint, SweepSpec, TaskCall
+from repro.experiments.sweep import SweepPoint, SweepSpec, TaskCall
 from repro.ipsec.costs import CostModel, PAPER_COSTS
 
 
@@ -116,16 +115,3 @@ def sweep(
         reduce_row=reduce_row,
         notes=notes,
     )
-
-
-def run(
-    k: int = 50,
-    offsets: list[int] | None = None,
-    costs: CostModel = PAPER_COSTS,
-    seed: int = 0,
-    jobs: int = 1,
-    store: Any = None,
-) -> ExperimentResult:
-    """Sweep the sender reset across one SAVE cycle (see :func:`sweep`)."""
-    spec = sweep(k=k, offsets=offsets, costs=costs, seed=seed)
-    return ExperimentDriver(spec, jobs=jobs, store=store).run()

@@ -25,8 +25,8 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.bounds import discarded_fresh_bound
-from repro.experiments.common import ExperimentResult, costs_for_k, swept_offsets
-from repro.experiments.sweep import ExperimentDriver, SweepPoint, SweepSpec, TaskCall
+from repro.experiments.common import costs_for_k, swept_offsets
+from repro.experiments.sweep import SweepPoint, SweepSpec, TaskCall
 from repro.ipsec.costs import CostModel, PAPER_COSTS
 
 
@@ -118,16 +118,3 @@ def sweep(
         reduce_row=reduce_row,
         notes=notes,
     )
-
-
-def run(
-    ks: list[int] | None = None,
-    offsets_per_k: int = 6,
-    costs: CostModel = PAPER_COSTS,
-    seed: int = 0,
-    jobs: int = 1,
-    store: Any = None,
-) -> ExperimentResult:
-    """Sweep ``Kq``; report worst-case fresh discards and replay counts."""
-    spec = sweep(ks=ks, offsets_per_k=offsets_per_k, costs=costs, seed=seed)
-    return ExperimentDriver(spec, jobs=jobs, store=store).run()

@@ -21,8 +21,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.bounds import discarded_fresh_bound, lost_seq_bound
-from repro.experiments.common import ExperimentResult
-from repro.experiments.sweep import ExperimentDriver, SweepPoint, SweepSpec, TaskCall
+from repro.experiments.sweep import SweepPoint, SweepSpec, TaskCall
 from repro.ipsec.costs import CostModel, PAPER_COSTS
 
 
@@ -123,17 +122,3 @@ def sweep(
         reduce_row=reduce_row,
         notes=notes,
     )
-
-
-def run(
-    traffic_volumes: list[int] | None = None,
-    k: int = 25,
-    w: int = 64,
-    costs: CostModel = PAPER_COSTS,
-    seed: int = 0,
-    jobs: int = 1,
-    store: Any = None,
-) -> ExperimentResult:
-    """Sweep pre-reset traffic ``x``; compare unprotected vs SAVE/FETCH."""
-    spec = sweep(traffic_volumes=traffic_volumes, k=k, w=w, costs=costs, seed=seed)
-    return ExperimentDriver(spec, jobs=jobs, store=store).run()

@@ -25,14 +25,11 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.bounds import save_overhead_fraction
-from repro.experiments.common import ExperimentResult
-from repro.experiments.sweep import ExperimentDriver, SweepPoint, SweepSpec, TaskCall
+from repro.experiments.sweep import SweepPoint, SweepSpec, TaskCall
 from repro.ipsec.costs import CostModel, PAPER_COSTS
 
 __all__ = [
     "policy_sweep",
-    "run",
-    "run_policy_table",
     "sweep",
 ]
 
@@ -112,18 +109,6 @@ def sweep(
     )
 
 
-def run(
-    ks: list[int] | None = None,
-    costs: CostModel = PAPER_COSTS,
-    seed: int = 0,
-    jobs: int = 1,
-    store: Any = None,
-) -> ExperimentResult:
-    """Sweep ``K`` under the paper's fixed cost constants."""
-    spec = sweep(ks=ks, costs=costs, seed=seed)
-    return ExperimentDriver(spec, jobs=jobs, store=store).run()
-
-
 # ----------------------------------------------------------------------
 # Count-based vs time-based SAVE policy under bursty traffic
 # ----------------------------------------------------------------------
@@ -180,14 +165,3 @@ def policy_sweep(
         reduce_row=reduce_row,
         notes=notes,
     )
-
-
-def run_policy_table(
-    ks: list[int] | None = None,
-    costs: CostModel = PAPER_COSTS,
-    jobs: int = 1,
-    store: Any = None,
-) -> ExperimentResult:
-    """The count-vs-time policy comparison as a result table."""
-    spec = policy_sweep(ks=ks, costs=costs)
-    return ExperimentDriver(spec, jobs=jobs, store=store).run()

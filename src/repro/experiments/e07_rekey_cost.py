@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.experiments.common import ExperimentResult
-from repro.experiments.sweep import ExperimentDriver, SweepPoint, SweepSpec, TaskCall
+from repro.experiments.sweep import SweepPoint, SweepSpec, TaskCall
 from repro.ipsec.costs import CostModel, PAPER_COSTS
 
 
@@ -97,23 +96,3 @@ def sweep(
         reduce_row=reduce_row,
         notes=notes,
     )
-
-
-def run(
-    sa_counts: list[int] | None = None,
-    rtts: list[float] | None = None,
-    detection_delay: float = 0.0,
-    costs: CostModel = PAPER_COSTS,
-    seed: int = 0,
-    jobs: int = 1,
-    store: Any = None,
-) -> ExperimentResult:
-    """Sweep SA count x RTT; measure both recovery paths."""
-    spec = sweep(
-        sa_counts=sa_counts,
-        rtts=rtts,
-        detection_delay=detection_delay,
-        costs=costs,
-        seed=seed,
-    )
-    return ExperimentDriver(spec, jobs=jobs, store=store).run()

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.experiments.common import ExperimentResult
-from repro.experiments.sweep import ExperimentDriver, SweepPoint, SweepSpec, TaskCall
+from repro.experiments.sweep import SweepPoint, SweepSpec, TaskCall
 from repro.ipsec.costs import CostModel, PAPER_COSTS
 
 
@@ -110,15 +109,3 @@ def sweep(
         reduce_row=reduce_row,
         notes=notes,
     )
-
-
-def run(
-    k: int = 25,
-    costs: CostModel = PAPER_COSTS,
-    seed: int = 0,
-    jobs: int = 1,
-    store: Any = None,
-) -> ExperimentResult:
-    """Run all dual-reset cases; see the module docstring."""
-    spec = sweep(k=k, costs=costs, seed=seed)
-    return ExperimentDriver(spec, jobs=jobs, store=store).run()

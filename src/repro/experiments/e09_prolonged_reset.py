@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.experiments.common import ExperimentResult
-from repro.experiments.sweep import ExperimentDriver, SweepPoint, SweepSpec, TaskCall
+from repro.experiments.sweep import SweepPoint, SweepSpec, TaskCall
 from repro.ipsec.costs import CostModel, PAPER_COSTS
 
 
@@ -94,23 +93,3 @@ def sweep(
         reduce_row=reduce_row,
         notes=notes,
     )
-
-
-def run(
-    outages: list[float] | None = None,
-    keep_alive_timeout: float = 1.0,
-    k: int = 25,
-    costs: CostModel = PAPER_COSTS,
-    seed: int = 0,
-    jobs: int = 1,
-    store: Any = None,
-) -> ExperimentResult:
-    """Sweep outage duration vs a fixed keep-alive budget."""
-    spec = sweep(
-        outages=outages,
-        keep_alive_timeout=keep_alive_timeout,
-        k=k,
-        costs=costs,
-        seed=seed,
-    )
-    return ExperimentDriver(spec, jobs=jobs, store=store).run()

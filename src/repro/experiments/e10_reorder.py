@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.experiments.common import ExperimentResult
-from repro.experiments.sweep import ExperimentDriver, SweepPoint, SweepSpec, TaskCall
+from repro.experiments.sweep import SweepPoint, SweepSpec, TaskCall
 from repro.ipsec.costs import CostModel, PAPER_COSTS
 
 
@@ -97,25 +96,3 @@ def sweep(
         reduce_row=reduce_row,
         notes=notes,
     )
-
-
-def run(
-    window_sizes: list[int] | None = None,
-    degrees: list[int] | None = None,
-    messages: int = 2000,
-    probability: float = 0.05,
-    costs: CostModel = PAPER_COSTS,
-    seed: int = 0,
-    jobs: int = 1,
-    store: Any = None,
-) -> ExperimentResult:
-    """Sweep reorder degree x window size; measure fresh discards."""
-    spec = sweep(
-        window_sizes=window_sizes,
-        degrees=degrees,
-        messages=messages,
-        probability=probability,
-        costs=costs,
-        seed=seed,
-    )
-    return ExperimentDriver(spec, jobs=jobs, store=store).run()

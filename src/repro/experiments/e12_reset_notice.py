@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.experiments.common import ExperimentResult
-from repro.experiments.sweep import ExperimentDriver, SweepPoint, SweepSpec, TaskCall
+from repro.experiments.sweep import SweepPoint, SweepSpec, TaskCall
 from repro.ipsec.costs import CostModel, PAPER_COSTS
 
 
@@ -106,21 +105,3 @@ def sweep(
         reduce_row=reduce_row,
         notes=notes,
     )
-
-
-def run(
-    pre_reset_messages: int = 500,
-    post_reset_messages: int = 200,
-    costs: CostModel = PAPER_COSTS,
-    seed: int = 0,
-    jobs: int = 1,
-    store: Any = None,
-) -> ExperimentResult:
-    """Run the strawman attack and the SAVE/FETCH comparison."""
-    spec = sweep(
-        pre_reset_messages=pre_reset_messages,
-        post_reset_messages=post_reset_messages,
-        costs=costs,
-        seed=seed,
-    )
-    return ExperimentDriver(spec, jobs=jobs, store=store).run()

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.experiments.common import ExperimentResult
-from repro.experiments.sweep import ExperimentDriver, SweepPoint, SweepSpec, TaskCall
+from repro.experiments.sweep import SweepPoint, SweepSpec, TaskCall
 
 
 def sweep(
@@ -82,15 +81,3 @@ def sweep(
         reduce_row=reduce_row,
         notes=notes,
     )
-
-
-def run(
-    cadences: list[float] | None = None,
-    rtt: float = 0.01,
-    reset_at: float = 1.0,
-    jobs: int = 1,
-    store: Any = None,
-) -> ExperimentResult:
-    """Sweep the probe cadence for both DPD mechanisms."""
-    spec = sweep(cadences=cadences, rtt=rtt, reset_at=reset_at)
-    return ExperimentDriver(spec, jobs=jobs, store=store).run()

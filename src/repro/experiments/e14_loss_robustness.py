@@ -27,8 +27,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.experiments.common import ExperimentResult
-from repro.experiments.sweep import ExperimentDriver, SweepPoint, SweepSpec, TaskCall
+from repro.experiments.sweep import SweepPoint, SweepSpec, TaskCall
 from repro.ipsec.costs import CostModel, PAPER_COSTS
 
 
@@ -98,16 +97,3 @@ def sweep(
         reduce_row=reduce_row,
         notes=notes,
     )
-
-
-def run(
-    burst_levels: list[float] | None = None,
-    seeds: int = 8,
-    k: int = 25,
-    costs: CostModel = PAPER_COSTS,
-    jobs: int = 1,
-    store: Any = None,
-) -> ExperimentResult:
-    """Sweep loss-burst severity x seeds for both protocol variants."""
-    spec = sweep(burst_levels=burst_levels, seeds=seeds, k=k, costs=costs)
-    return ExperimentDriver(spec, jobs=jobs, store=store).run()

@@ -28,8 +28,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.experiments.common import ExperimentResult
-from repro.experiments.sweep import ExperimentDriver, SweepPoint, SweepSpec, TaskCall
+from repro.experiments.sweep import SweepPoint, SweepSpec, TaskCall
 from repro.gateway import STORE_POLICIES
 from repro.ipsec.costs import CostModel, PAPER_COSTS
 
@@ -119,25 +118,3 @@ def sweep(
         reduce_row=reduce_row,
         notes=notes,
     )
-
-
-def run(
-    sa_counts: list[int] | None = None,
-    policies: list[str] | None = None,
-    crash_after_sends: int = 300,
-    messages_after_reset: int = 300,
-    costs: CostModel = PAPER_COSTS,
-    seed: int = 0,
-    jobs: int = 1,
-    store: Any = None,
-) -> ExperimentResult:
-    """Sweep SA count x store policy through the fleet driver."""
-    spec = sweep(
-        sa_counts=sa_counts,
-        policies=policies,
-        crash_after_sends=crash_after_sends,
-        messages_after_reset=messages_after_reset,
-        costs=costs,
-        seed=seed,
-    )
-    return ExperimentDriver(spec, jobs=jobs, store=store).run()

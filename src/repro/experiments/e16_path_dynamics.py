@@ -31,8 +31,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.experiments.common import ExperimentResult
-from repro.experiments.sweep import ExperimentDriver, SweepPoint, SweepSpec, TaskCall
+from repro.experiments.sweep import SweepPoint, SweepSpec, TaskCall
 from repro.ipsec.costs import CostModel, PAPER_COSTS
 
 #: (pattern label, scenario registry name, extra scenario params).
@@ -139,23 +138,3 @@ def sweep(
         reduce_row=reduce_row,
         notes=notes,
     )
-
-
-def run(
-    patterns: list[str] | None = None,
-    reset_schedules: list[str] | None = None,
-    scale: int = 300,
-    costs: CostModel = PAPER_COSTS,
-    seed: int = 0,
-    jobs: int = 1,
-    store: Any = None,
-) -> ExperimentResult:
-    """Sweep phase pattern x reset schedule through the fleet driver."""
-    spec = sweep(
-        patterns=patterns,
-        reset_schedules=reset_schedules,
-        scale=scale,
-        costs=costs,
-        seed=seed,
-    )
-    return ExperimentDriver(spec, jobs=jobs, store=store).run()

@@ -10,8 +10,8 @@ stable experiment ids to full-size :class:`~repro.experiments.sweep.SweepSpec`
 factories; every experiment executes through the fleet runner, so
 ``python -m repro experiments --jobs N`` parallelises the suite and
 ``--resume`` makes it interrupt-safe (finished sessions are never
-recomputed).  The rendered output is what ``EXPERIMENTS.md`` records;
-benchmarks under ``benchmarks/`` run the same specs with timing.
+recomputed).  Benchmarks under ``benchmarks/`` hand smaller sweeps to
+the same :class:`~repro.experiments.sweep.ExperimentDriver`, with timing.
 """
 
 from __future__ import annotations
@@ -102,14 +102,6 @@ def run_experiment(
     )
     observe = Path(obs_dir) / experiment_id if obs_dir is not None else None
     return ExperimentDriver(spec, jobs=jobs, store=store, obs_dir=observe).run()
-
-
-#: Back-compat registry: experiment id -> zero-argument callable running
-#: it at full size (the pre-sweep interface, still used by tests/tools).
-REGISTRY: dict[str, Callable[[], ExperimentResult]] = {
-    experiment_id: (lambda experiment_id=experiment_id: run_experiment(experiment_id))
-    for experiment_id in EXPERIMENTS
-}
 
 
 def run_all(

@@ -33,7 +33,7 @@ import time
 import tracemalloc
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterator
 
 from repro.fleet.results import (
     STATUS_ERROR,
@@ -69,39 +69,39 @@ ProgressFn = Callable[[int, int, TaskRecord], None]
 # ----------------------------------------------------------------------
 # Worker-side streaming context
 # ----------------------------------------------------------------------
+#: Minimum wall seconds between a worker's heartbeat events, checked at
+#: task boundaries: a worker silent for longer is mid-task or wedged,
+#: which is itself the signal the dashboard's heartbeat-age column reads.
+HEARTBEAT_INTERVAL_S = 5.0
+
+
 class _StreamWorker:
     """Per-process streaming state: event emitter, flight ring, profiler.
 
     One instance lives in each pool worker (installed by
     :func:`_init_stream_worker`); the serial path installs one in the
     parent for the duration of the run.  ``emit`` is "put a JSON-safe
-    event dict on the wire" — the pool queue's ``put`` in workers, a
-    direct locked :meth:`CampaignStream.emit` in serial mode.
+    event dict on the wire" — the pool queue's ``put`` in workers, the
+    runner's locked :meth:`CampaignStream.emit` in serial mode.  Flight
+    dumps land beside the ledger.
     """
 
     def __init__(
         self,
         name: str,
         emit: Callable[[dict[str, Any]], None],
-        config: Mapping[str, Any],
+        config: StreamConfig,
     ) -> None:
         self.name = name
         self.emit = emit
-        self.flight = FlightRecorder(
-            name, limit=int(config.get("flight_limit", 256))
-        )
-        self.flight_dir = Path(config["flight_dir"])
-        profile_dir = config.get("profile_dir")
+        self.flight = FlightRecorder(name)
+        self.flight_dir = Path(config.ledger_path).parent
         self.profiler = (
-            TaskProfiler(
-                profile_dir,
-                percentile=float(config.get("profile_percentile", 0.95)),
-            )
-            if profile_dir
+            TaskProfiler(config.profile_dir)
+            if config.profile_dir is not None
             else None
         )
-        self.heartbeat_interval = float(config.get("heartbeat_interval", 5.0))
-        self.trace_malloc = bool(config.get("trace_malloc", False))
+        self.trace_malloc = config.trace_malloc
         self._last_heartbeat = 0.0
 
     def event(
@@ -115,18 +115,20 @@ class _StreamWorker:
         )
 
     def heartbeat(self, force: bool = False) -> None:
-        """Emit a heartbeat with resources (rate-limited unless forced).
-
-        Checked at task boundaries — a worker silent for longer than the
-        interval is mid-task or wedged, which is itself the signal the
-        dashboard's heartbeat-age column reads.
-        """
+        """Emit a heartbeat with resources (rate-limited unless forced)."""
         now = time.time()
-        if not force and now - self._last_heartbeat < self.heartbeat_interval:
+        if not force and now - self._last_heartbeat < HEARTBEAT_INTERVAL_S:
             return
         self._last_heartbeat = now
         self.flight.note("worker_heartbeat", time=now)
         self.event("worker_heartbeat", resources=resource_snapshot())
+
+    def start(self) -> None:
+        """Begin streaming from this process: allocation tracing when
+        configured, and a heartbeat announcing the worker exists."""
+        if self.trace_malloc and not tracemalloc.is_tracing():
+            tracemalloc.start()
+        self.heartbeat(force=True)
 
 
 #: The process's active streaming context (None = streaming off — the
@@ -150,36 +152,36 @@ def _worker_sigterm(signum: int, frame: Any) -> None:
     os._exit(128 + signum)
 
 
-def _init_stream_worker(
-    event_queue: Any, config: Mapping[str, Any]
-) -> None:
+def _init_stream_worker(event_queue: Any, config: StreamConfig) -> None:
     """Pool initializer: install the streaming context in this worker."""
     global _STREAM_WORKER
     identity = getattr(multiprocessing.current_process(), "_identity", ())
     name = f"w{identity[0]}" if identity else "w0"
     _STREAM_WORKER = _StreamWorker(name, event_queue.put, config)
     signal.signal(signal.SIGTERM, _worker_sigterm)
-    if _STREAM_WORKER.trace_malloc and not tracemalloc.is_tracing():
-        tracemalloc.start()
-    _STREAM_WORKER.heartbeat(force=True)  # announce the worker exists
+    _STREAM_WORKER.start()
 
 
-def _execute_streamed(
-    ctx: _StreamWorker,
+def _run_task(
     task: FleetTask,
     max_events: int | None,
     obs_dir: str | Path | None,
 ) -> TaskRecord:
-    """Worker-side execution under a streaming context.
+    """Run one task in this process: the one entry the serial loop and
+    the pool workers share.
 
-    Emits ``task_started`` and boundary heartbeats; the *parent* emits
+    Without a streaming context this is :func:`execute_task`.  Under one,
+    the task also emits ``task_started`` and boundary heartbeats, runs
+    under the slow-task profiler when configured, and dumps the flight
+    ring on any exception that escapes (``execute_task`` never raises,
+    so an escape means the harness itself broke).  The *parent* emits
     ``task_finished`` after the store append (the persist-before-fold
-    ordering the ledger's exactness guarantee rests on).  Dumps the
-    flight ring on any exception that escapes (``execute_task`` never
-    raises, so an escape means the harness itself broke).
+    ordering the ledger's exactness guarantee rests on).
     """
-    now = time.time()
-    ctx.flight.task_started(task.task_id, time=now)
+    ctx = _STREAM_WORKER
+    if ctx is None:
+        return execute_task(task, max_events, obs_dir=obs_dir)
+    ctx.flight.task_started(task.task_id, time=time.time())
     ctx.event("task_started", task_id=task.task_id)
     profile = (
         ctx.profiler.profile(task.task_id)
@@ -286,19 +288,49 @@ def execute_task(
 def _pool_execute(
     payload: tuple[dict[str, Any], int | None, str | None]
 ) -> dict[str, Any]:
-    """Pool worker entry point (module-level so it pickles by reference).
-
-    Routes through the streaming context when the pool was built with
-    :func:`_init_stream_worker`; otherwise this is the unchanged
-    stream-off path.
-    """
+    """Pool worker entry point (module-level so it pickles by reference)."""
     task_data, max_events, obs_dir = payload
-    task = FleetTask.from_dict(task_data)
-    if _STREAM_WORKER is not None:
-        return _execute_streamed(
-            _STREAM_WORKER, task, max_events, obs_dir
-        ).to_dict()
-    return execute_task(task, max_events, obs_dir=obs_dir).to_dict()
+    return _run_task(
+        FleetTask.from_dict(task_data), max_events, obs_dir
+    ).to_dict()
+
+
+@contextlib.contextmanager
+def _drained(emit: Callable[[dict[str, Any]], None]) -> Iterator[Any]:
+    """A queue for pool workers' events, and a thread handing each to
+    ``emit`` for as long as the block runs.
+
+    The thread returns on a ``None`` sentinel, which the caller queues
+    once no worker can put anything behind it.  After a ``terminate()``
+    no sentinel is sent (a killed worker may hold the queue's write
+    lock): the thread then returns on its first empty poll once the
+    block has exited.
+    """
+    event_queue: Any = multiprocessing.Queue()
+    stop = threading.Event()
+
+    def drain() -> None:
+        while True:
+            try:
+                item = event_queue.get(timeout=_DRAIN_POLL_S)
+            except queue_module.Empty:
+                if stop.is_set():
+                    return
+                continue
+            if item is None:
+                return
+            emit(item)
+
+    drainer = threading.Thread(target=drain, daemon=True)
+    drainer.start()
+    try:
+        yield event_queue
+    finally:
+        stop.set()
+        drainer.join(timeout=5.0)
+        # The sentinel's feeder thread exits once it has flushed.
+        event_queue.close()
+        event_queue.join_thread()
 
 
 def _interned(value: Any) -> Any:
@@ -419,108 +451,64 @@ class FleetRunner:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+    def _emit(self, item: dict[str, Any]) -> None:
+        """Ledger one worker event dict, under the stream lock (the
+        serial context's emitter, and the pool drain thread's)."""
+        with self._stream_lock:
+            self._stream_state.emit(ProgressEvent.from_dict(item))
+
     def _results(self, pending: list[FleetTask]) -> Iterator[TaskRecord]:
-        obs_dir = str(self.obs_dir) if self.obs_dir is not None else None
-        if self.jobs == 1:
-            if self._stream_state is not None:
-                yield from self._serial_streamed(pending)
-                return
-            for task in pending:
-                yield execute_task(task, self.max_events, obs_dir=self.obs_dir)
+        if self.jobs > 1:
+            yield from self._pooled(pending)
             return
-        payloads = [
-            (task.to_dict(), self.max_events, obs_dir) for task in pending
-        ]
-        if self._stream_state is not None:
-            yield from self._pool_streamed(payloads)
-            return
-        # chunksize=1 keeps completion streaming; ordered imap keeps the
-        # store's line order identical to the serial run.
-        with multiprocessing.Pool(processes=self.jobs) as pool:
-            for record_data in pool.imap(_pool_execute, payloads, chunksize=1):
-                yield TaskRecord.from_dict(_interned(record_data))
-
-    def _serial_streamed(
-        self, pending: list[FleetTask]
-    ) -> Iterator[TaskRecord]:
-        """jobs=1 under streaming: the parent is its own worker."""
+        # jobs=1: the parent runs every task, and under streaming it is
+        # its own worker.
         global _STREAM_WORKER
-        stream, lock = self._stream_state, self._stream_lock
-
-        def emit(item: dict[str, Any]) -> None:
-            with lock:
-                stream.emit(ProgressEvent.from_dict(item))
-
-        ctx = _StreamWorker("w0", emit, self.stream.worker_payload())
-        if ctx.trace_malloc and not tracemalloc.is_tracing():
-            tracemalloc.start()
-        ctx.heartbeat(force=True)
         previous = _STREAM_WORKER
-        _STREAM_WORKER = ctx
+        _STREAM_WORKER = None
+        if self._stream_state is not None:
+            _STREAM_WORKER = _StreamWorker("w0", self._emit, self.stream)
+            _STREAM_WORKER.start()
         try:
             for task in pending:
-                yield _execute_streamed(
-                    ctx, task, self.max_events, self.obs_dir
-                )
+                yield _run_task(task, self.max_events, self.obs_dir)
         finally:
             _STREAM_WORKER = previous
 
-    def _pool_streamed(
-        self, payloads: list[tuple[dict[str, Any], int | None, str | None]]
-    ) -> Iterator[TaskRecord]:
-        """Pool execution with worker events drained off a queue.
+    def _pooled(self, pending: list[FleetTask]) -> Iterator[TaskRecord]:
+        """Run the tasks on a worker pool, yielding records in task order.
 
-        Workers stream events (task_started, heartbeats) over a
-        multiprocessing queue passed through the pool initializer; a
-        parent drain thread folds them into the ledger under the stream
-        lock.  The pool is closed and joined (not terminated) on the
-        happy path so worker feeder threads flush their last events;
-        only then does the parent queue a ``None`` sentinel, so no event
-        can land behind it, and the drain thread returns on it.  After a
-        ``terminate()`` no sentinel is sent (a killed worker may hold
-        the queue's write lock): the thread returns on its first empty
-        poll once ``stop`` is set.
+        chunksize=1 keeps completion streaming; ordered imap keeps the
+        store's line order identical to the serial run.  Under streaming
+        the pool initializer gives each worker a context whose events
+        cross a queue to :func:`_drained`'s thread.  The pool is closed
+        and joined (not terminated) on the happy path so worker feeder
+        threads flush their last events; only then does the parent
+        queue the ``None`` sentinel, so no event can land behind it.
         """
-        stream, lock = self._stream_state, self._stream_lock
-        event_queue: Any = multiprocessing.Queue()
-        stop = threading.Event()
-
-        def drain() -> None:
-            while True:
-                try:
-                    item = event_queue.get(timeout=_DRAIN_POLL_S)
-                except queue_module.Empty:
-                    if stop.is_set():
-                        return
-                    continue
-                if item is None:
-                    return
-                with lock:
-                    stream.emit(ProgressEvent.from_dict(item))
-
-        drainer = threading.Thread(target=drain, daemon=True)
-        drainer.start()
-        pool = multiprocessing.Pool(
-            processes=self.jobs,
-            initializer=_init_stream_worker,
-            initargs=(event_queue, self.stream.worker_payload()),
-        )
-        try:
-            for record_data in pool.imap(_pool_execute, payloads, chunksize=1):
-                yield TaskRecord.from_dict(_interned(record_data))
-            pool.close()
-            pool.join()
-            event_queue.put(None)
-        except BaseException:
-            pool.terminate()
-            pool.join()
-            raise
-        finally:
-            stop.set()
-            drainer.join(timeout=5.0)
-            # The sentinel's feeder thread exits once it has flushed.
-            event_queue.close()
-            event_queue.join_thread()
+        obs_dir = str(self.obs_dir) if self.obs_dir is not None else None
+        payloads = [
+            (task.to_dict(), self.max_events, obs_dir) for task in pending
+        ]
+        streamed = self._stream_state is not None
+        events = _drained(self._emit) if streamed else contextlib.nullcontext()
+        with events as event_queue:
+            pool = multiprocessing.Pool(
+                processes=self.jobs,
+                initializer=_init_stream_worker if streamed else None,
+                initargs=(event_queue, self.stream) if streamed else (),
+            )
+            try:
+                for record_data in pool.imap(_pool_execute, payloads, chunksize=1):
+                    yield TaskRecord.from_dict(_interned(record_data))
+                pool.close()
+                pool.join()
+                if streamed:
+                    event_queue.put(None)
+            except BaseException:
+                pool.terminate()
+                pool.join()
+                raise
 
     def run(self) -> FleetOutcome:
         """Execute every pending task, appending records as they finish.
@@ -567,7 +555,6 @@ class FleetRunner:
                     "jobs": self.jobs,
                 },
             ))
-        pending_rollups: list[dict[str, Any]] = []
         try:
             for record in self._results(pending):
                 # Store first, ledger second: a ledger task_finished
@@ -576,15 +563,12 @@ class FleetRunner:
                 self.store.append(record)
                 campaign_obs = _fold_obs(campaign_obs, record)
                 if stream is not None:
-                    self._emit_finished(stream, record, pending_rollups)
+                    self._emit_finished(stream, record)
                 outcome.executed.append(record)
                 if self.progress is not None:
                     self.progress(len(outcome.executed), len(pending), record)
             if stream is not None:
                 with self._stream_lock:
-                    if pending_rollups:
-                        stream.emit_snapshot(time.time(), pending_rollups)
-                        pending_rollups.clear()
                     stream.emit(ProgressEvent(
                         kind="campaign_finished", time=time.time(),
                         data={"executed": len(outcome.executed)},
@@ -598,29 +582,17 @@ class FleetRunner:
         outcome.wall_time = time.perf_counter() - started
         return outcome
 
-    def _emit_finished(
-        self,
-        stream: CampaignStream,
-        record: TaskRecord,
-        pending_rollups: list[dict[str, Any]],
-    ) -> None:
+    def _emit_finished(self, stream: CampaignStream, record: TaskRecord) -> None:
         """Ledger a completed record (parent-side, post-append)."""
         kind = "task_finished" if record.status == STATUS_OK else "task_errored"
         data: dict[str, Any] = {"wall_time": record.wall_time}
         if record.error is not None:
             data["error"] = record.error
-        rollup = record.metrics.get("obs") if record.status == STATUS_OK else None
-        if isinstance(rollup, Mapping):
-            pending_rollups.append(dict(rollup))
         with self._stream_lock:
             stream.emit(ProgressEvent(
                 kind=kind, time=time.time(),
                 task_id=record.task_id, data=data,
             ))
-            every = self.stream.snapshot_every if self.stream else 0
-            if every and stream.view.wall_time_count % every == 0:
-                stream.emit_snapshot(time.time(), pending_rollups)
-                pending_rollups.clear()
 
     def _write_campaign_rollup(self, merged: dict[str, Any]) -> None:
         """Write the campaign's folded obs rollup to one file.

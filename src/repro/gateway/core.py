@@ -36,7 +36,7 @@ from repro.gateway.store import SharedStore, safe_save_interval
 from repro.ipsec.costs import CostModel, PAPER_COSTS
 from repro.obs.hub import MetricsHub, NULL_HUB, default_hub
 from repro.obs.probe import EventCoreProbe, SharedStoreProbe
-from repro.obs.sampler import DEFAULT_SAMPLE_INTERVAL, Sampler
+from repro.obs.sampler import Sampler
 from repro.sim.engine import Engine
 from repro.sim.trace import NULL_TRACE, TraceRecorder
 from repro.util.rng import derive_seed
@@ -125,7 +125,6 @@ class Gateway:
             :class:`~repro.obs.Sampler` snapshots everything; when
             disabled (the default ambient :data:`~repro.obs.NULL_HUB`)
             nothing attaches and runs are byte-identical to pre-obs.
-        sample_interval: sampling period when the hub is enabled.
     """
 
     def __init__(
@@ -146,7 +145,6 @@ class Gateway:
         sa_paths: "Mapping[int, PathProfile] | None" = None,
         store_load_factor: float = 0.0,
         hub: MetricsHub | None = None,
-        sample_interval: float = DEFAULT_SAMPLE_INTERVAL,
     ) -> None:
         check_positive_int("n_sas", n_sas)
         if side not in GATEWAY_SIDES:
@@ -177,7 +175,7 @@ class Gateway:
         self.hub: MetricsHub | None = hub if hub.enabled else None
         self.sampler: Sampler | None = None
         if self.hub is not None:
-            self.sampler = Sampler(self.engine, self.hub, interval=sample_interval)
+            self.sampler = Sampler(self.engine, self.hub)
             self.sampler.register(SharedStoreProbe(self.hub, self.store))
             self.sampler.register(EventCoreProbe(self.hub, self.engine))
             self.sampler.start()

@@ -31,8 +31,8 @@ __all__ = [
 #: Flight-dump schema tag (bump on breaking shape changes).
 FLIGHT_SCHEMA = "repro.obs/flight@1"
 
-#: Default ring capacity (events retained per worker).
-DEFAULT_LIMIT = 256
+#: Ring capacity: the events a worker's recorder retains.
+RING_LIMIT = 256
 
 
 def flight_path(directory: str | Path, worker: str) -> Path:
@@ -43,10 +43,9 @@ def flight_path(directory: str | Path, worker: str) -> Path:
 class FlightRecorder:
     """Bounded ring of a worker's recent events, dumpable on crash."""
 
-    def __init__(self, worker: str, limit: int = DEFAULT_LIMIT) -> None:
+    def __init__(self, worker: str) -> None:
         self.worker = worker
-        self.limit = max(1, int(limit))
-        self._ring: deque[dict[str, Any]] = deque(maxlen=self.limit)
+        self._ring: deque[dict[str, Any]] = deque(maxlen=RING_LIMIT)
         self.recorded = 0
         self.current_task: str | None = None
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import cProfile
 import os
 import tracemalloc
-from bisect import bisect_left, insort
+from bisect import insort
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator
@@ -139,35 +139,36 @@ def publish_task_usage(
     return delta
 
 
+#: A task's dump is kept when its wall time reaches this quantile of the
+#: worker's history ...
+PROFILE_PERCENTILE = 0.95
+
+#: ... and only once this many tasks have established that history.
+PROFILE_MIN_SAMPLES = 20
+
+
 class TaskProfiler:
     """Opt-in cProfile hook that keeps dumps only for slow outliers.
 
     Every task executes under cProfile (the cost the overhead bench
     budgets for); the dump is written to ``<directory>/<task_id>.pstats``
-    only when the task's wall time reaches ``percentile`` of the wall
-    times this profiler has seen, and never before ``min_samples`` tasks
-    have established a distribution.
+    only when the task's wall time reaches :data:`PROFILE_PERCENTILE` of
+    the wall times this profiler has seen, and never before
+    :data:`PROFILE_MIN_SAMPLES` tasks have established a distribution.
     """
 
-    def __init__(
-        self,
-        directory: str | Path,
-        percentile: float = 0.95,
-        min_samples: int = 20,
-    ) -> None:
+    def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
-        self.percentile = percentile
-        self.min_samples = max(1, min_samples)
         self._walls: list[float] = []  # kept sorted via insort
         self.dumped: list[str] = []
 
     def threshold(self) -> float | None:
         """Current wall-time cutoff, or None before enough samples."""
-        if len(self._walls) < self.min_samples:
+        if len(self._walls) < PROFILE_MIN_SAMPLES:
             return None
         index = min(
             len(self._walls) - 1,
-            int(self.percentile * len(self._walls)),
+            int(PROFILE_PERCENTILE * len(self._walls)),
         )
         return self._walls[index]
 
@@ -177,12 +178,6 @@ class TaskProfiler:
 
     def observe(self, wall_time: float) -> None:
         insort(self._walls, wall_time)
-
-    def rank(self, wall_time: float) -> float:
-        """Fraction of observed wall times at or below ``wall_time``."""
-        if not self._walls:
-            return 0.0
-        return bisect_left(self._walls, wall_time) / len(self._walls)
 
     @contextmanager
     def profile(self, task_id: str) -> Iterator[None]:

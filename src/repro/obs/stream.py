@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
-from repro.obs.hub import merge_rollups
 from repro.util.jsonl import iter_jsonl_objects, salvage_objects
 
 __all__ = [
@@ -58,7 +57,10 @@ logger = logging.getLogger(__name__)
 #: Progress-event schema tag (bump on breaking shape changes).
 PROGRESS_SCHEMA = "repro.obs/progress@1"
 
-#: Every event kind a ledger line may carry.
+#: Every event kind a ledger line may carry.  ``snapshot`` (a periodic
+#: rollup checkpoint) is written no more: ``campaign_obs.json`` holds
+#: that fold.  A ledger from an older run still carries it, so it stays
+#: a valid kind, and the view folds it as a no-op.
 EVENT_KINDS = (
     "campaign_started",
     "task_started",
@@ -125,51 +127,23 @@ class ProgressEvent:
 class StreamConfig:
     """Everything the runner needs to stream a campaign.
 
+    Workers dump their flight-recorder rings beside the ledger, and
+    heartbeat at most every
+    :data:`~repro.fleet.runner.HEARTBEAT_INTERVAL_S` seconds.
+
     Attributes:
         ledger_path: the ``progress.jsonl`` location (beside the result
             store — see :func:`repro.fleet.results.progress_ledger_path`).
-        heartbeat_interval: minimum wall seconds between a worker's
-            heartbeat events (checked at task boundaries; a worker that
-            stays silent longer than this is mid-task or wedged).
-        snapshot_every: finished tasks between ``snapshot`` events (the
-            periodic hub-rollup checkpoints; 0 disables them).
-        flight_dir: where workers dump flight-recorder rings (``None``
-            = the ledger's directory).
-        flight_limit: flight-recorder ring capacity per worker.
         profile_dir: enable the slow-task cProfile hook and write pstats
-            dumps here (``None`` = profiling off).
-        profile_percentile: profile threshold — a task's wall time at or
-            above this percentile of the worker's history gets its dump
-            written.
+            dumps here (``None`` = profiling off; see
+            :class:`~repro.obs.resource.TaskProfiler`).
         trace_malloc: also trace per-task allocations (tracemalloc) and
             publish the peak as a hub instrument.
     """
 
     ledger_path: Path
-    heartbeat_interval: float = 5.0
-    snapshot_every: int = 25
-    flight_dir: Path | None = None
-    flight_limit: int = 256
     profile_dir: Path | None = None
-    profile_percentile: float = 0.95
     trace_malloc: bool = False
-
-    def resolved_flight_dir(self) -> Path:
-        return (Path(self.flight_dir) if self.flight_dir is not None
-                else Path(self.ledger_path).parent)
-
-    def worker_payload(self) -> dict[str, Any]:
-        """The JSON-safe subset a pool worker needs (pickled once, at
-        pool construction)."""
-        return {
-            "heartbeat_interval": self.heartbeat_interval,
-            "flight_dir": str(self.resolved_flight_dir()),
-            "flight_limit": self.flight_limit,
-            "profile_dir": (str(self.profile_dir)
-                            if self.profile_dir is not None else None),
-            "profile_percentile": self.profile_percentile,
-            "trace_malloc": self.trace_malloc,
-        }
 
 
 # ----------------------------------------------------------------------
@@ -307,7 +281,6 @@ class CampaignView:
 
     def __init__(self) -> None:
         self.campaign = ""
-        self.schema = PROGRESS_SCHEMA
         self.total = 0
         self.skipped = 0
         self.jobs = 1
@@ -325,8 +298,6 @@ class CampaignView:
         self.workers: dict[str, WorkerStatus] = {}
         self.started_time = 0.0
         self.last_time = 0.0
-        self.events_folded = 0
-        self.rollup: dict[str, Any] = {}
         self.wall_time_sum = 0.0
         self.wall_time_count = 0
         # Worst-so-far outliers: min-heap of (wall_time, task_id) so the
@@ -339,7 +310,6 @@ class CampaignView:
     # ------------------------------------------------------------------
     def fold(self, event: ProgressEvent) -> None:
         """Apply one event (events arrive in ledger order)."""
-        self.events_folded += 1
         self.last_time = max(self.last_time, event.time)
         worker = self._worker(event) if event.worker else None
         kind = event.kind
@@ -369,12 +339,10 @@ class CampaignView:
                     worker.task_started_at = event.time
         elif kind in ("task_finished", "task_errored"):
             self._fold_finished(event, worker)
-        elif kind == "worker_heartbeat":
-            pass  # the _worker() bookkeeping below is the whole effect
-        elif kind == "snapshot":
-            rollup = event.data.get("rollup")
-            if rollup:
-                self.rollup = dict(rollup)
+        elif kind in ("worker_heartbeat", "snapshot"):
+            # A heartbeat's whole effect is the _worker() bookkeeping
+            # below; an older ledger's snapshot has none.
+            pass
         elif kind == "campaign_finished":
             self.finished = True
             self.running.clear()
@@ -480,21 +448,6 @@ class CampaignView:
         """The slowest finished tasks so far, worst first."""
         return sorted(self._worst, reverse=True)
 
-    def as_dict(self) -> dict[str, Any]:
-        """JSON-safe summary (the ``snapshot`` event payload shape)."""
-        return {
-            "campaign": self.campaign,
-            "total": self.total,
-            "done": self.done,
-            "errors": self.errors,
-            "skipped": self.skipped,
-            "running": len(self.running),
-            "workers": len(self.workers),
-            "throughput": self.throughput(),
-            "mean_wall_time": self.mean_wall_time(),
-            "finished": self.finished,
-        }
-
 
 # ----------------------------------------------------------------------
 # Persist-before-fold coupling
@@ -542,21 +495,6 @@ class CampaignStream:
         """Persist, then fold (never the other way around)."""
         self.ledger.append(event)
         self.view.fold(event)
-
-    def emit_snapshot(
-        self, now: float, rollups: list[Mapping[str, Any]] | None = None
-    ) -> None:
-        """Append a periodic checkpoint: view summary + merged rollup."""
-        data: dict[str, Any] = {"view": self.as_snapshot()}
-        if rollups:
-            merged = merge_rollups(
-                ([self.view.rollup] if self.view.rollup else []) + rollups
-            )
-            data["rollup"] = merged
-        self.emit(ProgressEvent(kind="snapshot", time=now, data=data))
-
-    def as_snapshot(self) -> dict[str, Any]:
-        return self.view.as_dict()
 
     def close(self) -> None:
         self.ledger.close()

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Any, Mapping, TextIO
+from typing import Mapping, TextIO
 
 from repro.obs.health import HealthState, signal_level, vote
 from repro.obs.stream import CampaignView, LedgerTail, WorkerStatus
@@ -230,25 +230,3 @@ def run_top(
     except KeyboardInterrupt:
         pass
     return view
-
-
-def render_ledger(path: str | Path) -> str:
-    """One-shot render of a ledger file (helper for tests and callers)."""
-    return render_dashboard(CampaignView.replay(path))
-
-
-def dashboard_state(view: CampaignView) -> dict[str, Any]:
-    """JSON-safe dashboard summary (what ``--json`` consumers read)."""
-    now = view.last_time
-    return {
-        **view.as_dict(),
-        "eta_seconds": view.eta_seconds(),
-        "worst_tasks": [
-            {"wall_time": wall, "task_id": task_id}
-            for wall, task_id in view.worst_outliers()
-        ],
-        "worker_health": {
-            name: worker_health(worker, view, now).label
-            for name, worker in sorted(view.workers.items())
-        },
-    }

@@ -11,7 +11,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.protocol import build_protocol
+from repro.gateway.store import SharedStore
 from repro.ipsec.costs import PAPER_COSTS, CostModel
+from repro.sim.engine import Engine
 from repro.sim.trace import NULL_TRACE
 
 #: One second a send, a SAVE and a FETCH: every step is easy to place.
@@ -159,3 +161,97 @@ def test_reset_refuses_a_bad_down_for_before_changing_anything(
     # The traffic clock kept ticking: every attempt went out.
     assert harness.sender.sent_total == 10
     assert harness.sender.sends_suppressed == 0
+
+
+#: A SAVE and a FETCH of one second against four sends a second: a wake
+#: buffers several packets, and a ceiling raise holds a few.
+DRAIN_COSTS = CostModel(t_save=1.0, t_send=0.25, t_fetch=1.0)
+
+
+def test_a_reset_during_the_wake_drain_loses_the_rest_with_the_host():
+    harness = pair(k_p=8, k_q=8, costs=DRAIN_COSTS)
+    receiver = harness.receiver
+    drained, down, resumes = [], [], []
+
+    def on_process(packet, verdict):
+        if not receiver.is_up:
+            down.append(packet.seq)
+        elif receiver.reset_records[-1:] and receiver.reset_records[0].resume_time:
+            drained.append(packet.seq)
+            if len(drained) == 2:
+                receiver.reset(None)  # a second reset, inside the drain
+
+    receiver.add_process_listener(on_process)
+    receiver.add_resume_listener(
+        lambda: resumes.append((harness.engine.now, receiver.is_up)))
+    harness.sender.start_traffic(count=40)
+    harness.engine.call_at(2.0, receiver.reset, 0.0)
+    harness.run()
+
+    first = receiver.reset_records[0]
+    assert first.buffered_during_wake > 2
+    assert len(drained) == 2
+    assert down == []  # the rest of the buffer went down with the host
+    assert resumes == []  # the interrupted recovery notifies no one
+    assert not receiver.is_up and receiver.wait
+
+
+def test_a_reset_during_the_ceiling_raise_drain_delivers_nothing_while_down():
+    harness = pair("ceiling", k_p=8, k_q=2, costs=DRAIN_COSTS)
+    receiver = harness.receiver
+    processed = []
+
+    def on_process(packet, verdict):
+        processed.append((packet.seq, receiver.is_up, verdict.value))
+        if packet.seq == 2:
+            # seq 2 crossed the first ceiling; the raise's commit drains
+            # it first, ahead of the packets held behind it.
+            assert receiver.buffered_for_ceiling >= 3
+            receiver.reset(None)
+
+    receiver.add_process_listener(on_process)
+    harness.sender.start_traffic(count=40)
+    harness.run()
+
+    assert [seq for seq, _, _ in processed] == [1, 2]
+    assert all(up for _, up, _ in processed)
+    assert receiver.delivered_total == 2
+
+
+@pytest.mark.parametrize("variant", ["savefetch", "ceiling"])
+def test_each_wake_waits_for_its_own_fetch_on_a_shared_store(variant):
+    # Four pairs on one device, every receiver reset at once: the four
+    # FETCHes queue back to back, and no receiver resumes before its
+    # own FETCH slot ends (for SAVE/FETCH, its wake SAVE follows).
+    engine = Engine(trace=NULL_TRACE)
+    shared = SharedStore(engine, costs=PAPER_COSTS)
+    ceiling = variant == "ceiling"
+    pairs = [
+        build_protocol(
+            variant=variant, costs=PAPER_COSTS, engine=engine,
+            sender_name=f"p{index}", receiver_name=f"q{index}",
+            sender_store=shared.client(f"p{index}", 26 if ceiling else 1),
+            receiver_store=shared.client(f"q{index}", 25 if ceiling else 0),
+        )
+        for index in range(4)
+    ]
+    for harness in pairs:
+        harness.sender.start_traffic(count=200)
+
+    def reset_every_receiver():
+        for harness in pairs:
+            harness.receiver.reset(0.0)
+
+    engine.call_at(0.005, reset_every_receiver)
+    engine.run()
+    waits = []
+    for harness in pairs:
+        record = harness.receiver.reset_records[0]
+        waits.append(record.resume_time - record.wake_time)
+    # Each receiver waits behind the FETCHes queued ahead of its own.
+    assert waits == sorted(set(waits))
+    if ceiling:
+        # Nothing else holds the device: the i-th FETCH ends i slots on.
+        slots = [(index + 1) * PAPER_COSTS.t_fetch for index in range(4)]
+        assert waits == pytest.approx(slots)
+        assert shared.max_fetch_wait == pytest.approx(slots[-2])

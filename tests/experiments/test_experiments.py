@@ -25,7 +25,12 @@ from repro.experiments import (
     e15_gateway_convergence,
 )
 from repro.experiments.common import ExperimentResult, render_table
+from repro.experiments.sweep import ExperimentDriver, SweepSpec
 from repro.workloads.scenarios import run_save_policy_scenario
+
+
+def run_sweep(spec: SweepSpec) -> ExperimentResult:
+    return ExperimentDriver(spec).run()
 
 
 class TestCommon:
@@ -72,7 +77,7 @@ class TestCommon:
 
 class TestE01:
     def test_fig1_two_regimes_and_bound(self):
-        result = e01_sender_gap.run(k=50, offsets=[0, 10, 24, 30, 45])
+        result = run_sweep(e01_sender_gap.sweep(k=50, offsets=[0, 10, 24, 30, 45]))
         assert all(row["within_bound"] for row in result.rows)
         in_flight = [r["gap"] for r in result.rows if r["save_in_flight"]]
         committed = [r["gap"] for r in result.rows if not r["save_in_flight"]]
@@ -87,7 +92,7 @@ class TestE01:
 
 class TestE02:
     def test_fig2_bound_and_no_replays(self):
-        result = e02_receiver_gap.run(k=50, offsets=[0, 20, 30, 45])
+        result = run_sweep(e02_receiver_gap.sweep(k=50, offsets=[0, 20, 30, 45]))
         assert all(row["within_bound"] for row in result.rows)
         assert all(row["replays_accepted"] == 0 for row in result.rows)
         assert all(row["fresh_discarded"] <= 100 for row in result.rows)
@@ -95,7 +100,7 @@ class TestE02:
 
 class TestE03:
     def test_claim_i_shape(self):
-        result = e03_sender_loss.run(ks=[10, 40], offsets_per_k=3)
+        result = run_sweep(e03_sender_loss.sweep(ks=[10, 40], offsets_per_k=3))
         assert all(row["within_bound"] for row in result.rows)
         assert all(row["fresh_discarded"] == 0 for row in result.rows)
         assert all(row["converged"] for row in result.rows)
@@ -105,7 +110,7 @@ class TestE03:
 
 class TestE04:
     def test_claim_ii_shape(self):
-        result = e04_receiver_discard.run(ks=[10, 40], offsets_per_k=3)
+        result = run_sweep(e04_receiver_discard.sweep(ks=[10, 40], offsets_per_k=3))
         assert all(row["within_bound"] for row in result.rows)
         assert all(row["replays_accepted"] == 0 for row in result.rows)
         assert all(row["replays_injected"] > 0 for row in result.rows)
@@ -113,7 +118,7 @@ class TestE04:
 
 class TestE05:
     def test_headline_crossover(self):
-        result = e05_unbounded.run(traffic_volumes=[100, 400])
+        result = run_sweep(e05_unbounded.sweep(traffic_volumes=[100, 400]))
         unprot = result.column("unprot_replays_accepted")
         assert unprot == [100, 400]  # linear, unbounded
         assert result.column("sf_replays_accepted") == [0, 0]
@@ -124,7 +129,7 @@ class TestE05:
 
 class TestE06:
     def test_knee_at_rule(self):
-        result = e06_save_interval.run(ks=[10, 50])
+        result = run_sweep(e06_save_interval.sweep(ks=[10, 50]))
         below, above = result.rows
         assert not below["rule_satisfied"] and above["rule_satisfied"]
         assert below["max_concurrent_saves"] > 1
@@ -140,7 +145,7 @@ class TestE06:
 
 class TestE07:
     def test_savefetch_wins_and_scales(self):
-        result = e07_rekey_cost.run(sa_counts=[1, 4], rtts=[0.001])
+        result = run_sweep(e07_rekey_cost.sweep(sa_counts=[1, 4], rtts=[0.001]))
         assert all(row["speedup"] > 50 for row in result.rows)
         times = result.column("rekey_time_s")
         assert times[1] > 3 * times[0]  # linear in SA count
@@ -149,7 +154,7 @@ class TestE07:
 
 class TestE08:
     def test_dual_reset_cases(self):
-        result = e08_dual_reset.run(k=25)
+        result = run_sweep(e08_dual_reset.sweep(k=25))
         by_case = {(row["case"], row["protocol"]): row for row in result.rows}
         assert by_case[("simultaneous", "save/fetch")]["converged"]
         assert not by_case[("simultaneous", "unprotected")]["converged"]
@@ -161,7 +166,9 @@ class TestE08:
 
 class TestE09:
     def test_recovery_tracks_outage(self):
-        result = e09_prolonged_reset.run(outages=[0.05, 2.0], keep_alive_timeout=1.0)
+        result = run_sweep(e09_prolonged_reset.sweep(
+            outages=[0.05, 2.0], keep_alive_timeout=1.0
+        ))
         short, long = result.rows
         assert short["detected"] and short["resync_accepted"]
         assert not short["keepalive_expired"]
@@ -172,9 +179,9 @@ class TestE09:
 
 class TestE10:
     def test_cliff_at_window_size(self):
-        result = e10_reorder.run(
+        result = run_sweep(e10_reorder.sweep(
             window_sizes=[32], degrees=[1, 31, 32, 64], messages=800
-        )
+        ))
         by_degree = {row["degree"]: row for row in result.rows}
         assert by_degree[1]["fresh_discarded"] == 0
         assert by_degree[31]["fresh_discarded"] == 0
@@ -185,7 +192,7 @@ class TestE10:
 
 class TestE11:
     def test_only_paper_config_safe(self):
-        result = e11_double_reset.run(k=25)
+        result = run_sweep(e11_double_reset.sweep(k=25))
         by_variant = {}
         for row in result.rows:
             by_variant.setdefault(row["variant"], []).append(row)
@@ -199,7 +206,7 @@ class TestE11:
 
 class TestE13:
     def test_detection_scales_with_cadence(self):
-        result = e13_dpd.run(cadences=[0.1, 1.0])
+        result = run_sweep(e13_dpd.sweep(cadences=[0.1, 1.0]))
         assert all(row["detected"] for row in result.rows)
         heartbeat = {r["cadence_s"]: r for r in result.rows
                      if r["mechanism"] == "heartbeat"}
@@ -208,7 +215,7 @@ class TestE13:
 
 class TestE14:
     def test_hole_bites_savefetch_not_ceiling(self):
-        result = e14_loss_robustness.run(burst_levels=[0.0, 0.03], seeds=3)
+        result = run_sweep(e14_loss_robustness.sweep(burst_levels=[0.0, 0.03], seeds=3))
         clean, bursty = result.rows
         assert clean["vulnerable_windows"] == 0
         assert clean["sf_runs_with_replays"] == 0
@@ -219,11 +226,11 @@ class TestE14:
 
 class TestE15:
     def test_policies_trade_spread_not_safety(self):
-        result = e15_gateway_convergence.run(
+        result = run_sweep(e15_gateway_convergence.sweep(
             sa_counts=[1, 8],
             crash_after_sends=100,
             messages_after_reset=100,
-        )
+        ))
         assert all(row["converged"] for row in result.rows)
         assert all(row["replays"] == 0 for row in result.rows)
         by_cell = {(r["n_sas"], r["policy"]): r for r in result.rows}
@@ -240,7 +247,9 @@ class TestE15:
 
 class TestE12:
     def test_strawman_broken_savefetch_not(self):
-        result = e12_reset_notice.run(pre_reset_messages=200, post_reset_messages=80)
+        result = run_sweep(e12_reset_notice.sweep(
+            pre_reset_messages=200, post_reset_messages=80
+        ))
         strawman, savefetch = result.rows
         assert strawman["genuine_recovery_ok"]
         assert strawman["broken_by_replay"]

@@ -30,32 +30,33 @@ from repro.experiments import (
     e13_dpd,
     e14_loss_robustness,
 )
+from repro.experiments.sweep import ExperimentDriver
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "golden_rows.json"
 
 #: The exact parameterisations the goldens were captured at.
 CASES = {
-    "e01": lambda **kw: e01_sender_gap.run(k=50, offsets=[0, 10, 24, 30, 45], **kw),
-    "e02": lambda **kw: e02_receiver_gap.run(k=50, offsets=[0, 20, 30, 45], **kw),
-    "e03": lambda **kw: e03_sender_loss.run(ks=[10, 40], offsets_per_k=3, **kw),
-    "e04": lambda **kw: e04_receiver_discard.run(ks=[10, 40], offsets_per_k=3, **kw),
-    "e05": lambda **kw: e05_unbounded.run(traffic_volumes=[100, 400], **kw),
-    "e06": lambda **kw: e06_save_interval.run(ks=[10, 50], **kw),
-    "e06b": lambda **kw: e06_save_interval.run_policy_table(ks=[25], **kw),
-    "e07": lambda **kw: e07_rekey_cost.run(sa_counts=[1, 4], rtts=[0.001], **kw),
-    "e08": lambda **kw: e08_dual_reset.run(k=25, **kw),
-    "e09": lambda **kw: e09_prolonged_reset.run(
-        outages=[0.05, 2.0], keep_alive_timeout=1.0, **kw
+    "e01": lambda: e01_sender_gap.sweep(k=50, offsets=[0, 10, 24, 30, 45]),
+    "e02": lambda: e02_receiver_gap.sweep(k=50, offsets=[0, 20, 30, 45]),
+    "e03": lambda: e03_sender_loss.sweep(ks=[10, 40], offsets_per_k=3),
+    "e04": lambda: e04_receiver_discard.sweep(ks=[10, 40], offsets_per_k=3),
+    "e05": lambda: e05_unbounded.sweep(traffic_volumes=[100, 400]),
+    "e06": lambda: e06_save_interval.sweep(ks=[10, 50]),
+    "e06b": lambda: e06_save_interval.policy_sweep(ks=[25]),
+    "e07": lambda: e07_rekey_cost.sweep(sa_counts=[1, 4], rtts=[0.001]),
+    "e08": lambda: e08_dual_reset.sweep(k=25),
+    "e09": lambda: e09_prolonged_reset.sweep(
+        outages=[0.05, 2.0], keep_alive_timeout=1.0
     ),
-    "e10": lambda **kw: e10_reorder.run(
-        window_sizes=[32], degrees=[1, 31, 32, 64], messages=800, **kw
+    "e10": lambda: e10_reorder.sweep(
+        window_sizes=[32], degrees=[1, 31, 32, 64], messages=800
     ),
-    "e11": lambda **kw: e11_double_reset.run(k=25, **kw),
-    "e12": lambda **kw: e12_reset_notice.run(
-        pre_reset_messages=200, post_reset_messages=80, **kw
+    "e11": lambda: e11_double_reset.sweep(k=25),
+    "e12": lambda: e12_reset_notice.sweep(
+        pre_reset_messages=200, post_reset_messages=80
     ),
-    "e13": lambda **kw: e13_dpd.run(cadences=[0.1, 1.0], **kw),
-    "e14": lambda **kw: e14_loss_robustness.run(burst_levels=[0.0, 0.03], seeds=3, **kw),
+    "e13": lambda: e13_dpd.sweep(cadences=[0.1, 1.0]),
+    "e14": lambda: e14_loss_robustness.sweep(burst_levels=[0.0, 0.03], seeds=3),
 }
 
 
@@ -75,7 +76,7 @@ def _canonical(result):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_rows_match_pre_refactor_output(name):
     golden = _golden()[name]
-    result = CASES[name]()
+    result = ExperimentDriver(CASES[name]()).run()
     actual = _canonical(result)
     assert actual["columns"] == golden["columns"]
     assert actual["rows"] == golden["rows"]
@@ -86,5 +87,5 @@ def test_parallel_execution_matches_golden_rows():
     """jobs=2 runs through the multiprocessing pool yet reduces to the
     exact same rows (ordered imap + explicit per-task seeds)."""
     golden = _golden()["e13"]
-    result = CASES["e13"](jobs=2)
+    result = ExperimentDriver(CASES["e13"](), jobs=2).run()
     assert _canonical(result)["rows"] == golden["rows"]

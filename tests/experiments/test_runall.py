@@ -3,7 +3,8 @@
 import pytest
 
 from repro.experiments import e05_unbounded, e08_dual_reset
-from repro.experiments.runall import REGISTRY, run_all
+from repro.experiments.runall import EXPERIMENTS, run_all
+from repro.experiments.sweep import ExperimentDriver
 
 
 class TestRegistry:
@@ -13,7 +14,7 @@ class TestRegistry:
             "e08", "e09", "e10", "e11", "e12", "e13", "e14", "e15",
             "e16",
         }
-        assert expected <= set(REGISTRY)
+        assert expected <= set(EXPERIMENTS)
 
     def test_unknown_id_rejected(self):
         with pytest.raises(SystemExit, match="unknown experiment"):
@@ -30,9 +31,14 @@ class TestRegistry:
 
 class TestDeterminism:
     def test_experiments_bit_identical_across_runs(self):
-        first = e05_unbounded.run(traffic_volumes=[100, 300])
-        second = e05_unbounded.run(traffic_volumes=[100, 300])
-        assert first.rows == second.rows
+        def run():
+            spec = e05_unbounded.sweep(traffic_volumes=[100, 300])
+            return ExperimentDriver(spec).run()
+
+        assert run().rows == run().rows
 
     def test_e08_deterministic(self):
-        assert e08_dual_reset.run(k=25).rows == e08_dual_reset.run(k=25).rows
+        def run():
+            return ExperimentDriver(e08_dual_reset.sweep(k=25)).run()
+
+        assert run().rows == run().rows

@@ -8,6 +8,7 @@ import signal
 from repro.obs.export import validate_flight_dump
 from repro.obs.flightrec import (
     FLIGHT_SCHEMA,
+    RING_LIMIT,
     FlightRecorder,
     flight_path,
     load_flight,
@@ -16,15 +17,17 @@ from repro.obs.flightrec import (
 
 class TestFlightRecorder:
     def test_ring_bounds_and_dropped_count(self):
-        flight = FlightRecorder("w1", limit=4)
-        for index in range(10):
+        flight = FlightRecorder("w1")
+        for index in range(RING_LIMIT + 6):
             flight.note("tick", time=float(index))
-        assert flight.recorded == 10
+        assert flight.recorded == RING_LIMIT + 6
         assert flight.dropped == 6
         snapshot = flight.snapshot("test")
-        assert len(snapshot["events"]) == 4
+        assert len(snapshot["events"]) == RING_LIMIT
         # The ring keeps the newest events.
-        assert [e["time"] for e in snapshot["events"]] == [6.0, 7.0, 8.0, 9.0]
+        assert [e["time"] for e in snapshot["events"]] == [
+            float(index) for index in range(6, RING_LIMIT + 6)
+        ]
 
     def test_task_boundaries_manage_current_task(self):
         flight = FlightRecorder("w1")
@@ -34,7 +37,7 @@ class TestFlightRecorder:
         assert flight.current_task is None
 
     def test_snapshot_is_schema_valid(self):
-        flight = FlightRecorder("w1", limit=8)
+        flight = FlightRecorder("w1")
         flight.task_started("t1", time=1.0)
         flight.note("heartbeat", time=1.5)
         snapshot = flight.snapshot("unhandled_exception")
@@ -43,7 +46,7 @@ class TestFlightRecorder:
         assert validate_flight_dump(snapshot) == []
 
     def test_dump_round_trips_and_validates(self, tmp_path):
-        flight = FlightRecorder("w3", limit=8)
+        flight = FlightRecorder("w3")
         flight.task_started("g0/s00001", time=1.0)
         target = flight.dump(tmp_path, "sigterm")
         assert target == flight_path(tmp_path, "w3")
@@ -85,7 +88,7 @@ def _sigterm_child(
 
     from repro.obs.flightrec import FlightRecorder
 
-    flight = FlightRecorder("wchild", limit=16)
+    flight = FlightRecorder("wchild")
     flight.note("booted", time=0.0)
     if mark_task_active:
         flight.task_started("task/under/test", time=1.0)

@@ -7,6 +7,8 @@ import pytest
 
 from repro.obs.hub import MetricsHub
 from repro.obs.resource import (
+    PROFILE_MIN_SAMPLES,
+    PROFILE_PERCENTILE,
     ResourceProbe,
     TaskProfiler,
     publish_task_usage,
@@ -86,30 +88,25 @@ class TestPublishTaskUsage:
 
 class TestTaskProfiler:
     def test_no_threshold_before_min_samples(self, tmp_path):
-        profiler = TaskProfiler(tmp_path, min_samples=5)
-        for _ in range(4):
+        profiler = TaskProfiler(tmp_path)
+        for _ in range(PROFILE_MIN_SAMPLES - 1):
             profiler.observe(1.0)
         assert profiler.threshold() is None
         assert profiler.should_dump(100.0) is False
 
     def test_percentile_threshold(self, tmp_path):
-        profiler = TaskProfiler(tmp_path, percentile=0.9, min_samples=10)
-        for wall in range(10):  # 0..9
+        assert PROFILE_PERCENTILE == 0.95 and PROFILE_MIN_SAMPLES == 20
+        profiler = TaskProfiler(tmp_path)
+        for wall in range(20):  # 0..19
             profiler.observe(float(wall))
-        assert profiler.threshold() == 9.0
-        assert profiler.should_dump(9.0) is True
-        assert profiler.should_dump(8.9) is False
-
-    def test_rank(self, tmp_path):
-        profiler = TaskProfiler(tmp_path, min_samples=1)
-        for wall in (1.0, 2.0, 3.0, 4.0):
-            profiler.observe(wall)
-        assert profiler.rank(2.5) == pytest.approx(0.5)
+        assert profiler.threshold() == 19.0
+        assert profiler.should_dump(19.0) is True
+        assert profiler.should_dump(18.9) is False
 
     def test_profile_dumps_only_past_cutoff(self, tmp_path):
-        profiler = TaskProfiler(tmp_path, percentile=0.9, min_samples=4)
+        profiler = TaskProfiler(tmp_path)
         # Establish a distribution of ~1ms tasks deterministically.
-        for _ in range(4):
+        for _ in range(PROFILE_MIN_SAMPLES):
             profiler.observe(0.001)
         with profiler.profile("fast"):
             pass  # well under the 1ms cutoff
@@ -123,9 +120,9 @@ class TestTaskProfiler:
     def test_dump_is_loadable_pstats(self, tmp_path):
         import pstats
 
-        profiler = TaskProfiler(tmp_path, min_samples=1)
-        with profiler.profile("first"):
-            sum(range(1000))
+        profiler = TaskProfiler(tmp_path)
+        for _ in range(PROFILE_MIN_SAMPLES):
+            profiler.observe(0.0)
         with profiler.profile("second"):
             sum(range(200_000))
         assert "second" in profiler.dumped
@@ -133,13 +130,14 @@ class TestTaskProfiler:
         assert stats.total_calls >= 1
 
     def test_cutoff_evaluated_before_observe(self, tmp_path):
-        # A task must not raise the bar for itself: the decision uses
-        # the history *excluding* the task being decided.
-        profiler = TaskProfiler(tmp_path, percentile=0.0, min_samples=2)
-        profiler.observe(1.0)
-        profiler.observe(1.0)
+        # A task must not count itself: the decision uses the history
+        # *excluding* the task being decided.  One sample short of the
+        # minimum there is no cutoff yet; had the task been observed
+        # first, it would be the 95th percentile of its own history and
+        # dump.
+        profiler = TaskProfiler(tmp_path)
+        for _ in range(PROFILE_MIN_SAMPLES - 1):
+            profiler.observe(0.0)
         with profiler.profile("t"):
             pass
-        # percentile 0 -> cutoff is min(history) = 1.0; the ~0s task is
-        # below it, so no dump even though observe() later added ~0s.
         assert profiler.dumped == []

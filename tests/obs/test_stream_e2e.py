@@ -17,6 +17,7 @@ import threading
 from collections import Counter
 from pathlib import Path
 
+from repro.__main__ import main
 from repro.fleet import runner as runner_module
 from repro.fleet.results import ResultStore, progress_ledger_path
 from repro.fleet.runner import FleetRunner
@@ -57,11 +58,9 @@ def observed_spec():
     )
 
 
-def streamed_runner(tmp_path, jobs=1, **stream_kwargs):
+def streamed_runner(tmp_path, jobs=1):
     store = ResultStore(tmp_path / "results.jsonl")
-    stream = StreamConfig(
-        ledger_path=progress_ledger_path(store), **stream_kwargs
-    )
+    stream = StreamConfig(ledger_path=progress_ledger_path(store))
     return FleetRunner(small_spec(), store, jobs=jobs, stream=stream), store
 
 
@@ -132,18 +131,44 @@ class TestStreamedRunner:
         # outlives the run.
         assert lingering == []
 
-    def test_snapshot_events_carry_merged_rollup(self, tmp_path):
+    def test_observed_ledger_leaves_the_rollup_to_campaign_obs(self, tmp_path):
         store = ResultStore(tmp_path / "results.jsonl")
-        stream = StreamConfig(
-            ledger_path=progress_ledger_path(store), snapshot_every=2
-        )
+        stream = StreamConfig(ledger_path=progress_ledger_path(store))
         runner = FleetRunner(
             small_spec(), store, jobs=1, stream=stream,
             obs_dir=tmp_path / "obs",
         )
         runner.run()
-        assert runner.view.rollup["tasks"] == 6
-        assert runner.view.rollup["counters"]["resets"] >= 6
+        ledger = progress_ledger_path(store).read_text().splitlines()
+        kinds = {json.loads(line)["kind"] for line in ledger}
+        assert kinds == {"campaign_started", "worker_heartbeat",
+                         "task_started", "task_finished", "campaign_finished"}
+        rollup = json.loads(
+            (tmp_path / "obs" / "campaign_obs.json").read_text()
+        )
+        assert rollup["tasks"] == 6
+        assert rollup["counters"]["resets"] >= 6
+
+    def test_a_ledger_with_snapshot_lines_still_validates_and_renders(
+        self, tmp_path, capsys
+    ):
+        # Older runs wrote a snapshot event every 25 finished tasks and
+        # one at the end; their ledgers stay readable.
+        runner, store = streamed_runner(tmp_path, jobs=1)
+        runner.run()
+        ledger = progress_ledger_path(store)
+        lines = ledger.read_text().splitlines()
+        snapshot = json.dumps({
+            "kind": "snapshot", "time": json.loads(lines[-2])["time"],
+            "data": {"view": {"done": 6}, "rollup": {"tasks": 6}},
+        })
+        ledger.write_text("\n".join(lines[:-1] + [snapshot, lines[-1]]) + "\n")
+        assert validate_progress_file(ledger) == []
+        assert render_dashboard(CampaignView.replay(ledger)) == render_dashboard(
+            runner.view
+        )
+        assert main(["top", str(tmp_path), "--once"]) == 0
+        assert "6/6 (100.0%)" in capsys.readouterr().out
 
 
 class TestStreamOffParity:

@@ -13,10 +13,8 @@ from repro.obs.stream import (
 )
 from repro.obs.top import (
     ANSI_CLEAR,
-    dashboard_state,
     find_ledger,
     render_dashboard,
-    render_ledger,
     run_top,
     worker_health,
 )
@@ -89,7 +87,7 @@ class TestWorkerHealth:
 class TestRenderDashboard:
     def test_header_and_progress(self, tmp_path):
         path = write_campaign_ledger(tmp_path / "progress.jsonl")
-        frame = render_ledger(path)
+        frame = render_dashboard(CampaignView.replay(path))
         assert "campaign demo" in frame
         assert "[FINISHED]" in frame
         assert "4/4 (100.0%)" in frame
@@ -98,7 +96,7 @@ class TestRenderDashboard:
     def test_errored_tasks_listed(self, tmp_path):
         path = write_campaign_ledger(tmp_path / "progress.jsonl",
                                      error_ids={"task1"})
-        frame = render_ledger(path)
+        frame = render_dashboard(CampaignView.replay(path))
         assert "errors=1" in frame
         assert "task1: boom" in frame
 
@@ -111,25 +109,32 @@ class TestRenderDashboard:
         live = CampaignView()
         for event in read_ledger(path):
             live.fold(event)
-        assert render_dashboard(live) == render_ledger(path)
+        assert render_dashboard(live) == render_dashboard(
+            CampaignView.replay(path)
+        )
 
     def test_unfinished_ledger_renders_running(self, tmp_path):
         path = write_campaign_ledger(tmp_path / "progress.jsonl",
                                      finish=False)
-        assert "[RUNNING]" in render_ledger(path)
+        assert "[RUNNING]" in render_dashboard(CampaignView.replay(path))
 
     def test_empty_view_renders(self):
         frame = render_dashboard(CampaignView())
         assert "campaign ?" in frame
         assert "0/0" in frame
 
-    def test_dashboard_state_summary(self, tmp_path):
+    def test_frame_shows_worker_health_and_worst_tasks(self, tmp_path):
         path = write_campaign_ledger(tmp_path / "progress.jsonl")
-        state = dashboard_state(CampaignView.replay(path))
-        assert state["done"] == 4
-        assert state["finished"] is True
-        assert state["worker_health"] == {"w1": "GREEN", "w2": "GREEN"}
-        assert len(state["worst_tasks"]) == 4
+        lines = render_dashboard(CampaignView.replay(path)).splitlines()
+        header = lines.index(next(line for line in lines
+                                   if line.startswith("worker ")))
+        assert [line.split()[:2] for line in lines[header + 1:header + 3]] == [
+            ["w1", "GREEN"], ["w2", "GREEN"],
+        ]
+        worst = lines.index("worst tasks (wall_s  task_id)")
+        assert [line.split()[1] for line in lines[worst + 1:]] == [
+            "task3", "task2", "task1", "task0",
+        ]
 
 
 class TestFindLedger:

@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import e15_gateway_convergence, e16_path_dynamics
+from repro.experiments.sweep import ExperimentDriver
 from repro.faults import GatewayCrash, RollingRestart, SAChurn
 from repro.fleet.runner import execute_task
 from repro.fleet.spec import FleetTask
@@ -105,10 +106,10 @@ CASES: dict[str, tuple[str, dict, int]] = {
 
 #: table name -> the experiment call it pins.
 TABLES = {
-    "E15": lambda: e15_gateway_convergence.run(
+    "E15": lambda: ExperimentDriver(e15_gateway_convergence.sweep(
         sa_counts=[1, 4], crash_after_sends=120, messages_after_reset=120
-    ),
-    "E16": lambda: e16_path_dynamics.run(scale=120),
+    )).run(),
+    "E16": lambda: ExperimentDriver(e16_path_dynamics.sweep(scale=120)).run(),
 }
 
 
