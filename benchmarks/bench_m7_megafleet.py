@@ -4,12 +4,12 @@ Four claims behind the million-session roadmap item, measured:
 
 * **Expansion** — the 1M-task campaign spec streams through
   ``CampaignSpec.iter_tasks`` without ever materialising the task list,
-  at ~125k tasks/second (this bench, wall-clock, 2 shared vCPUs,
-  Python 3.11.7).
+  at ~120k tasks/second (this bench, wall-clock, 2 shared vCPUs,
+  Python 3.11.7; median of 6 runs on a loaded host, 99k–139k).
 * **Sampling** — ``SampledCampaign(megafleet_spec(), 2000).tasks()``,
   the expansion ``repro fleet --sample 2000`` pays: membership is decided
   from each of the 1M ids and only the 1,954 kept tasks are built, at
-  ~240k tasks/second on the same host.
+  ~350k tasks/second on the same host (265k–416k).
 * **Aggregation** — ``summarize_store`` over a sharded store folds one
   shard at a time: peak traced memory is a *budget in records-per-shard*,
   not records-per-campaign.  The budget lives in

@@ -32,7 +32,7 @@ from repro.faults import Fault
 from repro.ipsec.costs import CostModel
 from repro.netpath.profile import PathProfile
 from repro.util.rng import SeedPrefix, derive_seed, make_rng
-from repro.util.validation import check_positive
+from repro.util.validation import check_int, check_positive_int
 from repro.workloads.scenarios import SCENARIOS
 
 #: Default per-task event budget (see ``Engine.hard_event_limit``): far
@@ -227,8 +227,8 @@ class ScenarioGrid:
         if not self.scenario:
             raise ValueError("scenario name must be non-empty")
         if self.sessions is not None:
-            check_positive("sessions", self.sessions)
-        check_positive("repeats", self.repeats)
+            check_positive_int("sessions", self.sessions)
+        check_positive_int("repeats", self.repeats)
         if self.sessions is not None and self.repeats != 1:
             raise ValueError(
                 "repeats applies to grid mode only; population mode "
@@ -306,15 +306,30 @@ class ScenarioGrid:
         else:
             # Population mode: the draw RNG is itself spawn-key derived,
             # so the sampled parameters are a pure function of the spec.
-            choose = make_rng(derive_seed(base_seed, grid_index, "population")).choice
+            # Each axis draw is ``random.Random.choice``'s loop, inlined
+            # (the same stream, two Python frames fewer a draw): ``k =
+            # n.bit_length()`` random bits, redrawn until below ``n``.
+            # Only a kept task turns its drawn indices into choices.
+            getrandbits = make_rng(
+                derive_seed(base_seed, grid_index, "population")
+            ).getrandbits
+            sizes = [(len(c), len(c).bit_length()) for c in choices]
             for session in range(self.sessions):
-                drawn = [choose(axis_choices) for axis_choices in choices]
+                drawn = []
+                for n, k in sizes:
+                    r = getrandbits(k)
+                    while r >= n:
+                        r = getrandbits(k)
+                    drawn.append(r)
                 task_id = f"{prefix}s{session:05d}"
                 if keep is None or keep(task_id):
                     yield FleetTask(
                         task_id=task_id,
                         scenario=self.scenario,
-                        params=encode_params(dict(zip(axes, drawn))),
+                        params=encode_params({
+                            axis: axis_choices[r]
+                            for axis, axis_choices, r in zip(axes, choices, drawn)
+                        }),
                         seed=task_seed(session),
                     )
 
@@ -326,7 +341,8 @@ class CampaignSpec:
     Attributes:
         name: campaign label (used for default output paths).
         grids: the scenario populations making up the campaign.
-        base_seed: master seed every per-task seed is derived from.
+        base_seed: master seed every per-task seed is derived from; an
+            ``int``, not a ``bool``.
         max_events: hard per-task event budget handed to the engine guard
             (see :class:`repro.sim.engine.EngineEventLimitError`).
     """
@@ -345,7 +361,8 @@ class CampaignSpec:
             grid if isinstance(grid, ScenarioGrid) else ScenarioGrid.from_dict(grid)
             for grid in self.grids
         ))
-        check_positive("max_events", self.max_events)
+        check_int("base_seed", self.base_seed)
+        check_positive_int("max_events", self.max_events)
 
     # ------------------------------------------------------------------
     # Serialisation
@@ -451,7 +468,7 @@ class SampledCampaign:
     """
 
     def __init__(self, spec: CampaignSpec, target: int) -> None:
-        check_positive("target", target)
+        check_positive_int("target", target)
         self.spec = spec
         self.target = target
         #: denominator of the membership test: the full campaign size.
@@ -459,7 +476,7 @@ class SampledCampaign:
         self.name = f"{spec.name}~{target}"
         self.base_seed = spec.base_seed
         self.max_events = spec.max_events
-        self._membership_key = SeedPrefix(self.base_seed, "sample")
+        self._membership_key = SeedPrefix(self.base_seed, "sample").text
 
     def keeps(self, task_id: str) -> bool:
         """Whether ``task_id`` is in the sample (pure, order-free)."""
@@ -487,8 +504,8 @@ def megafleet_spec(base_seed: int = 2003) -> CampaignSpec:
     multi-SA gateway crashes — every parameter drawn per session from the
     spec-seeded RNG.  Expansion is deterministic and streams through
     :meth:`CampaignSpec.iter_tasks` in about 8 s; a :class:`SampledCampaign`
-    builds only the tasks it keeps, so a ``--sample`` takes about half
-    that (``benchmarks/bench_m7_megafleet``, 2 vCPUs).  *Running* it in
+    builds only the tasks it keeps, so a ``--sample`` takes about a third
+    of that (``benchmarks/bench_m7_megafleet``, 2 vCPUs).  *Running* it in
     full is a ``--runslow`` benchmark affair, while CI exercises a
     deterministic ~2k-session ``--sample``.
     """
@@ -551,7 +568,7 @@ def example_spec(sessions: int = 60, base_seed: int = 2003) -> CampaignSpec:
     write policies.  Below 3 sessions there is nothing to split — it
     degenerates to sender resets only.
     """
-    check_positive("sessions", sessions)
+    check_positive_int("sessions", sessions)
     if sessions < 3:
         return CampaignSpec(
             name="mixed-demo",

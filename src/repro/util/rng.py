@@ -22,8 +22,20 @@ from __future__ import annotations
 
 import hashlib
 import random
+import struct
 
 _DEFAULT_SEED = 0xC0FFEE
+
+#: A ``str`` part's UTF-8 length prefix, and a seed read off the first 8
+#: bytes of a SHA-256 digest (both little-endian, unsigned).
+_LENGTH = struct.Struct("<I").pack
+_SEED = struct.Struct("<Q").unpack_from
+
+
+def _str_part(text: str) -> bytes:
+    """The spawn-key encoding of one ``str`` part (see :func:`_feed`)."""
+    encoded = text.encode()
+    return b"s" + _LENGTH(len(encoded)) + encoded
 
 
 def _feed(hasher: hashlib._Hash, path: tuple[int | str, ...]) -> None:
@@ -31,13 +43,13 @@ def _feed(hasher: hashlib._Hash, path: tuple[int | str, ...]) -> None:
 
     The one per-part encoder behind :func:`derive_seed` and
     :class:`SeedPrefix`: an ``int`` is ``b"i"`` plus 16 little-endian
-    signed bytes, a ``str`` is ``b"s"`` plus its 4-byte UTF-8 length and
-    bytes.  Anything else, ``bool`` included, is a :class:`TypeError`.
+    signed bytes, a ``str`` is ``b"s"`` plus its 4-byte little-endian
+    UTF-8 length and bytes (:func:`_str_part`).  Anything else, ``bool``
+    included, is a :class:`TypeError`.
     """
     for part in path:
         if isinstance(part, str):
-            encoded = part.encode("utf-8")
-            hasher.update(b"s" + len(encoded).to_bytes(4, "little") + encoded)
+            hasher.update(_str_part(part))
         elif isinstance(part, int) and not isinstance(part, bool):
             hasher.update(b"i" + part.to_bytes(16, "little", signed=True))
         else:
@@ -65,7 +77,7 @@ def derive_seed(root: int, *path: int | str) -> int:
     """
     hasher = hashlib.sha256(int(root).to_bytes(16, "little", signed=True))
     _feed(hasher, path)
-    return int.from_bytes(hasher.digest()[:8], "little")
+    return _SEED(hasher.digest())[0]
 
 
 class SeedPrefix:
@@ -75,7 +87,7 @@ class SeedPrefix:
     bit for bit; each call copies the SHA-256 state left after the prefix
     instead of rehashing it.  For deriving many seeds under one path —
     every task seed of a campaign grid, every sample-membership key of a
-    campaign.
+    campaign (:meth:`text`, the one-``str``-tail form).
     """
 
     __slots__ = ("_hasher",)
@@ -87,7 +99,13 @@ class SeedPrefix:
     def __call__(self, *tail: int | str) -> int:
         hasher = self._hasher.copy()
         _feed(hasher, tail)
-        return int.from_bytes(hasher.digest()[:8], "little")
+        return _SEED(hasher.digest())[0]
+
+    def text(self, tail: str) -> int:
+        """``self(tail)`` for one ``str`` tail, without the per-part dispatch."""
+        hasher = self._hasher.copy()
+        hasher.update(_str_part(tail))
+        return _SEED(hasher.digest())[0]
 
 
 def make_rng(seed_or_rng: int | random.Random | None = None) -> random.Random:

@@ -17,18 +17,21 @@ def check_positive(name: str, value: float) -> float:
     return value
 
 
-def check_positive_int(name: str, value: int) -> int:
-    """Require an ``int`` (not a ``bool``) with ``value > 0``; return it."""
+def check_int(name: str, value: int) -> int:
+    """Require an ``int`` that is not a ``bool``; return it."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{name} must be int, got {type(value).__name__}")
-    return check_positive(name, value)
+    return value
+
+
+def check_positive_int(name: str, value: int) -> int:
+    """Require an ``int`` (not a ``bool``) with ``value > 0``; return it."""
+    return check_positive(name, check_int(name, value))
 
 
 def check_non_negative_int(name: str, value: int) -> int:
     """Require an ``int`` (not a ``bool``) with ``value >= 0``; return it."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be int, got {type(value).__name__}")
-    return check_non_negative(name, value)
+    return check_non_negative(name, check_int(name, value))
 
 
 def check_non_negative(name: str, value: float) -> float:

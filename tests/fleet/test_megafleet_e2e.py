@@ -6,7 +6,9 @@ sharded store with two workers, SIGKILL the process mid-run, resume, and
 assert the recovery invariants the whole fleet stack promises — zero
 lost tasks, zero duplicated tasks, and sketch percentiles agreeing with
 exact ones within the documented error bound.  It also pins the sample
-itself: the exact tasks ``--sample 2000`` draws from the megafleet.
+itself: the exact tasks ``--sample 2000`` draws from the megafleet.  The
+pin is not ``slow`` (a few seconds: 1M membership keys, 3.75M parameter
+draws over all four grids), so tier-1 runs it on every Python in CI.
 
 Set ``MEGAFLEET_OUT`` to keep the campaign directory (CI uploads the
 ``aggregate.json`` artifact from there); by default everything lands in
@@ -54,7 +56,6 @@ def repro_env() -> dict[str, str]:
     return env
 
 
-@pytest.mark.slow
 def test_sample_is_pinned():
     # The sample's ids, params and seeds are the resume keys of every
     # stored megafleet sample: hash the exact tasks, in order.

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.fleet.spec as spec_module
 from repro.fleet.runner import FleetRunner
@@ -19,6 +22,7 @@ from repro.fleet.spec import (
     example_spec,
     megafleet_spec,
 )
+from repro.util.rng import derive_seed
 
 
 def tasks_digest(tasks) -> str:
@@ -108,9 +112,54 @@ class TestValidation:
         with pytest.raises(ValueError, match="empty choice list"):
             ScenarioGrid(scenario="sender_reset", params={"k": []})
 
-    def test_bad_sessions_rejected(self):
-        with pytest.raises(ValueError):
-            ScenarioGrid(scenario="sender_reset", sessions=0)
+    @pytest.mark.parametrize("sessions, error", [
+        (0, ValueError), (-3, ValueError), (2.5, TypeError), (True, TypeError),
+    ])
+    def test_bad_sessions_rejected(self, sessions, error):
+        # Refused at load: a float would die only at expansion, and
+        # ``True`` would expand one session.
+        with pytest.raises(error, match="sessions"):
+            ScenarioGrid(scenario="sender_reset", sessions=sessions)
+        with pytest.raises(error, match="sessions"):
+            ScenarioGrid.from_dict({"scenario": "sender_reset", "sessions": sessions})
+
+    @pytest.mark.parametrize("repeats, error", [
+        (0, ValueError), (1.5, TypeError), (True, TypeError),
+    ])
+    def test_bad_repeats_rejected(self, repeats, error):
+        with pytest.raises(error, match="repeats"):
+            ScenarioGrid(scenario="sender_reset", repeats=repeats)
+
+    @pytest.mark.parametrize("max_events, error", [
+        (0, ValueError), (2.5, TypeError), (True, TypeError),
+    ])
+    def test_bad_max_events_rejected(self, max_events, error):
+        with pytest.raises(error, match="max_events"):
+            CampaignSpec.from_dict({
+                "name": "x", "grids": [{"scenario": "sender_reset"}],
+                "max_events": max_events,
+            })
+
+    @pytest.mark.parametrize("base_seed", [2.5, "2", True])
+    def test_non_int_base_seed_rejected(self, base_seed, tmp_path):
+        # ``derive_seed`` would read each as 2 (``True`` as 1), so the
+        # spec would record one seed and run another.
+        data = {"name": "x", "grids": [{"scenario": "sender_reset"}],
+                "base_seed": base_seed}
+        with pytest.raises(TypeError, match="base_seed must be int"):
+            CampaignSpec(name="x", grids=(ScenarioGrid(scenario="sender_reset"),),
+                         base_seed=base_seed)
+        with pytest.raises(TypeError, match="base_seed must be int"):
+            CampaignSpec.from_dict(data)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(TypeError, match="base_seed must be int"):
+            CampaignSpec.load(path)
+
+    def test_negative_base_seed_accepted(self):
+        spec = CampaignSpec(name="x", grids=(ScenarioGrid(scenario="sender_reset"),),
+                            base_seed=-7)
+        assert spec.tasks()[0].seed == derive_seed(-7, 0, "sender_reset", 0, 0)
 
     def test_unknown_scenario_caught_at_expansion(self):
         spec = CampaignSpec(name="x", grids=(ScenarioGrid(scenario="nope"),))
@@ -211,6 +260,58 @@ class TestIterTasks:
         assert list(spec.iter_tasks()) == spec.tasks()
 
 
+def choice_reference(grid: ScenarioGrid, base_seed: int, grid_index: int):
+    """Each session's params as ``random.Random.choice`` draws them."""
+    rng = random.Random(derive_seed(base_seed, grid_index, "population"))
+    axes = sorted(grid.params)
+    return [{axis: rng.choice(grid.params[axis]) for axis in axes}
+            for _ in range(grid.sessions)]
+
+
+def population_grid(sizes: list[int], sessions: int) -> ScenarioGrid:
+    """Axis ``x{i}`` offers ``sizes[i]`` choices, inserted in reverse
+    name order so that the expansion's sorting shows."""
+    return ScenarioGrid(
+        scenario="sender_reset",
+        params={f"x{i:02d}": [f"{i}:{c}" for c in range(size)]
+                for i, size in reversed(list(enumerate(sizes)))},
+        sessions=sessions,
+    )
+
+
+class TestPopulationDraws:
+    """The expansion draws what ``random.Random.choice`` draws."""
+
+    def test_every_bit_length_boundary(self):
+        # Axis sizes 1-17 each in one grid: every size from one below to
+        # one above a power of two, so every ``bit_length`` and rejection
+        # rate of the draw loop.
+        grid = population_grid(list(range(1, 18)), sessions=300)
+        for base_seed, grid_index in ((2003, 0), (2003, 3), (-1, 1), (2**70, 2)):
+            drawn = [task.params for task in grid.expand(base_seed, grid_index)]
+            assert drawn == choice_reference(grid, base_seed, grid_index)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 17), min_size=1, max_size=5),
+           sessions=st.integers(1, 40),
+           base_seed=st.integers(-(2**80), 2**80),
+           grid_index=st.integers(0, 7))
+    def test_matches_choice(self, sizes, sessions, base_seed, grid_index):
+        grid = population_grid(sizes, sessions)
+        drawn = [task.params for task in grid.expand(base_seed, grid_index)]
+        assert drawn == choice_reference(grid, base_seed, grid_index)
+
+
+#: Task ids as campaigns spell them (5- and 6-digit session numbers), and
+#: any text, non-ASCII included.
+TASK_IDS = st.one_of(
+    st.builds(lambda grid, scenario, session: f"g{grid}/{scenario}/s{session:05d}",
+              st.integers(0, 12), st.sampled_from(["sender_reset", "gateway_crash"]),
+              st.integers(0, 1_999_999)),
+    st.text(),
+)
+
+
 class TestSampledCampaign:
     def test_membership_is_deterministic(self):
         spec = example_spec(sessions=400)
@@ -296,9 +397,28 @@ class TestSampledCampaign:
         assert SampledCampaign(spec, 40).tasks() == spec.tasks()
         assert SampledCampaign(spec, 10_000).tasks() == spec.tasks()
 
-    def test_rejects_non_positive_target(self):
-        with pytest.raises(ValueError, match="target"):
-            SampledCampaign(example_spec(sessions=10), 0)
+    @pytest.mark.parametrize("target, error", [
+        (0, ValueError), (-1, ValueError), (2.5, TypeError), (True, TypeError),
+    ])
+    def test_rejects_non_positive_target(self, target, error):
+        # A float target would be its own expected sample size.
+        with pytest.raises(error, match="target"):
+            SampledCampaign(example_spec(sessions=10), target)
+
+    @settings(max_examples=300, deadline=None)
+    @given(task_id=TASK_IDS,
+           base_seed=st.integers(-(2**80), 2**80),
+           total=st.integers(1, 2_000_000),
+           target=st.integers(1, 2_000_000))
+    def test_keeps_is_the_documented_membership_rule(
+        self, task_id, base_seed, total, target
+    ):
+        spec = CampaignSpec(
+            name="m", base_seed=base_seed,
+            grids=(ScenarioGrid(scenario="sender_reset", sessions=total),),
+        )
+        expected = derive_seed(base_seed, "sample", task_id) % total < target
+        assert SampledCampaign(spec, target).keeps(task_id) == expected
 
     def test_runner_surface(self):
         spec = example_spec(sessions=60)

@@ -158,6 +158,25 @@ class TestCli:
         assert "invalid campaign spec" in capsys.readouterr().err
         assert not (out_dir / "results.jsonl").exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("base_seed", 2.5), ("base_seed", "2"), ("base_seed", True),
+        ("max_events", 2.5),
+    ])
+    def test_fleet_rejects_a_non_int_spec_field(
+        self, tmp_path, capsys, field, value
+    ):
+        import json
+
+        data = json.loads(self.write_small_spec(tmp_path).read_text())
+        data[field] = value
+        spec_path = tmp_path / "bad.json"
+        spec_path.write_text(json.dumps(data))
+        out_dir = tmp_path / "runs"
+        assert main(["fleet", str(spec_path), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid campaign spec" in err and f"{field} must be int" in err
+        assert not (out_dir / "results.jsonl").exists()
+
     def test_netpath_prints_every_story(self, capsys):
         assert main(["netpath", "--messages", "200"]) == 0
         rows = [line.split() for line in capsys.readouterr().out.splitlines()]

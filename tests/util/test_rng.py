@@ -130,6 +130,19 @@ class TestSeedPrefix:
     def test_matches_derive_seed(self, root, prefix, tail):
         assert SeedPrefix(root, *prefix)(*tail) == derive_seed(root, *prefix, *tail)
 
+    @settings(max_examples=300, deadline=None)
+    @given(root=st.integers(min_value=-(2**100), max_value=2**100),
+           prefix=PARTS, tail=st.text())
+    def test_text_matches_derive_seed(self, root, prefix, tail):
+        assert SeedPrefix(root, *prefix).text(tail) == (
+            derive_seed(root, *prefix, tail)
+        )
+
+    def test_text_pinned(self):
+        membership_key = SeedPrefix(2003, "sample").text
+        assert membership_key("g0/sender_reset/s00042") == 8422581100595664473
+        assert membership_key("") == derive_seed(2003, "sample", "")
+
     def test_edge_parts(self):
         for prefix, tail in [
             ((), ()),

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.util.validation import (
+    check_int,
     check_non_negative,
     check_non_negative_int,
     check_positive,
@@ -19,6 +20,17 @@ class TestCheckPositive:
     def test_rejects_non_positive(self, value):
         with pytest.raises(ValueError, match="x must be > 0"):
             check_positive("x", value)
+
+
+class TestCheckInt:
+    @pytest.mark.parametrize("value", [-(2**70), -1, 0, 2003])
+    def test_accepts_any_int(self, value):
+        assert check_int("seed", value) == value
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, "2", True, None])
+    def test_rejects_non_int(self, value):
+        with pytest.raises(TypeError, match="seed must be int"):
+            check_int("seed", value)
 
 
 class TestCheckPositiveInt:
