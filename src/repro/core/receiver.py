@@ -38,6 +38,9 @@ ProcessListener = Callable[[Any, Verdict], None]
 #: Default window size; RFC 2401 recommends a minimum of 32, default 64.
 DEFAULT_WINDOW = 64
 
+#: The verdicts in definition order (iterating the Enum class is slow).
+_VERDICTS = tuple(Verdict)
+
 
 @dataclass
 class ReceiverResetRecord:
@@ -133,7 +136,7 @@ class BaseReceiver(Endpoint):
     @property
     def verdict_counts(self) -> dict[Verdict, int]:
         """Processed packets per window verdict, in definition order."""
-        return {v: self._verdict_counts[v.index] for v in Verdict}
+        return dict(zip(_VERDICTS, self._verdict_counts))
 
     def add_process_listener(self, listener: ProcessListener) -> None:
         """Register a callback invoked after every processed packet."""

@@ -339,7 +339,9 @@ class CampaignSpec:
     """A complete, declarative fleet campaign.
 
     Attributes:
-        name: campaign label (used for default output paths).
+        name: campaign label, a non-empty ``str`` that is one path
+            component (no ``/`` or ``\\``, not ``.`` or ``..``): the
+            default output directory is ``fleet_runs/<name>``.
         grids: the scenario populations making up the campaign.
         base_seed: master seed every per-task seed is derived from; an
             ``int``, not a ``bool``.
@@ -353,8 +355,16 @@ class CampaignSpec:
     max_events: int = DEFAULT_MAX_EVENTS
 
     def __post_init__(self) -> None:
-        if not self.name:
+        name = self.name
+        if not isinstance(name, str):
+            raise TypeError(f"campaign name must be str, got {type(name).__name__}")
+        if not name:
             raise ValueError("campaign name must be non-empty")
+        if name in (".", "..") or "/" in name or "\\" in name:
+            raise ValueError(
+                "campaign name must be one path component (no '/' or '\\', "
+                f"not '.' or '..'), got {name!r}"
+            )
         if not self.grids:
             raise ValueError("campaign needs at least one scenario grid")
         object.__setattr__(self, "grids", tuple(

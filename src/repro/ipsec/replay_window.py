@@ -65,12 +65,24 @@ for _index, _verdict in enumerate(Verdict):
     _verdict.accepted = _verdict in (Verdict.ACCEPT_ADVANCE, Verdict.ACCEPT_IN_WINDOW)
 del _index, _verdict
 
+# The window returns its verdicts through module names: a global read
+# costs a fraction of an Enum class-attribute read, once per message.
+_ACCEPT_ADVANCE = Verdict.ACCEPT_ADVANCE
+_ACCEPT_IN_WINDOW = Verdict.ACCEPT_IN_WINDOW
+_DUPLICATE = Verdict.DUPLICATE
+_STALE = Verdict.STALE
+
 
 class BitmapReplayWindow:
     """RFC 2401-style integer-bitmap window (production form).
 
     Bit ``k`` of ``self._mask`` (for ``0 <= k < w``) holds the received
     flag of sequence number ``r - k``; bit 0 is the right edge.
+
+    Attributes:
+        right_edge: ``r``, the largest sequence number the window covers.
+            A plain attribute that :meth:`update` and :meth:`resume`
+            assign; read it, do not set it.
 
     Raises:
         TypeError: ``w`` is not an ``int`` (``bool`` included).
@@ -79,39 +91,43 @@ class BitmapReplayWindow:
 
     def __init__(self, w: int) -> None:
         self.w = check_positive_int("w", w)
-        self._r = 0
+        self.right_edge = 0
         self._mask = (1 << w) - 1  # all seen, matching the paper init
-
-    @property
-    def right_edge(self) -> int:
-        """The largest sequence number covered by the window (``r``)."""
-        return self._r
 
     def check(self, seq: int) -> Verdict:
         """Classify ``seq`` without mutating the window."""
-        if seq <= self._r - self.w:
-            return Verdict.STALE
-        if seq <= self._r:
-            bit = self._r - seq
-            if self._mask & (1 << bit):
-                return Verdict.DUPLICATE
-            return Verdict.ACCEPT_IN_WINDOW
-        return Verdict.ACCEPT_ADVANCE
+        r = self.right_edge
+        if seq <= r - self.w:
+            return _STALE
+        if seq <= r:
+            if self._mask & (1 << (r - seq)):
+                return _DUPLICATE
+            return _ACCEPT_IN_WINDOW
+        return _ACCEPT_ADVANCE
 
     def update(self, seq: int) -> Verdict:
-        """Classify ``seq`` and record its receipt if accepted."""
-        verdict = self.check(seq)
-        if verdict is Verdict.ACCEPT_IN_WINDOW:
-            self._mask |= 1 << (self._r - seq)
-        elif verdict is Verdict.ACCEPT_ADVANCE:
-            shift = seq - self._r
-            if shift >= self.w:
-                self._mask = 0
+        """Classify ``seq`` and record its receipt if accepted.
+
+        Classifies as :meth:`check` does, in its own frame: this is the
+        one window call a received message makes.
+        """
+        r = self.right_edge
+        if seq > r:
+            w = self.w
+            shift = seq - r
+            if shift >= w:
+                self._mask = 1  # only s itself is received
             else:
-                self._mask = (self._mask << shift) & ((1 << self.w) - 1)
-            self._mask |= 1  # mark s itself received
-            self._r = seq
-        return verdict
+                self._mask = ((self._mask << shift) & ((1 << w) - 1)) | 1
+            self.right_edge = seq
+            return _ACCEPT_ADVANCE
+        if seq <= r - self.w:
+            return _STALE
+        bit = 1 << (r - seq)
+        if self._mask & bit:
+            return _DUPLICATE
+        self._mask |= bit
+        return _ACCEPT_IN_WINDOW
 
     def resume(self, new_right_edge: int) -> None:
         """Post-reset wake-up: jump to ``new_right_edge``, all marked seen.
@@ -120,7 +136,7 @@ class BitmapReplayWindow:
         the leap, "every sequence number up to r should be assumed to be
         already received", so the whole window is set to *received*.
         """
-        self._r = new_right_edge
+        self.right_edge = new_right_edge
         self._mask = (1 << self.w) - 1
 
     def snapshot(self) -> tuple[int, tuple[bool, ...]]:
@@ -132,7 +148,7 @@ class BitmapReplayWindow:
         flags = tuple(
             bool(self._mask & (1 << (self.w - 1 - i))) for i in range(self.w)
         )
-        return self._r, flags
+        return self.right_edge, flags
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<BitmapReplayWindow w={self.w} r={self._r}>"
+        return f"<BitmapReplayWindow w={self.w} r={self.right_edge}>"

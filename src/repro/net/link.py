@@ -155,9 +155,42 @@ class Link(SimProcess):
     # ------------------------------------------------------------------
     # Transmission
     # ------------------------------------------------------------------
-    def send(self, packet: Any) -> None:
-        """Offer a packet from the legitimate sender."""
-        self._transmit(packet, injected=False)
+    def _transmit(self, packet: Any, injected: bool = False) -> None:
+        """Offer a packet from the legitimate sender (``injected`` is set
+        only by :meth:`inject`)."""
+        engine = self.engine
+        now = engine.now
+        self.offered += 1
+        for tap in self._taps:
+            tap(now, packet, injected)
+        timeline = self._timeline
+        if timeline is not None and now >= timeline.next_change:
+            timeline.advance(now)
+            self._apply_regime(timeline)
+        if self._forced_down or not self._path_up:
+            self.blackholed += 1
+            self.dropped += 1
+            if engine.trace.enabled:
+                self.trace("blackhole", packet=repr(packet), injected=injected)
+            return
+        if self.loss.should_drop(self._rng):
+            self.dropped += 1
+            if engine.trace.enabled:
+                self.trace("drop", packet=repr(packet), injected=injected)
+            return
+        delivery_time = now + self.delay.sample(self._rng)
+        if delivery_time < self._last_delivery_time:
+            if self.fifo:
+                delivery_time = self._last_delivery_time
+        else:
+            self._last_delivery_time = delivery_time
+        # Deliveries are never cancelled, so they ride the zero-alloc
+        # post path (no Event handle).
+        engine.post_at(delivery_time, self._deliver, packet, injected)
+
+    #: Offer a packet from the legitimate sender.  The transmit itself,
+    #: under its public name: a send pays no forwarding frame.
+    send = _transmit
 
     def inject(self, packet: Any) -> None:
         """Offer a packet inserted by an adversary.
@@ -167,7 +200,7 @@ class Link(SimProcess):
         traces and not re-recorded by taps that ignore injections.
         """
         self.injected += 1
-        self._transmit(packet, injected=True)
+        self._transmit(packet, True)
 
     # ------------------------------------------------------------------
     # Path dynamics
@@ -207,35 +240,6 @@ class Link(SimProcess):
         self.regime_shifts += 1
         self._apply_regime(_RegimeView(phase))
         self.trace("regime_shift", phase=phase.name)
-
-    def _transmit(self, packet: Any, injected: bool) -> None:
-        engine = self.engine
-        now = engine.now
-        self.offered += 1
-        for tap in self._taps:
-            tap(now, packet, injected)
-        timeline = self._timeline
-        if timeline is not None and now >= timeline.next_change:
-            timeline.advance(now)
-            self._apply_regime(timeline)
-        if self._forced_down or not self._path_up:
-            self.blackholed += 1
-            self.dropped += 1
-            if engine.trace.enabled:
-                self.trace("blackhole", packet=repr(packet), injected=injected)
-            return
-        if self.loss.should_drop(self._rng):
-            self.dropped += 1
-            if engine.trace.enabled:
-                self.trace("drop", packet=repr(packet), injected=injected)
-            return
-        delivery_time = now + self.delay.sample(self._rng)
-        if self.fifo and delivery_time < self._last_delivery_time:
-            delivery_time = self._last_delivery_time
-        self._last_delivery_time = max(self._last_delivery_time, delivery_time)
-        # Deliveries are never cancelled, so they ride the zero-alloc
-        # post path (no Event handle).
-        engine.post_at(delivery_time, self._deliver, packet, injected)
 
     def _deliver(self, packet: Any, injected: bool) -> None:
         if self.availability is not None and not self.availability():

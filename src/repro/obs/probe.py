@@ -33,10 +33,14 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.ipsec.replay_window import Verdict
 from repro.obs.hub import MetricsHub
 
 #: EWMA smoothing for the loss signal (see hub.DEFAULT_EWMA_ALPHA note).
 LOSS_EWMA_ALPHA = 0.25
+
+#: The window verdicts ``replay_discards`` counts.
+_DUPLICATE, _STALE = Verdict.DUPLICATE, Verdict.STALE
 
 
 class HealthProbe:
@@ -113,9 +117,7 @@ class HealthProbe:
 
     def _sample_discards(self, now: float) -> None:
         counts = self.receiver.verdict_counts
-        discarded = sum(
-            count for verdict, count in counts.items() if not verdict.accepted
-        )
+        discarded = counts[_DUPLICATE] + counts[_STALE]
         if discarded > self._seen_discards:
             self.replay_discards.inc(discarded - self._seen_discards)
             self._seen_discards = discarded

@@ -104,6 +104,27 @@ class TestValidation:
         with pytest.raises(ValueError, match="name must be non-empty"):
             CampaignSpec(name="", grids=(ScenarioGrid(scenario="sender_reset"),))
 
+    @pytest.mark.parametrize("name, error", [
+        (5, TypeError), (None, TypeError), (["x"], TypeError),
+        ("../escaped", ValueError), ("a/b", ValueError), ("a\\b", ValueError),
+        (".", ValueError), ("..", ValueError),
+    ])
+    def test_name_must_be_one_path_component(self, name, error, tmp_path):
+        # The CLI's default output directory is fleet_runs/<name>: a
+        # non-str name raised there, and "../escaped" wrote outside it.
+        data = {"name": name, "grids": [{"scenario": "sender_reset"}]}
+        with pytest.raises(error, match="campaign name must be"):
+            CampaignSpec(name=name, grids=(ScenarioGrid(scenario="sender_reset"),))
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(error, match="campaign name must be"):
+            CampaignSpec.load(path)
+
+    @pytest.mark.parametrize("name", ["mixed-demo", "a.b", "...", "two words"])
+    def test_single_component_names_accepted(self, name):
+        spec = CampaignSpec(name=name, grids=(ScenarioGrid(scenario="sender_reset"),))
+        assert CampaignSpec.from_json(spec.to_json()).name == name
+
     def test_no_grids_rejected(self):
         with pytest.raises(ValueError, match="at least one scenario grid"):
             CampaignSpec(name="x", grids=())

@@ -177,6 +177,23 @@ class TestCli:
         assert "invalid campaign spec" in err and f"{field} must be int" in err
         assert not (out_dir / "results.jsonl").exists()
 
+    @pytest.mark.parametrize("name", [5, "../escaped", "."])
+    def test_fleet_rejects_a_name_that_is_not_one_path_component(
+        self, tmp_path, monkeypatch, capsys, name
+    ):
+        import json
+
+        # No --out: the default directory is fleet_runs/<name> under the
+        # working directory, so run from an empty one and check it stays so.
+        data = json.loads(self.write_small_spec(tmp_path).read_text())
+        data["name"] = name
+        (tmp_path / "spec.json").write_text(json.dumps(data))
+        monkeypatch.chdir(tmp_path)
+        assert main(["fleet", "spec.json"]) == 2
+        err = capsys.readouterr().err
+        assert "invalid campaign spec" in err and "campaign name must be" in err
+        assert [path.name for path in tmp_path.iterdir()] == ["spec.json"]
+
     def test_netpath_prints_every_story(self, capsys):
         assert main(["netpath", "--messages", "200"]) == 0
         rows = [line.split() for line in capsys.readouterr().out.splitlines()]

@@ -5,7 +5,9 @@ schedule of sender/receiver resets (spaced beyond the recovery time, on a
 lossless in-order channel, with a properly sized K), the SAVE/FETCH pair
 never reuses a sequence number, never accepts a replay, and every gap
 stays within 2K.  Back-to-back resets on one side, each landing anywhere
-in the previous recovery, keep the same guarantee.
+in the previous recovery, keep the same guarantee, but for one drawn
+schedule that breaks it: pinned as a strict xfail until the protocol
+fault it shows is fixed.
 """
 
 import pytest
@@ -98,7 +100,12 @@ def back_to_back(draw):
 @given(schedule=back_to_back())
 @settings(max_examples=40, deadline=None)
 def test_back_to_back_resets_keep_the_guarantee(variant, schedule):
-    side, resets = schedule
+    check_back_to_back(variant, *schedule)
+
+
+def check_back_to_back(variant, side, resets):
+    """Run ``resets`` of ``side`` with a 300-packet replay on each resume
+    and assert the guarantee."""
     k = PAPER_COSTS.min_save_interval()
     harness = build_protocol(variant=variant, k_p=k, k_q=k, costs=PAPER_COSTS,
                              seed=1, with_adversary=True, trace=NULL_TRACE)
@@ -127,3 +134,25 @@ def test_back_to_back_resets_keep_the_guarantee(variant, schedule):
         assert record.resume_time is None or record.resume_time <= later.reset_time
     assert records[-1].resume_time is not None
     assert harness.engine.pending_events == 0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "open protocol fault: at 4.748 ms the 51-packet wake-buffer drain "
+    "starts SAVE(1137), SAVE(1162) and SAVE(1187), all due at 4.848 ms; "
+    "the second reset, queued at t=0, runs first at 4.848 ms and aborts "
+    "all three, leaving the store at 1100 against r=1212 (a gap of "
+    "112 > 2K = 50), so the third reset's resume accepts 2 replays"
+))
+def test_back_to_back_resets_pinned_counterexample():
+    # Receiver resets back_to_back() drew, in its float arithmetic: the
+    # second reset ties with the three SAVE commits at 4.848 ms.
+    t_send, t_save, t_fetch = (PAPER_COSTS.t_send, PAPER_COSTS.t_save,
+                               PAPER_COSTS.t_fetch)
+    first, first_down = 1087 * t_send, 4 * t_save / 2  # 4.348 ms, 0.2 ms
+    # "after" the first recovery, one tenth in: 4.848 ms, down 0.
+    second = first + (first_down + t_fetch + t_save + 1 / 10 * (10 * t_save))
+    # "fetch" of the zero-length reset, nine tenths in: 4.938 ms, 0.1 ms.
+    third = second + (0.0 + 9 / 10 * t_fetch)
+    check_back_to_back("savefetch", "q", [
+        (first, first_down), (second, 0.0), (third, 2 * t_save / 2),
+    ])

@@ -6,6 +6,9 @@ arbitrary interleavings of updates and resumes.
 * :class:`spec_window.SpecWindow` runs the model-checked spec's own
   ``window_update`` and wake: the window must accept the same messages,
   and its ``snapshot()`` must equal the spec's ``(r, wdw)``.
+
+``check`` and ``update`` classify in separate code, so before every
+update the verdict ``check`` gives must be the one ``update`` returns.
 """
 
 from hypothesis import settings
@@ -59,7 +62,9 @@ class WindowEquivalence(RuleBasedStateMachine):
         seq = max(-5, self.base + offset)
         self.base = max(self.base, seq)
         expected = self.reference.update(seq)
+        checked = self.window.check(seq)
         verdict = self.window.update(seq)
+        assert checked is verdict, f"check and update disagree on seq {seq}"
         assert verdict == expected, f"diverged from the reference on seq {seq}"
         assert self.spec.update(seq) == verdict.accepted, (
             f"diverged from the spec on seq {seq}"
